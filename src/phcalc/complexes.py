@@ -1,15 +1,16 @@
 """Simplices, face-closed complexes, boundary matrices, Betti numbers.
 
 Simplices are finite sets of non-negative integer vertex ids kept in
-canonical (strictly increasing) form.  A complex stores its simplices
-grouped by dimension in lexicographic order, which fixes the row and
-column bases of every boundary matrix.
+canonical (strictly increasing) form; every `combinations` subset of a
+canonical tuple is canonical, so faces are looked up as bare tuples.
+A complex stores its simplices grouped by dimension in lexicographic
+order, which fixes the row and column bases of every boundary matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, Iterator
 
 from .gf2 import Gf2Matrix
@@ -65,12 +66,12 @@ def is_complex(simplices: Iterable[Simplex]) -> bool:
 
 def _missing_face(simplices: frozenset[Simplex]) -> Simplex | None:
     """A witness subset absent from the set, or None if face-closed."""
+    present = {s.vertices for s in simplices}
     for s in simplices:
-        for size in range(1, len(s)):
+        for size in range(1, len(s.vertices)):
             for verts in combinations(s.vertices, size):
-                candidate = Simplex(verts)
-                if candidate not in simplices:
-                    return candidate
+                if verts not in present:
+                    return Simplex(verts)
     return None
 
 
@@ -82,16 +83,13 @@ class SimplicialComplex:
     """
 
     def __init__(self, simplices: Iterable[Simplex]):
-        members = frozenset(simplices)
-        missing = _missing_face(members)
+        self._simplices = frozenset(simplices)
+        missing = _missing_face(self._simplices)
         if missing is not None:
             raise ValueError(f"not face-closed: missing face {missing}")
-        self._simplices = members
-        top = max((s.dim for s in members), default=-1)
-        by_dim: list[list[Simplex]] = [[] for _ in range(top + 1)]
-        for s in members:
-            by_dim[s.dim].append(s)
-        self._by_dim = tuple(tuple(sorted(group)) for group in by_dim)
+        # face-closed, so every dimension from 0 to the top has a group
+        ordered = sorted(self._simplices, key=lambda s: (len(s.vertices), s.vertices))
+        self._by_dim = tuple(tuple(group) for _, group in groupby(ordered, len))
 
     @property
     def simplices(self) -> frozenset[Simplex]:
@@ -117,17 +115,15 @@ class SimplicialComplex:
         (n-1)-simplex is a face of the k-th n-simplex.  For n = 0 the
         row count is 0 (there is nothing below the vertices).
         """
-        if n < 0:
-            raise ValueError(f"dimension must be >= 0, got {n}")
         cols = self.n_simplices(n)
         if n == 0:
             return Gf2Matrix.zero(0, len(cols))
         rows = self.n_simplices(n - 1)
-        row_of = {s: i for i, s in enumerate(rows)}
+        row_of = {s.vertices: i for i, s in enumerate(rows)}
         bits = [0] * len(rows)
         for k, s in enumerate(cols):
-            for f in s.faces():
-                bits[row_of[f]] |= 1 << k
+            for face in combinations(s.vertices, n):
+                bits[row_of[face]] |= 1 << k
         return Gf2Matrix(len(rows), len(cols), tuple(bits))
 
     def betti(self, n: int) -> int:
@@ -168,9 +164,8 @@ def closure_of_facets(facets: Iterable[Simplex]) -> SimplicialComplex:
     dominated facets are absorbed.  Idempotent: feeding a complex's own
     simplices back in reproduces the complex.
     """
-    members: set[Simplex] = set()
+    members: set[tuple[int, ...]] = set()
     for facet in facets:
         for size in range(1, len(facet) + 1):
-            for verts in combinations(facet.vertices, size):
-                members.add(Simplex(verts))
-    return SimplicialComplex(members)
+            members.update(combinations(facet.vertices, size))
+    return SimplicialComplex(Simplex(verts) for verts in members)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complexes import Simplex
 from .filtration import Filtration
@@ -53,6 +54,15 @@ def serialize_facets(facets: tuple[Simplex, ...] | list[Simplex]) -> str:
     return "".join(" ".join(str(v) for v in f) + "\n" for f in facets)
 
 
+def _load_json(text: str) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
+    except RecursionError:
+        raise ParseError("document", "nested too deeply") from None
+
+
 def _facet_at(obj: object, where: str) -> Simplex:
     if not isinstance(obj, list) or not obj:
         raise ParseError(where, "each facet must be a non-empty list of vertices")
@@ -73,6 +83,11 @@ class FiltrationDocument:
     name: str | None = None
 
     def to_filtration(self) -> Filtration:
+        """The filtration of these levels, built once; parsed documents carry it."""
+        return self._filtration
+
+    @cached_property
+    def _filtration(self) -> Filtration:
         return Filtration.from_level_facets(self.levels)
 
     def serialize(self) -> str:
@@ -86,17 +101,14 @@ class FiltrationDocument:
 
 
 def parse_filtration(text: str, incremental: bool = False) -> FiltrationDocument:
-    """Parse a filtration document and validate it eagerly.
+    """Parse a filtration document; validate it by building its filtration.
 
     With incremental=True each level lists only the facets new at that
     level; they are accumulated into cumulative lists, so nesting holds
     by construction.  In the default cumulative mode a non-nested file
-    fails validation (FiltrationError from the filtration itself).
+    raises FiltrationError; the document carries the validated filtration.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("document", "top level must be an object")
     unknown = set(doc) - {"name", "levels"}
@@ -110,20 +122,17 @@ def parse_filtration(text: str, incremental: bool = False) -> FiltrationDocument
         raise ParseError("levels", "must be a non-empty list of levels")
 
     levels: list[tuple[Simplex, ...]] = []
-    running: list[Simplex] = []
     for j, raw_level in enumerate(raw_levels):
         if not isinstance(raw_level, list):
             raise ParseError(f"levels[{j}]", "each level must be a list of facets")
-        parsed = [
+        parsed = tuple(
             _facet_at(raw, f"levels[{j}][{k}]") for k, raw in enumerate(raw_level)
-        ]
-        if incremental:
-            running.extend(parsed)
-            levels.append(tuple(running))
-        else:
-            levels.append(tuple(parsed))
+        )
+        if incremental and levels:
+            parsed = levels[-1] + parsed
+        levels.append(parsed)
     document = FiltrationDocument(tuple(levels), name)
-    document.to_filtration()  # fail now, not at first use
+    document.to_filtration()  # fail now, and keep it for the caller
     return document
 
 
@@ -167,10 +176,7 @@ def _pair_at(obj: object, where: str) -> PersistencePair:
 
 
 def parse_barcodes(text: str) -> tuple[Barcode, ...]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
+    doc = _load_json(text)
     if not isinstance(doc, dict) or set(doc) != {"barcodes"}:
         raise ParseError("document", "top level must be an object with 'barcodes'")
     raw_barcodes = doc["barcodes"]

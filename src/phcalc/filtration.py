@@ -48,10 +48,9 @@ def validate(levels: Sequence[SimplicialComplex]) -> FiltrationViolation | None:
         if missing is not None:
             return FiltrationViolation("not-a-complex", j, missing)
     for j in range(1, len(levels)):
-        smaller, larger = levels[j - 1], levels[j]
-        if not smaller.is_subcomplex_of(larger):
-            witness = min(smaller.simplices - larger.simplices)
-            return FiltrationViolation("not-nested", j, witness)
+        dropped = levels[j - 1].simplices - levels[j].simplices
+        if dropped:
+            return FiltrationViolation("not-nested", j, min(dropped))
     return None
 
 

@@ -185,6 +185,14 @@ def test_parse_error_exits_one(tmp_path, capsys):
     assert "levels[0][0][1]" in capsys.readouterr().err
 
 
+def test_deeply_nested_json_exits_one(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["barcode", str(path), "-n", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err == "phcalc: error: document: nested too deeply\n"
+
+
 def test_incremental_mode(tmp_path, capsys):
     path = tmp_path / "inc.json"
     path.write_text('{"levels": [[[0,1]], [[1,2]]]}')

@@ -50,7 +50,7 @@ def test_is_complex():
 
 
 def test_complex_requires_closure():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"missing face \(0\)"):
         SimplicialComplex((Simplex((0, 1, 2)),))
 
 

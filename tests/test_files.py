@@ -7,7 +7,14 @@ import random
 
 import pytest
 
-from phcalc import Barcode, FiltrationError, PersistencePair, Simplex, barcode
+from phcalc import (
+    Barcode,
+    Filtration,
+    FiltrationError,
+    PersistencePair,
+    Simplex,
+    barcode,
+)
 from phcalc.files import (
     FiltrationDocument,
     ParseError,
@@ -17,6 +24,7 @@ from phcalc.files import (
     serialize_barcodes,
     serialize_facets,
 )
+from phcalc.generate import random_filtration_document
 
 from .support import random_filtration
 
@@ -89,8 +97,46 @@ def test_parse_filtration_located_errors():
 
 
 def test_parse_filtration_validates_nesting():
-    with pytest.raises(FiltrationError, match="missing from level 1"):
+    with pytest.raises(FiltrationError) as excinfo:
         parse_filtration('{"levels": [[[0,1]], [[2,3]]]}')
+    assert str(excinfo.value) == "simplex (0) of level 0 missing from level 1"
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count Filtration constructions for the rest of the test."""
+    count = []
+    original = Filtration.__init__
+
+    def counting(self, levels):
+        count.append(1)
+        original(self, levels)
+
+    monkeypatch.setattr(Filtration, "__init__", counting)
+    return count
+
+
+def test_parsed_document_keeps_its_filtration(diabolo_json, builds):
+    doc = parse_filtration(diabolo_json)
+    f = doc.to_filtration()
+    assert doc.to_filtration() is f
+    assert len(builds) == 1
+    assert f == Filtration.from_level_facets(doc.levels)
+
+
+def test_generated_document_builds_on_demand(builds):
+    doc = random_filtration_document(20, 3, seed=4)
+    assert not builds
+    f = doc.to_filtration()
+    assert len(builds) == 1
+    assert f.m == 2
+    assert doc.to_filtration() is f
+
+
+@pytest.mark.parametrize("parse", [parse_filtration, parse_barcodes])
+def test_deeply_nested_json_is_a_parse_error(parse):
+    with pytest.raises(ParseError, match="document: nested too deeply"):
+        parse("[" * 100_000)
 
 
 def test_barcode_round_trip(diabolo_filtration):
