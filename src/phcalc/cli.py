@@ -19,7 +19,6 @@ from .files import ParseError, parse_facets, parse_filtration, serialize_barcode
 from .generate import random_filtration_document
 from .oracle import EnumerationLimitError, oracle_betti, oracle_persistent_betti
 from .persistence import (
-    NegativeMuError,
     barcode,
     check_fundamental_lemma,
     mu,
@@ -357,9 +356,6 @@ def main(argv: list[str] | None = None) -> int:
     except FiltrationError as exc:
         print(f"phcalc: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NegativeMuError as exc:
-        print(f"phcalc: error: {exc}", file=sys.stderr)
-        return EXIT_MATH
     except ValueError as exc:
         print(f"phcalc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

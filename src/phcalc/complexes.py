@@ -23,12 +23,16 @@ class Simplex:
     vertices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        verts = tuple(sorted(self.vertices))
+        # types first: sorting mixed types would raise TypeError
+        verts = tuple(self.vertices)
+        for v in verts:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"vertex {v!r} is not a non-negative integer")
+        verts = tuple(sorted(verts))
         if not verts:
             raise ValueError("a simplex needs at least one vertex")
-        for v in verts:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"vertex {v!r} is not a non-negative integer")
+        if verts[0] < 0:
+            raise ValueError(f"vertex {verts[0]!r} is not a non-negative integer")
         if any(a == b for a, b in zip(verts, verts[1:])):
             raise ValueError(f"duplicate vertices in {verts}")
         object.__setattr__(self, "vertices", verts)

@@ -122,8 +122,8 @@ class Filtration:
         self.check_level_pair(j, p)
         domain = self._levels[j].n_simplices(n)
         codomain = self._levels[p].n_simplices(n)
-        row_of = {s: r for r, s in enumerate(codomain)}
+        row_of = {s.vertices: r for r, s in enumerate(codomain)}
         bits = [0] * len(codomain)
         for c, s in enumerate(domain):
-            bits[row_of[s]] |= 1 << c
+            bits[row_of[s.vertices]] |= 1 << c
         return Gf2Matrix(len(codomain), len(domain), tuple(bits))

@@ -1,18 +1,30 @@
 """Persistent Betti numbers, interval multiplicities, and barcodes.
 
-All quantities are computed exactly, by GF(2) rank arithmetic.  The
-degree-n classes of level j that are still alive at level p form a
-quotient space: the cycles of K^j, pushed into K^p along the basis
-inclusion, modulo the boundaries of K^p they meet.  Its dimension is
-obtained from three matrices per (j, p) query: the degree-n boundary
-matrix of K^j, the degree-(n+1) boundary matrix of K^p, and the
-inclusion matrix between the two n-simplex bases.
+All quantities are computed exactly over GF(2), by two independent
+methods.
+
+Point queries follow the paper's rank formula.  The degree-n classes
+of level j that are still alive at level p form a quotient space: the
+cycles of K^j, pushed into K^p along the basis inclusion, modulo the
+boundaries of K^p they meet.  Its dimension is obtained from three
+matrices per (j, p) query: the degree-n boundary matrix of K^j, the
+degree-(n+1) boundary matrix of K^p, and the inclusion matrix between
+the two n-simplex bases.  `persistent_betti`, `betti_table`, `mu` and
+`mu_infinity` use it.
+
+Barcodes come from one column reduction of the filtered boundary
+matrix (Edelsbrunner-Letscher-Zomorodian; Zomorodian-Carlsson), with
+clearing (Chen-Kerber): each pivot pairs the birth of a class with its
+death.  `check_fundamental_lemma` holds each method against the other.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Container
 
 from .filtration import Filtration
 
@@ -23,7 +35,9 @@ class NegativeMuError(RuntimeError):
     """An interval multiplicity came out negative.
 
     This signals a non-filtration input or an implementation fault;
-    multiplicities of genuine filtrations are counts.
+    multiplicities of genuine filtrations are counts.  `barcode` counts
+    pivots, so it cannot produce one; `check_fundamental_lemma` reports
+    a negative rank-grid multiplicity as a "negative-count" violation.
     """
 
     def __init__(self, n: int, j: int, p: int | float, value: int):
@@ -198,26 +212,86 @@ def _mu_grid(
     return finite, infinite
 
 
+def _filtration_order(f: Filtration, n: int) -> list[tuple[tuple[int, ...], int]]:
+    """(vertices, birth) of every n-simplex, in filtration order.
+
+    A simplex is born at the first level that contains it.  Sorting on
+    (birth, vertices) is the (birth, dim, vertices) order restricted to
+    one dimension; in that order faces come before their cofaces.
+    """
+    birth: dict[tuple[int, ...], int] = {}
+    if n >= 0:
+        for j, level in enumerate(f.levels):
+            for s in level.n_simplices(n):
+                birth.setdefault(s.vertices, j)
+    return sorted(birth.items(), key=lambda item: (item[1], item[0]))
+
+
+def _boundary_columns(
+    cells: list[tuple[tuple[int, ...], int]], faces: list[tuple[tuple[int, ...], int]]
+) -> list[int]:
+    """The boundary of each cell as a bitset over the indices of ``faces``."""
+    if not faces:  # the cells are vertices, or there are none
+        return [0] * len(cells)
+    row_of = {verts: r for r, (verts, _) in enumerate(faces)}
+    columns = []
+    for verts, _ in cells:
+        bits = 0
+        for face in combinations(verts, len(verts) - 1):
+            bits |= 1 << row_of[face]
+        columns.append(bits)
+    return columns
+
+
+def _reduce(columns: list[int], cleared: Container[int] = ()) -> dict[int, int]:
+    """Reduce the columns left to right; return {pivot row: column}.
+
+    A column's pivot is its lowest (highest-index) nonzero row.  Earlier
+    reduced columns are added to it until its pivot is new or it is
+    zero.  Columns in ``cleared`` are known to reduce to zero and are
+    skipped.
+    """
+    pivots: dict[int, int] = {}
+    reduced: dict[int, int] = {}
+    for c, col in enumerate(columns):
+        if c in cleared:
+            continue
+        while col:
+            low = col.bit_length() - 1
+            if low not in reduced:
+                reduced[low] = col
+                pivots[low] = c
+                break
+            col ^= reduced[low]
+    return pivots
+
+
 def barcode(f: Filtration, n: int) -> Barcode:
     """The degree-n barcode: every interval with positive multiplicity.
 
-    Raises NegativeMuError if any multiplicity is negative, naming the
-    offending (n, j, p).
+    Reduces the degree-(n+1) boundary columns, then the degree-n ones
+    with clearing: an n-simplex that is a pivot of degree n+1 creates a
+    class, so its column is skipped.  Each pivot (i, c) is the interval
+    [birth of i, birth of c), dropped when both are born at one level;
+    an n-simplex whose column reduces to zero and that is no pivot is a
+    class that never dies.
     """
-    table = betti_table(f, n)
-    finite, infinite = _mu_grid(table, f.m)
-    pairs = []
-    for (j, p), count in finite.items():
-        if count < 0:
-            raise NegativeMuError(n, j, p, count)
-        if count > 0:
-            pairs.append(PersistencePair(j, p, count))
-    for j, count in enumerate(infinite):
-        if count < 0:
-            raise NegativeMuError(n, j, INFINITE_DEATH, count)
-        if count > 0:
-            pairs.append(PersistencePair(j, INFINITE_DEATH, count))
-    return Barcode(n, tuple(sorted(pairs)))
+    if n < 0:
+        raise ValueError(f"dimension must be >= 0, got {n}")
+    below, cells, above = (_filtration_order(f, d) for d in (n - 1, n, n + 1))
+    deaths = _reduce(_boundary_columns(above, cells))
+    negative = set(_reduce(_boundary_columns(cells, below), deaths).values())
+    counts: Counter[tuple[int, int | float]] = Counter()
+    for i, c in deaths.items():
+        birth, death = cells[i][1], above[c][1]
+        if birth < death:
+            counts[(birth, death)] += 1
+    for i, (_, birth) in enumerate(cells):
+        if i not in deaths and i not in negative:
+            counts[(birth, INFINITE_DEATH)] += 1
+    return Barcode(
+        n, tuple(PersistencePair(b, d, k) for (b, d), k in sorted(counts.items()))
+    )
 
 
 @dataclass(frozen=True)
@@ -241,11 +315,12 @@ class LemmaViolation:
 class LemmaReport:
     """Outcome of checking the persistence interval identities in one degree.
 
-    For every 0 <= k <= l <= m the persistent Betti number must equal
-    both (a) the multiplicities of deaths after l among births up to k
-    plus the count still alive at the last level, and (b) the number of
-    barcode intervals spanning [k, l].  Negative multiplicities are
-    reported as violations rather than raised.
+    For every 0 <= k <= l <= m the persistent Betti number of the rank
+    grid must equal both (a) the grid's multiplicities of deaths after l
+    among births up to k plus the count still alive at the last level,
+    and (b) the number of intervals of the reduction's barcode spanning
+    [k, l].  Negative multiplicities are reported as violations rather
+    than raised.
     """
 
     dimension: int
@@ -263,6 +338,7 @@ def check_fundamental_lemma(f: Filtration, n: int) -> LemmaReport:
     m = f.m
     table = betti_table(f, n)
     finite, infinite = _mu_grid(table, m)
+    bars = barcode(f, n)
 
     violations: list[LemmaViolation] = []
     for (j, p), count in sorted(finite.items()):
@@ -273,17 +349,21 @@ def check_fundamental_lemma(f: Filtration, n: int) -> LemmaReport:
             violations.append(LemmaViolation("negative-count", j, m, 0, count))
 
     checked = 0
+    # after row k, later[l] (l >= k) sums finite[(i, q)] over i <= k, q > l
+    later = [0] * (m + 1)
     for k in range(m + 1):
+        tail = 0
+        for l in range(m, k, -1):
+            later[l] += tail
+            tail += finite[(k, l)]
+        later[k] += tail
         for l in range(k, m + 1):
             checked += 1
             lhs = table[(k, l)]
-            mu_sum = sum(
-                finite[(i, q)] for i in range(k + 1) for q in range(l + 1, m + 1)
-            )
-            rhs = mu_sum + table[(k, m)]
+            rhs = later[l] + table[(k, m)]
             if lhs != rhs:
                 violations.append(LemmaViolation("interval-sum", k, l, lhs, rhs))
-            spanning = mu_sum + sum(infinite[i] for i in range(k + 1))
+            spanning = bars.betti_at(k, l)
             if lhs != spanning:
                 violations.append(LemmaViolation("barcode-span", k, l, lhs, spanning))
     return LemmaReport(n, m, checked, tuple(violations))

@@ -9,7 +9,7 @@ import pytest
 
 from phcalc.cli import main
 from phcalc.files import parse_barcodes, parse_filtration
-from phcalc.persistence import LemmaReport, LemmaViolation
+from phcalc.persistence import LemmaReport, LemmaViolation, betti_table
 
 DIABOLO_FACETS_TEXT = "2 3\n3 4\n3 5\n4 5\n0 1 2\n"
 
@@ -122,6 +122,21 @@ def test_check_reports_violations_as_json(filtration_file, capsys, monkeypatch):
     payload = json.loads(out[out.index("[") :])
     assert payload[0]["check"] == "fundamental-lemma"
     assert payload[0]["kind"] == "interval-sum"
+
+
+def test_check_fails_on_a_wrong_rank_grid(filtration_file, capsys, monkeypatch):
+    def one_wrong_entry(f, n):
+        table = betti_table(f, n)
+        table[(3, 4)] += 1
+        return table
+
+    monkeypatch.setattr("phcalc.persistence.betti_table", one_wrong_entry)
+    assert main(["check", filtration_file]) == 3
+    out = capsys.readouterr().out
+    assert "fundamental-lemma: FAIL" in out
+    payload = json.loads(out[out.index("[") :])
+    assert {"check": "fundamental-lemma", "dim": 1, "kind": "barcode-span",
+            "k": 3, "l": 4, "detail": "expected 3, got 2"} in payload
 
 
 def test_check_oracle_skips_when_too_large(filtration_file, capsys, monkeypatch):

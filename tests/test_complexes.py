@@ -29,6 +29,9 @@ def test_simplex_rejects_bad_vertices():
         Simplex((-1, 2))
     with pytest.raises(ValueError):
         Simplex((True, 2))
+    for mixed in ((1, "a"), ("a", 1)):
+        with pytest.raises(ValueError, match="vertex 'a' is not a non-negative integer"):
+            Simplex(mixed)
 
 
 def test_faces():

@@ -13,20 +13,28 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phcalc import (
     INFINITE_DEATH,
     Barcode,
+    Filtration,
+    LemmaViolation,
     NegativeMuError,
     PersistencePair,
+    Simplex,
+    SimplicialComplex,
     barcode,
     betti_table,
     check_fundamental_lemma,
     mu,
     mu_infinity,
+    oracle_persistent_betti,
     persistent_betti,
     persistent_betti_simplified,
 )
+from phcalc.generate import random_filtration_document
 
 from .support import random_filtration
 
@@ -226,3 +234,87 @@ def test_barcode_is_dataclass_value():
     b = Barcode(0, (PersistencePair(0, math.inf, 1),))
     assert a == b
     assert a.total_bars() == 1
+
+
+def _assert_barcode_matches_rank_grid(f, n):
+    """The reduction's barcode against the paper's rank formulas."""
+    bars = barcode(f, n)
+    table = betti_table(f, n)
+    assert {(j, p): bars.betti_at(j, p) for (j, p) in table} == table
+    expected = {
+        (j, p): mu(f, n, j, p) for j in range(len(f)) for p in range(j + 1, len(f))
+    }
+    expected.update({(j, INFINITE_DEATH): mu_infinity(f, n, j) for j in range(len(f))})
+    by_interval = {(p.birth, p.death): p.multiplicity for p in bars.pairs}
+    assert by_interval == {key: count for key, count in expected.items() if count}
+
+
+def test_reduction_matches_rank_grid():
+    rng = random.Random(89)
+    generated = [
+        random_filtration_document(5 + seed, 1 + seed % 6, seed=seed).to_filtration()
+        for seed in range(30)
+    ]
+    drawn = [random_filtration(rng, levels=rng.randint(1, 5)) for _ in range(20)]
+    for f in generated + drawn:
+        for n in range(3):
+            _assert_barcode_matches_rank_grid(f, n)
+
+
+@st.composite
+def small_filtrations(draw):
+    levels = draw(st.integers(1, 4))
+    facet = st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True)
+    drawn = draw(st.lists(st.tuples(facet, st.integers(0, levels - 1)), max_size=6))
+    return Filtration.from_level_facets(
+        [[Simplex(tuple(v)) for v, at in drawn if at <= j] for j in range(levels)]
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_filtrations())
+def test_reduction_matches_oracle(f):
+    for n in range(3):
+        bars = barcode(f, n)
+        for j in range(len(f)):
+            for p in range(j, len(f)):
+                assert bars.betti_at(j, p) == oracle_persistent_betti(f, n, j, p)
+
+
+def test_barcode_of_empty_filtration():
+    f = Filtration([SimplicialComplex(()), SimplicialComplex(())])
+    for n in range(2):
+        assert barcode(f, n) == Barcode(n, ())
+        _assert_barcode_matches_rank_grid(f, n)
+
+
+def test_cycle_born_and_filled_in_one_level_has_no_bar():
+    f = Filtration.from_level_facets([[Simplex((0,))], [Simplex((0, 1, 2))]])
+    assert barcode(f, 0).pairs == (PersistencePair(0, INFINITE_DEATH, 1),)
+    assert barcode(f, 1).pairs == ()
+    assert barcode(f, 2).pairs == ()
+    for n in range(3):
+        _assert_barcode_matches_rank_grid(f, n)
+
+
+def test_barcode_above_top_dimension(diabolo_filtration):
+    assert diabolo_filtration.dim == 2
+    for n in (3, 7):
+        assert barcode(diabolo_filtration, n) == Barcode(n, ())
+    with pytest.raises(ValueError, match="dimension must be >= 0"):
+        barcode(diabolo_filtration, -1)
+
+
+def test_lemma_check_catches_a_wrong_rank_grid(diabolo_filtration, monkeypatch):
+    # the barcode side comes from the reduction, so one wrong table entry
+    # must show up as a barcode-span violation
+    def one_wrong_entry(f, n):
+        table = betti_table(f, n)
+        table[(3, 4)] += 1
+        return table
+
+    monkeypatch.setattr("phcalc.persistence.betti_table", one_wrong_entry)
+    report = check_fundamental_lemma(diabolo_filtration, 1)
+    assert [v for v in report.violations if v.kind == "barcode-span"] == [
+        LemmaViolation("barcode-span", 3, 4, 3, 2)
+    ]
