@@ -22,7 +22,6 @@ from .persistence import (
     Barcode,
     LemmaReport,
     LemmaViolation,
-    NegativeMuError,
     PersistencePair,
     barcode,
     betti_table,
@@ -46,7 +45,6 @@ __all__ = [
     "INFINITE_DEATH",
     "LemmaReport",
     "LemmaViolation",
-    "NegativeMuError",
     "PersistencePair",
     "Simplex",
     "SimplicialComplex",

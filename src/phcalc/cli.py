@@ -350,16 +350,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"phcalc: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except FiltrationError as exc:
         print(f"phcalc: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as exc:
-        print(f"phcalc: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"phcalc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -47,6 +47,11 @@ def validate(levels: Sequence[SimplicialComplex]) -> FiltrationViolation | None:
         missing = _missing_face(level.simplices)
         if missing is not None:
             return FiltrationViolation("not-a-complex", j, missing)
+    return _first_dropped(levels)
+
+
+def _first_dropped(levels: Sequence[SimplicialComplex]) -> FiltrationViolation | None:
+    """A "not-nested" violation at the first level that drops a simplex, or None."""
     for j in range(1, len(levels)):
         dropped = levels[j - 1].simplices - levels[j].simplices
         if dropped:
@@ -64,7 +69,8 @@ class Filtration:
         self._levels = tuple(levels)
         if not self._levels:
             raise ValueError("a filtration needs at least one level")
-        violation = validate(self._levels)
+        # each level's constructor has already checked it is face-closed
+        violation = _first_dropped(self._levels)
         if violation is not None:
             raise FiltrationError(violation)
 

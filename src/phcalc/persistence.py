@@ -9,8 +9,11 @@ cycles of K^j, pushed into K^p along the basis inclusion, modulo the
 boundaries of K^p they meet.  Its dimension is obtained from three
 matrices per (j, p) query: the degree-n boundary matrix of K^j, the
 degree-(n+1) boundary matrix of K^p, and the inclusion matrix between
-the two n-simplex bases.  `persistent_betti`, `betti_table`, `mu` and
-`mu_infinity` use it.
+the two n-simplex bases.  One helper evaluates it for every pair of
+the birth and death levels asked for, building each level's matrices
+once; `persistent_betti`, `betti_table`, `mu` and `mu_infinity` use
+it.  Interval multiplicities are one finite difference of these
+numbers (Zomorodian-Carlsson), shared with `check_fundamental_lemma`.
 
 Barcodes come from one column reduction of the filtered boundary
 matrix (Edelsbrunner-Letscher-Zomorodian; Zomorodian-Carlsson), with
@@ -24,31 +27,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Container
+from typing import Container, Iterable
 
 from .filtration import Filtration
 
 INFINITE_DEATH = math.inf
-
-
-class NegativeMuError(RuntimeError):
-    """An interval multiplicity came out negative.
-
-    This signals a non-filtration input or an implementation fault;
-    multiplicities of genuine filtrations are counts.  `barcode` counts
-    pivots, so it cannot produce one; `check_fundamental_lemma` reports
-    a negative rank-grid multiplicity as a "negative-count" violation.
-    """
-
-    def __init__(self, n: int, j: int, p: int | float, value: int):
-        super().__init__(
-            f"negative interval multiplicity {value} at dimension {n}, "
-            f"birth {j}, death {p}"
-        )
-        self.n = n
-        self.j = j
-        self.p = p
-        self.value = value
 
 
 @dataclass(frozen=True, order=True)
@@ -99,32 +82,66 @@ class Barcode:
         return sum(p.multiplicity for p in self.pairs if p.spans(k, l))
 
 
-def _pbetti_ranks(f: Filtration, n: int, j: int, p: int) -> tuple[int, int, int]:
-    """(z, rank_g, rank_stacked) for one persistent-Betti query.
+def _require_dim(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"dimension must be >= 0, got {n}")
+
+
+def _rank_grid(
+    f: Filtration, n: int, births: Iterable[int], deaths: Iterable[int]
+) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """(z, rank_g, rank_stacked) for every j <= p in births x deaths.
 
     z is the cycle-space dimension at level j; rank_g the boundary-space
     rank at level p; rank_stacked the rank of the boundary columns of
-    K^p adjoined with the pushed-forward cycle basis of K^j.
+    K^p adjoined with the pushed-forward cycle basis of K^j.  Each
+    level's kernel basis and boundary matrix is built once.  Birth -1,
+    off the grid, is skipped.
     """
-    d_f = f[j].boundary_matrix(n)
-    d_g = f[p].boundary_matrix(n + 1)
-    kernel = d_f.kernel_basis()
-    pushed = f.inclusion_matrix(n, j, p) @ kernel
-    return kernel.cols, d_g.rank(), d_g.hstack(pushed).rank()
+    kernels = {j: f[j].boundary_matrix(n).kernel_basis() for j in births if j >= 0}
+    bounds = {p: f[p].boundary_matrix(n + 1) for p in deaths}
+    ranks = {p: d.rank() for p, d in bounds.items()}
+    grid: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for j, kernel in kernels.items():
+        for p in (d for d in bounds if d >= j):
+            pushed = f.inclusion_matrix(n, j, p) @ kernel
+            grid[(j, p)] = (kernel.cols, ranks[p], bounds[p].hstack(pushed).rank())
+    return grid
 
 
-def persistent_betti(f: Filtration, n: int, j: int, p: int) -> int:
-    """Number of degree-n classes of K^j still alive at K^p.
+def _betti_grid(
+    f: Filtration, n: int, births: Iterable[int], deaths: Iterable[int]
+) -> dict[tuple[int, int], int]:
+    """persistent_betti at every j <= p in births x deaths.
 
     Computed as z - (rank_g + z - rank_stacked): the cycle dimension at
     level j minus the dimension of the intersection of the pushed
     cycles with the boundaries of level p.
     """
-    if n < 0:
-        raise ValueError(f"dimension must be >= 0, got {n}")
+    return {
+        key: z - (rank_g + z - rank_stacked)
+        for key, (z, rank_g, rank_stacked) in _rank_grid(f, n, births, deaths).items()
+    }
+
+
+def _multiplicity(beta: dict[tuple[int, int], int], m: int, j: int, p: int) -> int:
+    """(beta(j, p-1) - beta(j, p)) - (beta(j-1, p-1) - beta(j-1, p)).
+
+    beta is 0 off the grid: at birth -1, and at death m+1, where the
+    same expression counts the classes born at j that never die.
+    """
+
+    def at(birth: int, death: int) -> int:
+        return beta[(birth, death)] if birth >= 0 and death <= m else 0
+
+    return (at(j, p - 1) - at(j, p)) - (at(j - 1, p - 1) - at(j - 1, p))
+
+
+def persistent_betti(f: Filtration, n: int, j: int, p: int) -> int:
+    """Number of degree-n classes of K^j still alive at K^p."""
+    _require_dim(n)
     f.check_level_pair(j, p)
-    z, rank_g, rank_stacked = _pbetti_ranks(f, n, j, p)
-    return z - (rank_g + z - rank_stacked)
+    return _betti_grid(f, n, (j,), (p,))[(j, p)]
 
 
 def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
@@ -133,32 +150,16 @@ def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
     rank_stacked - rank_g.  Kept as an independent cross-check of the
     bookkeeping form; the two must agree on every input.
     """
-    if n < 0:
-        raise ValueError(f"dimension must be >= 0, got {n}")
+    _require_dim(n)
     f.check_level_pair(j, p)
-    _, rank_g, rank_stacked = _pbetti_ranks(f, n, j, p)
+    _, rank_g, rank_stacked = _rank_grid(f, n, (j,), (p,))[(j, p)]
     return rank_stacked - rank_g
 
 
 def betti_table(f: Filtration, n: int) -> dict[tuple[int, int], int]:
-    """persistent_betti over the whole (j, p) grid, j <= p.
-
-    Shares the per-level matrices across the grid: each level's cycle
-    basis and boundary rank are computed once, not once per pair.
-    """
-    if n < 0:
-        raise ValueError(f"dimension must be >= 0, got {n}")
-    kernels = [f[j].boundary_matrix(n).kernel_basis() for j in range(len(f))]
-    bounds = [f[p].boundary_matrix(n + 1) for p in range(len(f))]
-    ranks = [d.rank() for d in bounds]
-    table: dict[tuple[int, int], int] = {}
-    for j in range(len(f)):
-        z = kernels[j].cols
-        for p in range(j, len(f)):
-            pushed = f.inclusion_matrix(n, j, p) @ kernels[j]
-            rank_stacked = bounds[p].hstack(pushed).rank()
-            table[(j, p)] = z - (ranks[p] + z - rank_stacked)
-    return table
+    """persistent_betti over the whole (j, p) grid, j <= p."""
+    _require_dim(n)
+    return _betti_grid(f, n, range(len(f)), range(len(f)))
 
 
 def mu(f: Filtration, n: int, j: int, p: int) -> int:
@@ -166,17 +167,13 @@ def mu(f: Filtration, n: int, j: int, p: int) -> int:
 
     (beta(j, p-1) - beta(j, p)) - (beta(j-1, p-1) - beta(j-1, p)), with
     the beta terms at birth level -1 taken as 0.  Signed: a negative
-    value is surfaced as data here and as a hard error in barcodes.
+    value is returned as data, and `check_fundamental_lemma` reports it
+    as a "negative-count" violation.
     """
-    if n < 0:
-        raise ValueError(f"dimension must be >= 0, got {n}")
+    _require_dim(n)
     if not 0 <= j < p <= f.m:
         raise ValueError(f"need 0 <= j < p <= {f.m}, got j={j}, p={p}")
-    born_by_j = persistent_betti(f, n, j, p - 1) - persistent_betti(f, n, j, p)
-    if j == 0:
-        return born_by_j
-    born_earlier = persistent_betti(f, n, j - 1, p - 1) - persistent_betti(f, n, j - 1, p)
-    return born_by_j - born_earlier
+    return _multiplicity(_betti_grid(f, n, (j - 1, j), (p - 1, p)), f.m, j, p)
 
 
 def mu_infinity(f: Filtration, n: int, j: int) -> int:
@@ -185,31 +182,10 @@ def mu_infinity(f: Filtration, n: int, j: int) -> int:
     beta(j, m) - beta(j-1, m): the classes of K^j alive at the final
     level, minus those already present one level earlier.
     """
-    if n < 0:
-        raise ValueError(f"dimension must be >= 0, got {n}")
+    _require_dim(n)
     if not 0 <= j <= f.m:
         raise ValueError(f"need 0 <= j <= {f.m}, got j={j}")
-    alive = persistent_betti(f, n, j, f.m)
-    if j == 0:
-        return alive
-    return alive - persistent_betti(f, n, j - 1, f.m)
-
-
-def _mu_grid(
-    table: dict[tuple[int, int], int], m: int
-) -> tuple[dict[tuple[int, int], int], list[int]]:
-    """All finite multiplicities and the never-dying column, from a table."""
-
-    def beta(j: int, p: int) -> int:
-        return 0 if j < 0 else table[(j, p)]
-
-    finite = {
-        (j, p): (beta(j, p - 1) - beta(j, p)) - (beta(j - 1, p - 1) - beta(j - 1, p))
-        for j in range(m + 1)
-        for p in range(j + 1, m + 1)
-    }
-    infinite = [beta(j, m) - beta(j - 1, m) for j in range(m + 1)]
-    return finite, infinite
+    return _multiplicity(_betti_grid(f, n, (j - 1, j), (f.m,)), f.m, j, f.m + 1)
 
 
 def _filtration_order(f: Filtration, n: int) -> list[tuple[tuple[int, ...], int]]:
@@ -276,8 +252,7 @@ def barcode(f: Filtration, n: int) -> Barcode:
     an n-simplex whose column reduces to zero and that is no pivot is a
     class that never dies.
     """
-    if n < 0:
-        raise ValueError(f"dimension must be >= 0, got {n}")
+    _require_dim(n)
     below, cells, above = (_filtration_order(f, d) for d in (n - 1, n, n + 1))
     deaths = _reduce(_boundary_columns(above, cells))
     negative = set(_reduce(_boundary_columns(cells, below), deaths).values())
@@ -296,9 +271,13 @@ def barcode(f: Filtration, n: int) -> Barcode:
 
 @dataclass(frozen=True)
 class LemmaViolation:
-    """One failed identity at grid point (k, l)."""
+    """One failed check at grid point (k, l).
 
-    kind: str  # "interval-sum" | "barcode-span" | "negative-count"
+    A "negative-count" multiplicity is born at k and dies at l; those
+    that never die come after the finite ones, with l = m.
+    """
+
+    kind: str  # "barcode-span" | "negative-count"
     k: int
     l: int
     expected: int
@@ -313,14 +292,12 @@ class LemmaViolation:
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Outcome of checking the persistence interval identities in one degree.
+    """Outcome of holding the rank grid against the reduction in one degree.
 
-    For every 0 <= k <= l <= m the persistent Betti number of the rank
-    grid must equal both (a) the grid's multiplicities of deaths after l
-    among births up to k plus the count still alive at the last level,
-    and (b) the number of intervals of the reduction's barcode spanning
-    [k, l].  Negative multiplicities are reported as violations rather
-    than raised.
+    Every multiplicity of the rank grid must be a count (>= 0), and for
+    every 0 <= k <= l <= m its persistent Betti number must equal the
+    number of intervals of the reduction's barcode spanning [k, l].
+    Failures are reported as violations rather than raised.
     """
 
     dimension: int
@@ -334,36 +311,21 @@ class LemmaReport:
 
 
 def check_fundamental_lemma(f: Filtration, n: int) -> LemmaReport:
-    """Verify the interval identities of degree n over the whole grid."""
+    """Check the rank grid of degree n against the reduction's barcode."""
     m = f.m
     table = betti_table(f, n)
-    finite, infinite = _mu_grid(table, m)
     bars = barcode(f, n)
-
+    finite = [(j, p) for j in range(m + 1) for p in range(j + 1, m + 1)]
+    never_dying = [(j, m + 1) for j in range(m + 1)]
     violations: list[LemmaViolation] = []
-    for (j, p), count in sorted(finite.items()):
+    for j, p in finite + never_dying:
+        count = _multiplicity(table, m, j, p)
         if count < 0:
-            violations.append(LemmaViolation("negative-count", j, p, 0, count))
-    for j, count in enumerate(infinite):
-        if count < 0:
-            violations.append(LemmaViolation("negative-count", j, m, 0, count))
-
-    checked = 0
-    # after row k, later[l] (l >= k) sums finite[(i, q)] over i <= k, q > l
-    later = [0] * (m + 1)
-    for k in range(m + 1):
-        tail = 0
-        for l in range(m, k, -1):
-            later[l] += tail
-            tail += finite[(k, l)]
-        later[k] += tail
-        for l in range(k, m + 1):
-            checked += 1
-            lhs = table[(k, l)]
-            rhs = later[l] + table[(k, m)]
-            if lhs != rhs:
-                violations.append(LemmaViolation("interval-sum", k, l, lhs, rhs))
-            spanning = bars.betti_at(k, l)
-            if lhs != spanning:
-                violations.append(LemmaViolation("barcode-span", k, l, lhs, spanning))
-    return LemmaReport(n, m, checked, tuple(violations))
+            violations.append(LemmaViolation("negative-count", j, min(p, m), 0, count))
+    spans = [
+        LemmaViolation("barcode-span", k, l, table[(k, l)], bars.betti_at(k, l))
+        for k in range(m + 1)
+        for l in range(k, m + 1)
+    ]
+    violations += [v for v in spans if v.expected != v.actual]
+    return LemmaReport(n, m, len(spans), tuple(violations))

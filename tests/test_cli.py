@@ -113,7 +113,7 @@ def test_check_rejects_non_nested(tmp_path, capsys):
 
 def test_check_reports_violations_as_json(filtration_file, capsys, monkeypatch):
     broken = LemmaReport(
-        0, 5, 21, (LemmaViolation("interval-sum", 1, 2, 3, 4),)
+        0, 5, 21, (LemmaViolation("barcode-span", 1, 2, 3, 4),)
     )
     monkeypatch.setattr("phcalc.cli.check_fundamental_lemma", lambda f, n: broken)
     assert main(["check", filtration_file, "--max-dim", "0"]) == 3
@@ -121,7 +121,7 @@ def test_check_reports_violations_as_json(filtration_file, capsys, monkeypatch):
     assert "fundamental-lemma: FAIL" in out
     payload = json.loads(out[out.index("[") :])
     assert payload[0]["check"] == "fundamental-lemma"
-    assert payload[0]["kind"] == "interval-sum"
+    assert payload[0]["kind"] == "barcode-span"
 
 
 def test_check_fails_on_a_wrong_rank_grid(filtration_file, capsys, monkeypatch):
@@ -137,6 +137,72 @@ def test_check_fails_on_a_wrong_rank_grid(filtration_file, capsys, monkeypatch):
     payload = json.loads(out[out.index("[") :])
     assert {"check": "fundamental-lemma", "dim": 1, "kind": "barcode-span",
             "k": 3, "l": 4, "detail": "expected 3, got 2"} in payload
+
+
+PINNED_CHECK_OUTPUT = """\
+nilpotency: ok
+inclusions: ok
+fundamental-lemma: FAIL
+[
+  {
+    "check": "fundamental-lemma",
+    "dim": 1,
+    "kind": "negative-count",
+    "k": 3,
+    "l": 4,
+    "detail": "expected 0, got -1"
+  },
+  {
+    "check": "fundamental-lemma",
+    "dim": 1,
+    "kind": "negative-count",
+    "k": 2,
+    "l": 5,
+    "detail": "expected 0, got -1"
+  },
+  {
+    "check": "fundamental-lemma",
+    "dim": 1,
+    "kind": "barcode-span",
+    "k": 1,
+    "l": 5,
+    "detail": "expected 1, got 0"
+  },
+  {
+    "check": "fundamental-lemma",
+    "dim": 1,
+    "kind": "barcode-span",
+    "k": 3,
+    "l": 3,
+    "detail": "expected 1, got 2"
+  },
+  {
+    "check": "fundamental-lemma",
+    "dim": 1,
+    "kind": "barcode-span",
+    "k": 4,
+    "l": 4,
+    "detail": "expected 3, got 2"
+  }
+]
+"""
+
+
+def test_check_output_pinned_on_a_wrong_rank_grid(filtration_file, capsys, monkeypatch):
+    # (3, 3) - 1 makes the finite mu(3, 4) negative, (1, 5) + 1 the
+    # never-dying mu at birth 2, and (4, 4) + 1 only breaks its span:
+    # finite negative-counts come first, then never-dying, then spans
+    def three_wrong_entries(f, n):
+        table = betti_table(f, n)
+        if n == 1:
+            table[(3, 3)] -= 1
+            table[(1, 5)] += 1
+            table[(4, 4)] += 1
+        return table
+
+    monkeypatch.setattr("phcalc.persistence.betti_table", three_wrong_entries)
+    assert main(["check", filtration_file]) == 3
+    assert capsys.readouterr().out == PINNED_CHECK_OUTPUT
 
 
 def test_check_oracle_skips_when_too_large(filtration_file, capsys, monkeypatch):

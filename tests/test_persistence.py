@@ -21,7 +21,6 @@ from phcalc import (
     Barcode,
     Filtration,
     LemmaViolation,
-    NegativeMuError,
     PersistencePair,
     Simplex,
     SimplicialComplex,
@@ -35,6 +34,7 @@ from phcalc import (
     persistent_betti_simplified,
 )
 from phcalc.generate import random_filtration_document
+from phcalc.gf2 import Gf2Matrix
 
 from .support import random_filtration
 
@@ -93,6 +93,41 @@ def test_domain_errors(diabolo_filtration):
         mu_infinity(f, 0, 6)
 
 
+def test_dimension_error_comes_before_level_error(diabolo_filtration):
+    f = diabolo_filtration
+    for query in (
+        lambda: persistent_betti(f, -1, 3, 2),
+        lambda: persistent_betti_simplified(f, -1, 3, 2),
+        lambda: mu(f, -1, 2, 2),
+        lambda: mu_infinity(f, -1, 6),
+    ):
+        with pytest.raises(ValueError, match="dimension must be >= 0, got -1"):
+            query()
+
+
+def test_matrices_built_once_per_query(diabolo_filtration, monkeypatch):
+    calls = Counter()
+
+    def counting(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(Gf2Matrix, "kernel_basis")
+    counting(SimplicialComplex, "boundary_matrix")
+    for query, kernels, boundaries in (
+        (lambda: mu(diabolo_filtration, 1, 3, 5), 2, 4),
+        (lambda: persistent_betti(diabolo_filtration, 1, 3, 5), 1, 2),
+    ):
+        calls.clear()
+        query()
+        assert calls == {"kernel_basis": kernels, "boundary_matrix": boundaries}
+
+
 def test_diabolo_mu_values(diabolo_filtration):
     f = diabolo_filtration
     assert mu(f, 0, 0, 1) == 2
@@ -137,12 +172,6 @@ def test_persistence_pair_validation():
         PersistencePair(0, 1, 0)
     with pytest.raises(ValueError):
         PersistencePair(-1, 2, 1)
-
-
-def test_negative_mu_error_fields():
-    err = NegativeMuError(1, 2, 3, -1)
-    assert (err.n, err.j, err.p, err.value) == (1, 2, 3, -1)
-    assert "negative" in str(err)
 
 
 def test_fundamental_lemma_diabolo(diabolo_filtration):
