@@ -203,7 +203,8 @@ def _check_oracle(f: Filtration, max_dim: int, violations: list[dict]) -> bool:
 
 def cmd_check(args: argparse.Namespace) -> int:
     f = _load_filtration(args)
-    max_dim = args.max_dim if args.max_dim is not None else max(f.dim, 0)
+    top = max(f.dim, 0)  # every check above the top dimension is empty
+    max_dim = top if args.max_dim is None else min(args.max_dim, top)
     violations: list[dict] = []
 
     before = len(violations)

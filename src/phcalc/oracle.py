@@ -9,7 +9,6 @@ the enumeration cap keeps worst-case runs within seconds.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -18,25 +17,7 @@ from .filtration import Filtration
 from .gf2 import Gf2Matrix
 
 # Largest column count we will enumerate (2**bits chain vectors).
-# Overridable through the environment for stress runs.
 ENUMERATION_LIMIT_BITS = 20
-ENUMERATION_LIMIT_ENV = "PHCALC_ORACLE_MAX_BITS"
-
-
-def enumeration_limit_bits() -> int:
-    """The active enumeration cap, in bits."""
-    raw = os.environ.get(ENUMERATION_LIMIT_ENV)
-    if raw is None:
-        return ENUMERATION_LIMIT_BITS
-    try:
-        bits = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENUMERATION_LIMIT_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if bits < 0:
-        raise ValueError(f"{ENUMERATION_LIMIT_ENV} must be >= 0, got {bits}")
-    return bits
 
 
 class EnumerationLimitError(ValueError):
@@ -44,8 +25,7 @@ class EnumerationLimitError(ValueError):
 
     def __init__(self, cols: int, limit_bits: int):
         super().__init__(
-            f"enumerating 2**{cols} chain vectors exceeds the "
-            f"2**{limit_bits} cap ({ENUMERATION_LIMIT_ENV} to raise it)"
+            f"enumerating 2**{cols} chain vectors exceeds the 2**{limit_bits} cap"
         )
         self.cols = cols
         self.limit_bits = limit_bits
@@ -125,9 +105,8 @@ class ChainSet:
 
 
 def _check_limit(cols: int) -> None:
-    limit = enumeration_limit_bits()
-    if cols > limit:
-        raise EnumerationLimitError(cols, limit)
+    if cols > ENUMERATION_LIMIT_BITS:
+        raise EnumerationLimitError(cols, ENUMERATION_LIMIT_BITS)
 
 
 def _apply(matrix: Gf2Matrix, vector: int) -> int:

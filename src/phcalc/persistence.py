@@ -6,14 +6,17 @@ methods.
 Point queries follow the paper's rank formula.  The degree-n classes
 of level j that are still alive at level p form a quotient space: the
 cycles of K^j, pushed into K^p along the basis inclusion, modulo the
-boundaries of K^p they meet.  Its dimension is obtained from three
-matrices per (j, p) query: the degree-n boundary matrix of K^j, the
-degree-(n+1) boundary matrix of K^p, and the inclusion matrix between
-the two n-simplex bases.  One helper evaluates it for every pair of
-the birth and death levels asked for, building each level's matrices
-once; `persistent_betti`, `betti_table`, `mu` and `mu_infinity` use
-it.  Interval multiplicities are one finite difference of these
-numbers (Zomorodian-Carlsson), shared with `check_fundamental_lemma`.
+boundaries of K^p they meet.  Its dimension is obtained from the
+degree-n boundary matrix of K^j, the degree-(n+1) boundary matrix of
+K^p, and the inclusion between the two n-simplex bases.  The
+inclusion sends each n-simplex to itself, so it is applied by simplex
+rather than as a matrix.  One helper evaluates the formula for every
+pair of the birth and death levels asked for, building each level's
+matrices once; `persistent_betti`, `betti_table`, `mu` and
+`mu_infinity` use it.  `persistent_betti_simplified` keeps the
+inclusion matrix and its product as a second form of the push-forward.
+Interval multiplicities are one finite difference of these numbers
+(Zomorodian-Carlsson), shared with `check_fundamental_lemma`.
 
 Barcodes come from one column reduction of the filtered boundary
 matrix (Edelsbrunner-Letscher-Zomorodian; Zomorodian-Carlsson), with
@@ -30,6 +33,7 @@ from itertools import combinations
 from typing import Container, Iterable
 
 from .filtration import Filtration
+from .gf2 import Gf2Matrix
 
 INFINITE_DEATH = math.inf
 
@@ -87,41 +91,39 @@ def _require_dim(n: int) -> None:
         raise ValueError(f"dimension must be >= 0, got {n}")
 
 
-def _rank_grid(
-    f: Filtration, n: int, births: Iterable[int], deaths: Iterable[int]
-) -> dict[tuple[int, int], tuple[int, int, int]]:
-    """(z, rank_g, rank_stacked) for every j <= p in births x deaths.
-
-    z is the cycle-space dimension at level j; rank_g the boundary-space
-    rank at level p; rank_stacked the rank of the boundary columns of
-    K^p adjoined with the pushed-forward cycle basis of K^j.  Each
-    level's kernel basis and boundary matrix is built once.  Birth -1,
-    off the grid, is skipped.
-    """
-    kernels = {j: f[j].boundary_matrix(n).kernel_basis() for j in births if j >= 0}
-    bounds = {p: f[p].boundary_matrix(n + 1) for p in deaths}
-    ranks = {p: d.rank() for p, d in bounds.items()}
-    grid: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for j, kernel in kernels.items():
-        for p in (d for d in bounds if d >= j):
-            pushed = f.inclusion_matrix(n, j, p) @ kernel
-            grid[(j, p)] = (kernel.cols, ranks[p], bounds[p].hstack(pushed).rank())
-    return grid
-
-
 def _betti_grid(
     f: Filtration, n: int, births: Iterable[int], deaths: Iterable[int]
 ) -> dict[tuple[int, int], int]:
     """persistent_betti at every j <= p in births x deaths.
 
-    Computed as z - (rank_g + z - rank_stacked): the cycle dimension at
-    level j minus the dimension of the intersection of the pushed
-    cycles with the boundaries of level p.
+    The basis inclusion of K^j into K^p only relabels rows, so the
+    cycle basis of K^j is carried forward by simplex: each n-simplex of
+    K^p gets its kernel row in K^j, or 0 if K^j lacks it, adjoined to
+    its row of the degree-(n+1) boundary matrix of K^p.  With z the
+    cycle dimension at level j, rank_g the boundary rank at level p and
+    rank_stacked the rank of that stacked matrix, the result is
+    z - (rank_g + z - rank_stacked): the cycles of K^j minus those that
+    meet the boundaries of K^p.  Each level's kernel basis and boundary
+    matrix is built once; birth -1, off the grid, is skipped.
     """
-    return {
-        key: z - (rank_g + z - rank_stacked)
-        for key, (z, rank_g, rank_stacked) in _rank_grid(f, n, births, deaths).items()
-    }
+    cycles = {}
+    for j in births:
+        if j >= 0:
+            kernel = f[j].boundary_matrix(n).kernel_basis()
+            rows = zip((s.vertices for s in f[j].n_simplices(n)), kernel.row_bits)
+            cycles[j] = (kernel.cols, dict(rows))
+    bounds = {p: f[p].boundary_matrix(n + 1) for p in deaths}
+    ranks = {p: d.rank() for p, d in bounds.items()}
+    grid: dict[tuple[int, int], int] = {}
+    for j, (z, cycle_of) in cycles.items():
+        for p, d in bounds.items():
+            if p >= j:
+                stacked = Gf2Matrix(d.rows, d.cols + z, tuple(
+                    bits | cycle_of.get(s.vertices, 0) << d.cols
+                    for s, bits in zip(f[p].n_simplices(n), d.row_bits)
+                ))
+                grid[(j, p)] = z - (ranks[p] + z - stacked.rank())
+    return grid
 
 
 def _multiplicity(beta: dict[tuple[int, int], int], m: int, j: int, p: int) -> int:
@@ -145,15 +147,19 @@ def persistent_betti(f: Filtration, n: int, j: int, p: int) -> int:
 
 
 def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
-    """Algebraically reduced form of :func:`persistent_betti`.
+    """Algebraically reduced form of :func:`persistent_betti`, in matrix form.
 
-    rank_stacked - rank_g.  Kept as an independent cross-check of the
-    bookkeeping form; the two must agree on every input.
+    rank [D_{n+1}(K^p) | I N_n(K^j)] - rank D_{n+1}(K^p), with the cycle
+    basis N_n(K^j) pushed forward by the inclusion matrix I.  It shares
+    the kernel basis, the boundary matrices and `rank` with the
+    by-simplex form, but not the push-forward, so each checks the other;
+    the two must agree on every input.
     """
     _require_dim(n)
     f.check_level_pair(j, p)
-    _, rank_g, rank_stacked = _rank_grid(f, n, (j,), (p,))[(j, p)]
-    return rank_stacked - rank_g
+    d = f[p].boundary_matrix(n + 1)
+    pushed = f.inclusion_matrix(n, j, p) @ f[j].boundary_matrix(n).kernel_basis()
+    return d.hstack(pushed).rank() - d.rank()
 
 
 def betti_table(f: Filtration, n: int) -> dict[tuple[int, int], int]:
@@ -274,7 +280,8 @@ class LemmaViolation:
     """One failed check at grid point (k, l).
 
     A "negative-count" multiplicity is born at k and dies at l; those
-    that never die come after the finite ones, with l = m.
+    that never die come after the finite ones, with l = m + 1, the
+    death past the last level.
     """
 
     kind: str  # "barcode-span" | "negative-count"
@@ -321,7 +328,7 @@ def check_fundamental_lemma(f: Filtration, n: int) -> LemmaReport:
     for j, p in finite + never_dying:
         count = _multiplicity(table, m, j, p)
         if count < 0:
-            violations.append(LemmaViolation("negative-count", j, min(p, m), 0, count))
+            violations.append(LemmaViolation("negative-count", j, p, 0, count))
     spans = [
         LemmaViolation("barcode-span", k, l, table[(k, l)], bars.betti_at(k, l))
         for k in range(m + 1)

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from phcalc.cli import main
+from phcalc.complexes import SimplicialComplex
 from phcalc.files import parse_barcodes, parse_filtration
 from phcalc.persistence import LemmaReport, LemmaViolation, betti_table
 
@@ -157,7 +158,7 @@ fundamental-lemma: FAIL
     "dim": 1,
     "kind": "negative-count",
     "k": 2,
-    "l": 5,
+    "l": 6,
     "detail": "expected 0, got -1"
   },
   {
@@ -205,8 +206,52 @@ def test_check_output_pinned_on_a_wrong_rank_grid(filtration_file, capsys, monke
     assert capsys.readouterr().out == PINNED_CHECK_OUTPUT
 
 
+def test_check_tells_never_dying_from_finite_negative_counts(
+    filtration_file, capsys, monkeypatch
+):
+    # raising beta(0, 5) makes the finite mu(0, 5) negative (and the
+    # never-dying count at birth 1), lowering it the never-dying count at
+    # birth 0; never-dying counts die at m + 1 = 6, past the last level
+    outputs = []
+    for delta in (1, -1):
+        def shifted(f, n, delta=delta):
+            table = betti_table(f, n)
+            if n == 1:
+                table[(0, 5)] += delta
+            return table
+
+        monkeypatch.setattr("phcalc.persistence.betti_table", shifted)
+        assert main(["check", filtration_file]) == 3
+        out = capsys.readouterr().out
+        outputs.append(json.loads(out[out.index("[") :]))
+    negative = [
+        [(v["k"], v["l"]) for v in payload if v["kind"] == "negative-count"]
+        for payload in outputs
+    ]
+    assert negative == [[(0, 5), (1, 6)], [(0, 6)]]
+
+
+def test_check_max_dim_stops_at_the_top_dimension(filtration_file, capsys, monkeypatch):
+    calls = []
+    original = SimplicialComplex.boundary_matrix
+
+    def counting(self, n):
+        calls.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(SimplicialComplex, "boundary_matrix", counting)
+    runs = {}
+    for extra in ([], ["--max-dim", "50"], ["--max-dim", "1000000000"]):
+        calls.clear()
+        assert main(["check", filtration_file] + extra) == 0
+        runs[tuple(extra)] = (len(calls), capsys.readouterr().out)
+    default = runs[()]
+    assert runs[("--max-dim", "50")][0] == default[0]
+    assert runs[("--max-dim", "1000000000")] == default
+
+
 def test_check_oracle_skips_when_too_large(filtration_file, capsys, monkeypatch):
-    monkeypatch.setenv("PHCALC_ORACLE_MAX_BITS", "2")
+    monkeypatch.setattr("phcalc.oracle.ENUMERATION_LIMIT_BITS", 2)
     assert main(["check", filtration_file, "--oracle"]) == 0
     assert "oracle: skipped (enumeration bound)" in capsys.readouterr().out
 

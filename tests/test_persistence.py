@@ -195,6 +195,30 @@ def test_dual_formulas_agree_random():
                     )
 
 
+def test_dual_forms_can_disagree(diabolo_filtration, monkeypatch):
+    # a wrong push-forward in the matrix form must show against the
+    # by-simplex form; swapping the first and last rows keeps the
+    # inclusion injective
+    original = Filtration.inclusion_matrix
+
+    def swapped(self, n, j, p):
+        inc = original(self, n, j, p)
+        if inc.rows < 2:
+            return inc
+        rows = list(inc.row_bits)
+        rows[0], rows[-1] = rows[-1], rows[0]
+        return Gf2Matrix(inc.rows, inc.cols, tuple(rows))
+
+    monkeypatch.setattr(Filtration, "inclusion_matrix", swapped)
+    f = diabolo_filtration
+    assert any(
+        persistent_betti(f, n, j, p) != persistent_betti_simplified(f, n, j, p)
+        for n in range(3)
+        for j in range(len(f))
+        for p in range(j, len(f))
+    )
+
+
 def test_monotonicity_random():
     # classes alive at p can only disappear as p grows, and relaxing
     # the birth bound j can only admit more of them
