@@ -17,6 +17,7 @@ from .complexes import closure_of_facets
 from .filtration import Filtration, FiltrationError
 from .files import ParseError, parse_facets, parse_filtration, serialize_barcodes
 from .generate import random_filtration_document
+from .gf2 import Gf2Matrix
 from .oracle import EnumerationLimitError, oracle_betti, oracle_persistent_betti
 from .persistence import (
     barcode,
@@ -128,11 +129,10 @@ def cmd_barcode(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_nilpotency(f: Filtration, max_dim: int, violations: list[dict]) -> None:
-    for j in range(len(f)):
-        level = f[j]
-        for n in range(max_dim + 1):
-            product = level.boundary_matrix(n) @ level.boundary_matrix(n + 1)
+def _check_nilpotency(bounds: list[list[Gf2Matrix]], violations: list[dict]) -> None:
+    for j, level in enumerate(bounds):
+        for n in range(len(level) - 1):
+            product = level[n] @ level[n + 1]
             if not product.is_zero():
                 violations.append(
                     {"check": "nilpotency", "level": j, "dim": n,
@@ -140,10 +140,11 @@ def _check_nilpotency(f: Filtration, max_dim: int, violations: list[dict]) -> No
                 )
 
 
-def _check_inclusions(f: Filtration, max_dim: int, violations: list[dict]) -> None:
-    for j in range(f.m):
-        for n in range(max_dim + 1):
-            inc = f.inclusion_matrix(n, j, j + 1)
+def _check_inclusions(
+    bounds: list[list[Gf2Matrix]], incs: list[list[Gf2Matrix]], violations: list[dict]
+) -> None:
+    for j, level in enumerate(incs):
+        for n, inc in enumerate(level):
             if inc.rank() != inc.cols:
                 violations.append(
                     {"check": "inclusion-injective", "level": j, "dim": n,
@@ -151,8 +152,8 @@ def _check_inclusions(f: Filtration, max_dim: int, violations: list[dict]) -> No
                 )
             if n == 0:
                 continue
-            left = f[j + 1].boundary_matrix(n) @ inc
-            right = f.inclusion_matrix(n - 1, j, j + 1) @ f[j].boundary_matrix(n)
+            left = bounds[j + 1][n] @ inc
+            right = level[n - 1] @ bounds[j][n]
             if left != right:
                 violations.append(
                     {"check": "chain-map-square", "level": j, "dim": n,
@@ -206,13 +207,17 @@ def cmd_check(args: argparse.Namespace) -> int:
     top = max(f.dim, 0)  # every check above the top dimension is empty
     max_dim = top if args.max_dim is None else min(args.max_dim, top)
     violations: list[dict] = []
+    # D_0..D_{max_dim+1} of each level and each adjacent inclusion, built once
+    bounds = [[level.boundary_matrix(n) for n in range(max_dim + 2)] for level in f]
+    incs = [[f.inclusion_matrix(n, j, j + 1) for n in range(max_dim + 1)]
+            for j in range(f.m)]
 
     before = len(violations)
-    _check_nilpotency(f, max_dim, violations)
+    _check_nilpotency(bounds, violations)
     print(f"nilpotency: {'ok' if len(violations) == before else 'FAIL'}")
 
     before = len(violations)
-    _check_inclusions(f, max_dim, violations)
+    _check_inclusions(bounds, incs, violations)
     print(f"inclusions: {'ok' if len(violations) == before else 'FAIL'}")
 
     before = len(violations)

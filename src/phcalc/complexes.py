@@ -72,11 +72,16 @@ def _missing_face(simplices: frozenset[Simplex]) -> Simplex | None:
     """A witness subset absent from the set, or None if face-closed."""
     present = {s.vertices for s in simplices}
     for s in simplices:
-        for size in range(1, len(s.vertices)):
-            for verts in combinations(s.vertices, size):
-                if verts not in present:
-                    return Simplex(verts)
+        for verts in subsets(s.vertices):
+            if verts not in present:
+                return Simplex(verts)
     return None
+
+
+def subsets(vertices: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every non-empty subset of a canonical vertex tuple, itself included."""
+    for size in range(1, len(vertices) + 1):
+        yield from combinations(vertices, size)
 
 
 class SimplicialComplex:
@@ -168,8 +173,5 @@ def closure_of_facets(facets: Iterable[Simplex]) -> SimplicialComplex:
     dominated facets are absorbed.  Idempotent: feeding a complex's own
     simplices back in reproduces the complex.
     """
-    members: set[tuple[int, ...]] = set()
-    for facet in facets:
-        for size in range(1, len(facet) + 1):
-            members.update(combinations(facet.vertices, size))
+    members = {verts for facet in facets for verts in subsets(facet.vertices)}
     return SimplicialComplex(Simplex(verts) for verts in members)

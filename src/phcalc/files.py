@@ -25,6 +25,35 @@ class ParseError(ValueError):
         self.location = location
 
 
+# Most simplices the facets of one input may close to: one 20-vertex
+# facet, or about 150,000 distinct triangles.
+MAX_CLOSURE_SIZE = 1 << 20
+
+
+class _ClosureBound:
+    """Bounds the closure of the facets read so far, before any is built.
+
+    A k-vertex facet closes to 2**k - 1 simplices, so the sum over the
+    distinct facets bounds the closure.  The facet that takes the sum
+    past MAX_CLOSURE_SIZE is rejected at its location.
+    """
+
+    def __init__(self) -> None:
+        self.seen: set[tuple[int, ...]] = set()
+        self.total = 0
+
+    def admit(self, facet: Simplex, where: str) -> Simplex:
+        if facet.vertices not in self.seen:
+            self.seen.add(facet.vertices)
+            self.total += (1 << len(facet)) - 1
+            if self.total > MAX_CLOSURE_SIZE:
+                raise ParseError(
+                    where, f"the facets so far may close to {self.total} simplices,"
+                    f" more than {MAX_CLOSURE_SIZE}"
+                )
+        return facet
+
+
 def parse_facets(text: str) -> tuple[Simplex, ...]:
     """Parse a facet list: one facet per line, vertices space-separated.
 
@@ -32,6 +61,7 @@ def parse_facets(text: str) -> tuple[Simplex, ...]:
     legal and denotes the empty complex.
     """
     facets = []
+    bound = _ClosureBound()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -44,9 +74,10 @@ def parse_facets(text: str) -> tuple[Simplex, ...]:
                 f"line {lineno}", f"vertices must be integers, got {line!r}"
             ) from None
         try:
-            facets.append(Simplex(tuple(vertices)))
+            facet = Simplex(tuple(vertices))
         except ValueError as exc:
             raise ParseError(f"line {lineno}", str(exc)) from None
+        facets.append(bound.admit(facet, f"line {lineno}"))
     return tuple(facets)
 
 
@@ -63,16 +94,17 @@ def _load_json(text: str) -> object:
         raise ParseError("document", "nested too deeply") from None
 
 
-def _facet_at(obj: object, where: str) -> Simplex:
+def _facet_at(obj: object, where: str, bound: _ClosureBound) -> Simplex:
     if not isinstance(obj, list) or not obj:
         raise ParseError(where, "each facet must be a non-empty list of vertices")
     for k, v in enumerate(obj):
         if isinstance(v, bool) or not isinstance(v, int):
             raise ParseError(f"{where}[{k}]", f"vertex must be an integer, got {v!r}")
     try:
-        return Simplex(tuple(obj))
+        facet = Simplex(tuple(obj))
     except ValueError as exc:
         raise ParseError(where, str(exc)) from None
+    return bound.admit(facet, where)
 
 
 @dataclass(frozen=True)
@@ -88,7 +120,7 @@ class FiltrationDocument:
 
     @cached_property
     def _filtration(self) -> Filtration:
-        return Filtration.from_level_facets(self.levels)
+        return Filtration(self.levels)
 
     def serialize(self) -> str:
         doc: dict[str, object] = {}
@@ -122,11 +154,12 @@ def parse_filtration(text: str, incremental: bool = False) -> FiltrationDocument
         raise ParseError("levels", "must be a non-empty list of levels")
 
     levels: list[tuple[Simplex, ...]] = []
+    bound = _ClosureBound()
     for j, raw_level in enumerate(raw_levels):
         if not isinstance(raw_level, list):
             raise ParseError(f"levels[{j}]", "each level must be a list of facets")
         parsed = tuple(
-            _facet_at(raw, f"levels[{j}][{k}]") for k, raw in enumerate(raw_level)
+            _facet_at(raw, f"levels[{j}][{k}]", bound) for k, raw in enumerate(raw_level)
         )
         if incremental and levels:
             parsed = levels[-1] + parsed

@@ -1,11 +1,11 @@
-"""Nested sequences of complexes and the inclusion maps between their bases."""
+"""Filtrations, held as one simplex-to-birth table, and their basis inclusions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .complexes import Simplex, SimplicialComplex, _missing_face, closure_of_facets
+from .complexes import Simplex, SimplicialComplex, _missing_face, subsets
 from .gf2 import Gf2Matrix
 
 
@@ -47,37 +47,56 @@ def validate(levels: Sequence[SimplicialComplex]) -> FiltrationViolation | None:
         missing = _missing_face(level.simplices)
         if missing is not None:
             return FiltrationViolation("not-a-complex", j, missing)
-    return _first_dropped(levels)
+    return _sweep(level.simplices for level in levels)[1]
 
 
-def _first_dropped(levels: Sequence[SimplicialComplex]) -> FiltrationViolation | None:
-    """A "not-nested" violation at the first level that drops a simplex, or None."""
-    for j in range(1, len(levels)):
-        dropped = levels[j - 1].simplices - levels[j].simplices
-        if dropped:
-            return FiltrationViolation("not-nested", j, min(dropped))
-    return None
+def _sweep(
+    level_facets: Iterable[Iterable[Simplex]],
+) -> tuple[dict[tuple[int, ...], int], FiltrationViolation | None]:
+    """The birth of each simplex of the levels' closures, or the first violation.
+
+    A new facet of level j gives birth j to its faces not yet in the
+    table.  Level j's closure is built only if it lacks a facet of level
+    j - 1; the witness is then the least simplex of the table outside it.
+    """
+    births: dict[tuple[int, ...], int] = {}
+    previous: set[tuple[int, ...]] = set()
+    for j, level in enumerate(level_facets):
+        facets = {s.vertices for s in level}
+        if not previous <= facets:
+            closure = {verts for facet in facets for verts in subsets(facet)}
+            dropped = births.keys() - closure
+            if dropped:
+                return births, FiltrationViolation("not-nested", j, Simplex(min(dropped)))
+        for facet in facets:
+            if facet not in births:
+                for verts in subsets(facet):
+                    births.setdefault(verts, j)
+        previous = facets
+    return births, None
 
 
 class Filtration:
     """A non-empty nested sequence of complexes K^0 <= ... <= K^m.
 
-    Validated eagerly at construction; immutable afterwards.
+    Held as one simplex-to-birth table.  Validated eagerly at
+    construction; immutable afterwards: each level is built from the
+    table on first use and kept, which changes no value the filtration reports.
     """
 
-    def __init__(self, levels: Iterable[SimplicialComplex]):
-        self._levels = tuple(levels)
-        if not self._levels:
+    def __init__(self, levels: Iterable[Iterable[Simplex]]):
+        level_facets = list(levels)
+        if not level_facets:
             raise ValueError("a filtration needs at least one level")
-        # each level's constructor has already checked it is face-closed
-        violation = _first_dropped(self._levels)
+        self._births, violation = _sweep(level_facets)
         if violation is not None:
             raise FiltrationError(violation)
+        self._levels: list[SimplicialComplex | None] = [None] * len(level_facets)
 
     @classmethod
     def from_level_facets(cls, level_facets: Sequence[Iterable[Simplex]]) -> Filtration:
         """Build level j as the facet closure of ``level_facets[j]``."""
-        return cls(closure_of_facets(facets) for facets in level_facets)
+        return cls(level_facets)
 
     @property
     def m(self) -> int:
@@ -86,26 +105,35 @@ class Filtration:
 
     @property
     def levels(self) -> tuple[SimplicialComplex, ...]:
-        return self._levels
+        return tuple(self)
 
     @property
     def dim(self) -> int:
         """Top dimension of the final (largest) complex."""
-        return self._levels[-1].dim
+        return max(map(len, self._births), default=0) - 1
+
+    def births(self, n: int) -> list[tuple[tuple[int, ...], int]]:
+        """(vertices, birth) of each n-simplex by (birth, vertices): faces first."""
+        cells = [item for item in self._births.items() if len(item[0]) == n + 1]
+        return sorted(cells, key=lambda item: (item[1], item[0]))
 
     def __len__(self) -> int:
         return len(self._levels)
 
     def __getitem__(self, j: int) -> SimplicialComplex:
+        j = range(len(self._levels))[j]
+        if self._levels[j] is None:
+            members = (Simplex(v) for v, birth in self._births.items() if birth <= j)
+            self._levels[j] = SimplicialComplex(members)
         return self._levels[j]
 
     def __iter__(self) -> Iterator[SimplicialComplex]:
-        return iter(self._levels)
+        return (self[j] for j in range(len(self._levels)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Filtration):
             return NotImplemented
-        return self._levels == other._levels
+        return len(self) == len(other) and self._births == other._births
 
     def __repr__(self) -> str:
         return f"Filtration({len(self._levels)} levels, dim {self.dim})"
@@ -126,8 +154,8 @@ class Filtration:
         if n < 0:
             raise ValueError(f"dimension must be >= 0, got {n}")
         self.check_level_pair(j, p)
-        domain = self._levels[j].n_simplices(n)
-        codomain = self._levels[p].n_simplices(n)
+        domain = self[j].n_simplices(n)
+        codomain = self[p].n_simplices(n)
         row_of = {s.vertices: r for r, s in enumerate(codomain)}
         bits = [0] * len(codomain)
         for c, s in enumerate(domain):

@@ -21,7 +21,8 @@ Interval multiplicities are one finite difference of these numbers
 Barcodes come from one column reduction of the filtered boundary
 matrix (Edelsbrunner-Letscher-Zomorodian; Zomorodian-Carlsson), with
 clearing (Chen-Kerber): each pivot pairs the birth of a class with its
-death.  `check_fundamental_lemma` holds each method against the other.
+death.  It reads births from the filtration's table and builds no
+level.  `check_fundamental_lemma` holds each method against the other.
 """
 
 from __future__ import annotations
@@ -194,21 +195,6 @@ def mu_infinity(f: Filtration, n: int, j: int) -> int:
     return _multiplicity(_betti_grid(f, n, (j - 1, j), (f.m,)), f.m, j, f.m + 1)
 
 
-def _filtration_order(f: Filtration, n: int) -> list[tuple[tuple[int, ...], int]]:
-    """(vertices, birth) of every n-simplex, in filtration order.
-
-    A simplex is born at the first level that contains it.  Sorting on
-    (birth, vertices) is the (birth, dim, vertices) order restricted to
-    one dimension; in that order faces come before their cofaces.
-    """
-    birth: dict[tuple[int, ...], int] = {}
-    if n >= 0:
-        for j, level in enumerate(f.levels):
-            for s in level.n_simplices(n):
-                birth.setdefault(s.vertices, j)
-    return sorted(birth.items(), key=lambda item: (item[1], item[0]))
-
-
 def _boundary_columns(
     cells: list[tuple[tuple[int, ...], int]], faces: list[tuple[tuple[int, ...], int]]
 ) -> list[int]:
@@ -259,7 +245,7 @@ def barcode(f: Filtration, n: int) -> Barcode:
     class that never dies.
     """
     _require_dim(n)
-    below, cells, above = (_filtration_order(f, d) for d in (n - 1, n, n + 1))
+    below, cells, above = (f.births(d) for d in (n - 1, n, n + 1))
     deaths = _reduce(_boundary_columns(above, cells))
     negative = set(_reduce(_boundary_columns(cells, below), deaths).values())
     counts: Counter[tuple[int, int | float]] = Counter()

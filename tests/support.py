@@ -95,3 +95,49 @@ def random_filtration(
         [facet for facet, at in drawn if at <= j] for j in range(levels)
     ]
     return Filtration.from_level_facets(per_level)
+
+
+def random_level_facets(
+    rng: random.Random, vertices: int = 6, levels: int = 4, count: int = 5
+) -> list[list[tuple[int, ...]]]:
+    """Random facet lists, one per level, nested or not.
+
+    Each drawn facet is listed from its level on.  A face of it may be
+    listed from an earlier level until the facet arrives, so the
+    closures nest while the lists do not (vertices at one level, an
+    edge on them at the next).  Half the time one facet is then dropped
+    from one level, which may break nesting.
+    """
+    per_level: list[list[tuple[int, ...]]] = [[] for _ in range(levels)]
+    for _ in range(count):
+        facet = tuple(sorted(rng.sample(range(vertices), rng.randint(1, 3))))
+        face = facet[: rng.randint(1, len(facet))]
+        at = rng.randrange(levels)
+        for j in range(rng.randrange(at + 1), levels):
+            per_level[j].append(facet if j >= at else face)
+    j = rng.randrange(levels)
+    if rng.random() < 0.5 and per_level[j]:
+        per_level[j].pop(rng.randrange(len(per_level[j])))
+    return per_level
+
+
+def naive_nesting_violation(
+    level_facets: list[list[tuple[int, ...]]],
+) -> tuple[int, tuple[int, ...]] | None:
+    """(level, least dropped simplex) at the first non-nested level, or None.
+
+    Closes every level on its own, enumerating each facet's subsets by
+    bitmask, and compares each adjacent pair of closures.
+    """
+    closures = []
+    for facets in level_facets:
+        closure = set()
+        for facet in facets:
+            for mask in range(1, 1 << len(facet)):
+                closure.add(tuple(v for i, v in enumerate(facet) if mask >> i & 1))
+        closures.append(closure)
+    for j in range(1, len(closures)):
+        dropped = closures[j - 1] - closures[j]
+        if dropped:
+            return j, min(dropped)
+    return None

@@ -9,6 +9,7 @@ import pytest
 
 from phcalc.cli import main
 from phcalc.complexes import SimplicialComplex
+from phcalc.filtration import Filtration
 from phcalc.files import parse_barcodes, parse_filtration
 from phcalc.persistence import LemmaReport, LemmaViolation, betti_table
 
@@ -248,6 +249,38 @@ def test_check_max_dim_stops_at_the_top_dimension(filtration_file, capsys, monke
     default = runs[()]
     assert runs[("--max-dim", "50")][0] == default[0]
     assert runs[("--max-dim", "1000000000")] == default
+
+
+def test_check_builds_each_matrix_once(filtration_file, capsys, monkeypatch):
+    calls = {"boundary": 0, "inclusion": 0}
+
+    def counted(key, method):
+        def wrapper(*args):
+            calls[key] += 1
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(SimplicialComplex, "boundary_matrix",
+                        counted("boundary", SimplicialComplex.boundary_matrix))
+    monkeypatch.setattr(Filtration, "inclusion_matrix",
+                        counted("inclusion", Filtration.inclusion_matrix))
+    monkeypatch.setattr("phcalc.cli.check_fundamental_lemma",
+                        lambda f, n: LemmaReport(n, f.m, 0, ()))
+    assert main(["check", filtration_file]) == 0
+    # 6 levels with D_0..D_3 each, 5 adjacent pairs with inclusions in dims 0..2
+    assert calls == {"boundary": 6 * 4, "inclusion": 5 * 3}
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+
+
+def test_betti_rejects_a_facet_too_big_to_close(tmp_path, capsys, monkeypatch):
+    def no_closure(facets):
+        raise AssertionError("the closure was built")
+
+    monkeypatch.setattr("phcalc.cli.closure_of_facets", no_closure)
+    path = tmp_path / "huge.txt"
+    path.write_text("0 1\n" + " ".join(str(v) for v in range(40)) + "\n")
+    assert main(["betti", str(path), "-n", "0"]) == 1
+    assert capsys.readouterr().err.startswith("phcalc: error: line 2: ")
 
 
 def test_check_oracle_skips_when_too_large(filtration_file, capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -16,6 +17,7 @@ from phcalc import (
     barcode,
 )
 from phcalc.files import (
+    MAX_CLOSURE_SIZE,
     FiltrationDocument,
     ParseError,
     parse_barcodes,
@@ -174,3 +176,24 @@ def test_parse_barcodes_located_errors():
             '{"barcodes": [{"dimension": 0,'
             ' "intervals": [{"birth": 0, "death": 1, "multiplicity": true}]}]}'
         )
+
+
+# 40 vertices close to 2**40 - 1 simplices; only the up-front bound may see them
+HUGE_FACET = list(range(40))
+
+
+def test_parse_facets_bounds_the_closure():
+    text = "0 1 2\n\n" + " ".join(map(str, HUGE_FACET)) + "\n"
+    with pytest.raises(ParseError, match=rf"^line 3: .* more than {MAX_CLOSURE_SIZE}$"):
+        parse_facets(text)
+
+
+def test_parse_filtration_bounds_the_closure(monkeypatch):
+    def no_closure(self):
+        raise AssertionError("the closure was built")
+
+    monkeypatch.setattr(FiltrationDocument, "to_filtration", no_closure)
+    text = json.dumps({"levels": [[[0, 1]], [[0, 1], HUGE_FACET]]})
+    for incremental in (False, True):
+        with pytest.raises(ParseError, match=r"^levels\[1\]\[1\]: "):
+            parse_filtration(text, incremental=incremental)

@@ -10,11 +10,12 @@ from phcalc import (
     Filtration,
     FiltrationError,
     Simplex,
+    SimplicialComplex,
     closure_of_facets,
     validate,
 )
 
-from .support import random_filtration
+from .support import naive_nesting_violation, random_filtration, random_level_facets
 
 
 def _closures(*facet_lists):
@@ -147,3 +148,69 @@ def test_equality_and_iteration(diabolo_filtration):
     assert len(levels) == 6
     rebuilt = Filtration(levels)
     assert rebuilt == diabolo_filtration
+
+
+def test_validate_of_no_levels():
+    assert validate([]) is None
+
+
+def _verdict(level_facets):
+    try:
+        Filtration([[Simplex(f) for f in facets] for facets in level_facets])
+    except FiltrationError as exc:
+        return exc.violation.level, exc.violation.simplex.vertices
+    return None
+
+
+def test_nesting_verdict_matches_per_level_closures():
+    rng = random.Random(67)
+    seen = {"nested": 0, "nested-in-closure-only": 0, "not-nested": 0}
+    for _ in range(400):
+        level_facets = random_level_facets(rng)
+        expected = naive_nesting_violation(level_facets)
+        assert _verdict(level_facets) == expected
+        closures = [closure_of_facets([Simplex(f) for f in fs]) for fs in level_facets]
+        violation = validate(closures)
+        assert (violation and (violation.level, violation.simplex.vertices)) == expected
+        verbatim = all(set(a) <= set(b) for a, b in zip(level_facets, level_facets[1:]))
+        kind = "not-nested" if expected else "nested" if verbatim else "nested-in-closure-only"
+        seen[kind] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_nested_in_closure_only():
+    vertices = [(0,), (1,), (2,)]
+    edges = [(0, 1), (0, 2), (1, 2)]
+    assert _verdict([vertices, edges, [(0, 1, 2)]]) is None
+    assert _verdict([edges, vertices]) == (1, (0, 1))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The complexes constructed for the rest of the test."""
+    complexes = []
+    original = SimplicialComplex.__init__
+
+    def counting(self, simplices):
+        complexes.append(self)
+        original(self, simplices)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counting)
+    return complexes
+
+
+def test_levels_are_built_on_first_use_and_kept(built):
+    levels = [[(0,)], [(0, 1)], [(0, 1), (1, 2)]]
+    f = Filtration.from_level_facets([[Simplex(v) for v in level] for level in levels])
+    assert not built
+    assert f.m == 2 and f.dim == 1
+    assert not built
+    level = f[1]
+    assert built == [level]
+    assert f[1] is level and f[-2] is level
+    assert f.levels[1] is level
+    assert len(built) == 3
+    assert [len(k) for k in f] == [1, 3, 5]
+    assert len(built) == 3
+    with pytest.raises(IndexError):
+        f[3]

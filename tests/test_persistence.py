@@ -33,6 +33,7 @@ from phcalc import (
     persistent_betti,
     persistent_betti_simplified,
 )
+from phcalc.files import parse_filtration
 from phcalc.generate import random_filtration_document
 from phcalc.gf2 import Gf2Matrix
 
@@ -371,3 +372,14 @@ def test_lemma_check_catches_a_wrong_rank_grid(diabolo_filtration, monkeypatch):
     assert [v for v in report.violations if v.kind == "barcode-span"] == [
         LemmaViolation("barcode-span", 3, 4, 3, 2)
     ]
+
+
+def test_loading_and_barcodes_build_no_level(monkeypatch):
+    # births are read from the filtration's table, never from a level
+    text = random_filtration_document(60, 6, seed=1).serialize()
+    built = []
+    monkeypatch.setattr(SimplicialComplex, "__init__", lambda self, s: built.append(s))
+    f = parse_filtration(text).to_filtration()
+    bars = [barcode(f, n) for n in range(f.dim + 1)]
+    assert not built
+    assert bars[0].total_bars() > 0
