@@ -35,12 +35,15 @@ class _ClosureBound:
 
     A k-vertex facet closes to 2**k - 1 simplices, so the sum over the
     distinct facets bounds the closure.  The facet that takes the sum
-    past MAX_CLOSURE_SIZE is rejected at its location.
+    past MAX_CLOSURE_SIZE is rejected at its location.  ``parsed`` maps
+    each raw vertex tuple read so far to its admitted facet, so a facet
+    listed at many levels is built and checked once.
     """
 
     def __init__(self) -> None:
         self.seen: set[tuple[int, ...]] = set()
         self.total = 0
+        self.parsed: dict[tuple[int, ...], Simplex] = {}
 
     def admit(self, facet: Simplex, where: str) -> Simplex:
         if facet.vertices not in self.seen:
@@ -100,11 +103,16 @@ def _facet_at(obj: object, where: str, bound: _ClosureBound) -> Simplex:
     for k, v in enumerate(obj):
         if isinstance(v, bool) or not isinstance(v, int):
             raise ParseError(f"{where}[{k}]", f"vertex must be an integer, got {v!r}")
-    try:
-        facet = Simplex(tuple(obj))
-    except ValueError as exc:
-        raise ParseError(where, str(exc)) from None
-    return bound.admit(facet, where)
+    # keyed only after the type check: True == 1 would alias the two
+    raw = tuple(obj)
+    facet = bound.parsed.get(raw)
+    if facet is None:
+        try:
+            facet = Simplex(raw)
+        except ValueError as exc:
+            raise ParseError(where, str(exc)) from None
+        facet = bound.parsed[raw] = bound.admit(facet, where)
+    return facet
 
 
 @dataclass(frozen=True)

@@ -95,11 +95,11 @@ class Gf2Matrix:
         """Column bitsets (bit ``i`` of entry ``k`` = entry at row i, col k)."""
         cols = [0] * self.cols
         for i, bits in enumerate(self.row_bits):
-            rem = bits
-            while rem:
-                low = rem & -rem
-                cols[low.bit_length() - 1] |= 1 << i
-                rem ^= low
+            bit = 1 << i
+            while bits:
+                k = bits.bit_length() - 1
+                cols[k] |= bit
+                bits ^= 1 << k
         return cols
 
     def is_zero(self) -> bool:
@@ -161,35 +161,33 @@ class Gf2Matrix:
     def kernel_basis(self) -> Gf2Matrix:
         """Basis of the null space {x : self @ x = 0}, as matrix columns.
 
+        The columns are reduced left to right, each against the earlier
+        ones, keeping the combination of original columns it has become.
+        A column that reduces to zero is a free column c, and its
+        combination is e_c plus earlier pivot columns: the one kernel
+        vector with a 1 at c and a 0 at every other free column.
+
         Returns:
             A ``cols x z`` matrix with ``z = cols - rank``.  Kernel vectors
             are ordered by their free column index (ascending) and each has
             a 1 in its own free position, so the output is deterministic.
         """
-        # Reduced row echelon form, kept as {pivot column -> row bits}.
-        # Invariant: every stored row has 0 in all other pivot columns.
-        pivots: dict[int, int] = {}
-        for bits in self.row_bits:
-            cur = bits
-            for col, row in pivots.items():
-                if (cur >> col) & 1:
-                    cur ^= row
-            if cur == 0:
-                continue
-            lead = (cur & -cur).bit_length() - 1
-            for col, row in pivots.items():
-                if (row >> lead) & 1:
-                    pivots[col] = row ^ cur
-            pivots[lead] = cur
-
-        free_cols = [c for c in range(self.cols) if c not in pivots]
-        kernel_rows = [0] * self.cols
-        for idx, free in enumerate(free_cols):
-            kernel_rows[free] |= 1 << idx
-            for pivot_col, row in pivots.items():
-                if (row >> free) & 1:
-                    kernel_rows[pivot_col] |= 1 << idx
-        return Gf2Matrix(self.cols, len(free_cols), tuple(kernel_rows))
+        reduced: dict[int, tuple[int, int]] = {}  # pivot row -> (column, combination)
+        free: list[int] = []
+        for c, col in enumerate(self.column_bits()):
+            combo = 1 << c
+            while col:
+                low = col.bit_length() - 1
+                if low not in reduced:
+                    reduced[low] = (col, combo)
+                    break
+                pivot_col, pivot_combo = reduced[low]
+                col ^= pivot_col
+                combo ^= pivot_combo
+            else:
+                free.append(combo)
+        vectors = Gf2Matrix(len(free), self.cols, tuple(free))
+        return Gf2Matrix(self.cols, len(free), tuple(vectors.column_bits()))
 
     # ------------------------------------------------------------------
     # Rendering

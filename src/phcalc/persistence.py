@@ -11,10 +11,14 @@ degree-n boundary matrix of K^j, the degree-(n+1) boundary matrix of
 K^p, and the inclusion between the two n-simplex bases.  The
 inclusion sends each n-simplex to itself, so it is applied by simplex
 rather than as a matrix.  One helper evaluates the formula for every
-pair of the birth and death levels asked for, building each level's
-matrices once; `persistent_betti`, `betti_table`, `mu` and
-`mu_infinity` use it.  `persistent_betti_simplified` keeps the
-inclusion matrix and its product as a second form of the push-forward.
+pair of the birth and death levels asked for.  It builds the
+degree-(n+1) boundary matrix of the last death level only: with its
+columns in birth order, the boundaries of K^p are a prefix of them, so
+one elimination per birth level gives the ranks at every death level
+(Zomorodian-Carlsson's persistence by rank profile).
+`persistent_betti`, `betti_table`, `mu` and `mu_infinity` use it.
+`persistent_betti_simplified` keeps the per-pair matrix form: the
+inclusion matrix, its product with the kernel basis, and `rank`.
 Interval multiplicities are one finite difference of these numbers
 (Zomorodian-Carlsson), shared with `check_fundamental_lemma`.
 
@@ -92,38 +96,70 @@ def _require_dim(n: int) -> None:
         raise ValueError(f"dimension must be >= 0, got {n}")
 
 
+def _insert(pivots: dict[int, int], col: int) -> None:
+    """Reduce a column against {last nonzero row: column}; keep it if nonzero."""
+    while col:
+        low = col.bit_length() - 1
+        if low not in pivots:
+            pivots[low] = col
+            return
+        col ^= pivots[low]
+
+
 def _betti_grid(
     f: Filtration, n: int, births: Iterable[int], deaths: Iterable[int]
 ) -> dict[tuple[int, int], int]:
     """persistent_betti at every j <= p in births x deaths.
 
-    The basis inclusion of K^j into K^p only relabels rows, so the
-    cycle basis of K^j is carried forward by simplex: each n-simplex of
-    K^p gets its kernel row in K^j, or 0 if K^j lacks it, adjoined to
-    its row of the degree-(n+1) boundary matrix of K^p.  With z the
-    cycle dimension at level j, rank_g the boundary rank at level p and
-    rank_stacked the rank of that stacked matrix, the result is
+    Everything lives in the n-simplex basis of K^top, top the last
+    death level.  The degree-(n+1) boundary columns of K^top are
+    inserted one by one in (birth, vertices) order, so that after the
+    columns born at or before p they span the boundaries of K^p: rank_g
+    at p is the rank then.  For each birth j, the z cycles of a kernel
+    basis of K^j are carried into that basis by simplex (the basis
+    inclusion only relabels rows) and inserted first, and the same
+    sweep gives rank_stacked at each p.  The result is
     z - (rank_g + z - rank_stacked): the cycles of K^j minus those that
-    meet the boundaries of K^p.  Each level's kernel basis and boundary
-    matrix is built once; birth -1, off the grid, is skipped.
+    meet the boundaries of K^p.  So a query costs one elimination per
+    birth level, over one boundary matrix; birth -1, off the grid, is
+    skipped.
     """
-    cycles = {}
-    for j in births:
-        if j >= 0:
-            kernel = f[j].boundary_matrix(n).kernel_basis()
-            rows = zip((s.vertices for s in f[j].n_simplices(n)), kernel.row_bits)
-            cycles[j] = (kernel.cols, dict(rows))
-    bounds = {p: f[p].boundary_matrix(n + 1) for p in deaths}
-    ranks = {p: d.rank() for p, d in bounds.items()}
+    deaths = sorted(set(deaths))
+    top = f[deaths[-1]]
+    row_of = {s.vertices: r for r, s in enumerate(top.n_simplices(n))}
+    column_of = dict(zip(
+        (s.vertices for s in top.n_simplices(n + 1)),
+        top.boundary_matrix(n + 1).column_bits(),
+    ))
+    columns = [(birth, column_of[v]) for v, birth in f.births(n + 1) if v in column_of]
+
+    def ranks(pivots: dict[int, int]) -> dict[int, int]:
+        """The rank once the columns born at or before p are in, for each p."""
+        out, k = {}, 0
+        for p in deaths:
+            while k < len(columns) and columns[k][0] <= p:
+                _insert(pivots, columns[k][1])
+                k += 1
+            out[p] = len(pivots)
+        return out
+
+    rank_g = ranks({})
     grid: dict[tuple[int, int], int] = {}
-    for j, (z, cycle_of) in cycles.items():
-        for p, d in bounds.items():
+    for j in births:
+        if not 0 <= j <= deaths[-1]:
+            continue
+        kernel = f[j].boundary_matrix(n).kernel_basis()
+        pushed = [0] * len(row_of)
+        for s, bits in zip(f[j].n_simplices(n), kernel.row_bits):
+            pushed[row_of[s.vertices]] = bits
+        z = kernel.cols
+        pivots: dict[int, int] = {}
+        for cycle in Gf2Matrix(len(pushed), z, tuple(pushed)).column_bits():
+            _insert(pivots, cycle)
+        rank_stacked = ranks(pivots)
+        for p in deaths:
             if p >= j:
-                stacked = Gf2Matrix(d.rows, d.cols + z, tuple(
-                    bits | cycle_of.get(s.vertices, 0) << d.cols
-                    for s, bits in zip(f[p].n_simplices(n), d.row_bits)
-                ))
-                grid[(j, p)] = z - (ranks[p] + z - stacked.rank())
+                grid[(j, p)] = z - (rank_g[p] + z - rank_stacked[p])
     return grid
 
 
@@ -152,9 +188,9 @@ def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
 
     rank [D_{n+1}(K^p) | I N_n(K^j)] - rank D_{n+1}(K^p), with the cycle
     basis N_n(K^j) pushed forward by the inclusion matrix I.  It shares
-    the kernel basis, the boundary matrices and `rank` with the
-    by-simplex form, but not the push-forward, so each checks the other;
-    the two must agree on every input.
+    the kernel basis and the boundary matrices with the by-simplex form,
+    but neither the push-forward nor the elimination, so each checks the
+    other; the two must agree on every input.
     """
     _require_dim(n)
     f.check_level_pair(j, p)

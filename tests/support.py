@@ -35,6 +35,66 @@ def naive_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def rref_kernel_basis(m: Gf2Matrix) -> Gf2Matrix:
+    """Kernel basis by reduced row echelon form: the reference for kernel_basis.
+
+    One kernel vector per free column, in ascending order, with a 1 at
+    its own free column and 0 at every other free column.
+    """
+    # Reduced row echelon form, kept as {pivot column -> row bits}.
+    # Invariant: every stored row has 0 in all other pivot columns.
+    pivots: dict[int, int] = {}
+    for bits in m.row_bits:
+        cur = bits
+        for col, row in pivots.items():
+            if (cur >> col) & 1:
+                cur ^= row
+        if cur == 0:
+            continue
+        lead = (cur & -cur).bit_length() - 1
+        for col, row in pivots.items():
+            if (row >> lead) & 1:
+                pivots[col] = row ^ cur
+        pivots[lead] = cur
+
+    free_cols = [c for c in range(m.cols) if c not in pivots]
+    kernel_rows = [0] * m.cols
+    for idx, free in enumerate(free_cols):
+        kernel_rows[free] |= 1 << idx
+        for pivot_col, row in pivots.items():
+            if (row >> free) & 1:
+                kernel_rows[pivot_col] |= 1 << idx
+    return Gf2Matrix(m.cols, len(free_cols), tuple(kernel_rows))
+
+
+def stacked_rank_grid(
+    f: Filtration, n: int, births, deaths
+) -> dict[tuple[int, int], int]:
+    """persistent_betti at every 0 <= j <= p in births x deaths, pair by pair.
+
+    For each pair, the RREF kernel basis of K^j is pushed into K^p by
+    simplex and stacked beside D_{n+1}(K^p) as nested lists, and both
+    ranks come from naive_rank: z - (rank_g + z - rank_stacked).
+    """
+    grid = {}
+    for j in births:
+        for p in deaths:
+            if not 0 <= j <= p:
+                continue
+            kernel = rref_kernel_basis(f[j].boundary_matrix(n))
+            z = kernel.cols
+            simplices = (s.vertices for s in f[j].n_simplices(n))
+            cycle_row = dict(zip(simplices, kernel.to_rows()))
+            bound = f[p].boundary_matrix(n + 1).to_rows()
+            stacked = [
+                row + cycle_row.get(s.vertices, [0] * z)
+                for s, row in zip(f[p].n_simplices(n), bound)
+            ]
+            rank_g = naive_rank(bound)
+            grid[(j, p)] = z - (rank_g + z - naive_rank(stacked))
+    return grid
+
+
 def matrix_from_lists(rows: list[list[int]], cols: int | None = None) -> Gf2Matrix:
     return Gf2Matrix.from_rows(rows, cols=cols)
 

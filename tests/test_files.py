@@ -98,6 +98,28 @@ def test_parse_filtration_located_errors():
         parse_filtration('{"name": 3, "levels": [[[0]]]}')
 
 
+def test_parse_filtration_builds_each_facet_once(monkeypatch):
+    # a cumulative file lists a facet at every level from its birth on
+    built = []
+    original = Simplex.__post_init__
+
+    def counting(self):
+        built.append(self.vertices)
+        original(self)
+
+    monkeypatch.setattr(Simplex, "__post_init__", counting)
+    text = json.dumps({"levels": [
+        [[0, 1, 2]], [[0, 1, 2], [2, 3]], [[0, 1, 2], [2, 3], [3, 4]],
+    ]})
+    doc = parse_filtration(text)
+    assert sorted(built) == [(0, 1, 2), (2, 3), (3, 4)]
+    assert [len(level) for level in doc.levels] == [1, 2, 3]
+    assert doc.levels[2][0] is doc.levels[0][0]
+    # every occurrence is still type-checked: true must not pass as 1
+    with pytest.raises(ParseError, match=r"^levels\[1\]\[1\]\[0\]: "):
+        parse_filtration('{"levels": [[[1, 2]], [[1, 2], [true, 2]]]}')
+
+
 def test_parse_filtration_validates_nesting():
     with pytest.raises(FiltrationError) as excinfo:
         parse_filtration('{"levels": [[[0,1]], [[2,3]]]}')

@@ -7,9 +7,10 @@ import random
 
 import pytest
 
+from phcalc.generate import random_filtration_document
 from phcalc.gf2 import Gf2Matrix
 
-from .support import matrix_from_lists, naive_rank, random_lists
+from .support import matrix_from_lists, naive_rank, random_lists, rref_kernel_basis
 
 
 def test_zero_and_identity():
@@ -139,6 +140,39 @@ def test_kernel_of_identity_and_zero():
     kernel = Gf2Matrix.zero(3, 4).kernel_basis()
     assert kernel.cols == 4
     assert kernel == Gf2Matrix.identity(4)
+
+
+def test_kernel_basis_matches_rref_on_boundary_matrices():
+    # every level's D_0..D_{dim+1} of seeded gen inputs
+    checked = 0
+    for seed in range(20):
+        f = random_filtration_document(40, 5, seed=seed).to_filtration()
+        for level in f:
+            for n in range(f.dim + 2):
+                d = level.boundary_matrix(n)
+                assert d.kernel_basis() == rref_kernel_basis(d)
+                checked += 1
+    assert checked == 20 * 5 * 4
+
+
+def test_kernel_basis_matches_rref_on_random_matrices():
+    rng = random.Random(31)
+    shapes = [(0, 0), (0, 5), (5, 0), (6, 6), (4, 9), (9, 4)]
+    shapes += [(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(200)]
+    for rows, cols in shapes:
+        m = matrix_from_lists(random_lists(rng, rows, cols), cols=cols)
+        assert m.kernel_basis() == rref_kernel_basis(m)
+    # full rank: square, wide and tall, made from the identity
+    for k in range(1, 8):
+        eye = Gf2Matrix.identity(k)
+        extra = matrix_from_lists(random_lists(rng, k, 3), cols=3)
+        wide = eye.hstack(extra)
+        below = tuple(rng.randrange(1 << k) for _ in range(3))
+        tall = Gf2Matrix(k + 3, k, eye.row_bits + below)
+        for m in (eye, wide, tall):
+            assert m.kernel_basis() == rref_kernel_basis(m)
+        assert wide.kernel_basis().cols == 3
+        assert tall.kernel_basis().cols == 0
 
 
 def test_kernel_members_are_exactly_the_kernel():

@@ -33,11 +33,13 @@ from phcalc import (
     persistent_betti,
     persistent_betti_simplified,
 )
+from phcalc import persistence
 from phcalc.files import parse_filtration
 from phcalc.generate import random_filtration_document
 from phcalc.gf2 import Gf2Matrix
+from phcalc.persistence import _betti_grid
 
-from .support import random_filtration
+from .support import random_filtration, stacked_rank_grid
 
 # per-level Betti numbers of the diabolo filtration, by dimension
 DIABOLO_BETTI = {0: (3, 1, 4, 2, 1, 1), 1: (0, 1, 1, 2, 2, 1)}
@@ -121,12 +123,50 @@ def test_matrices_built_once_per_query(diabolo_filtration, monkeypatch):
     counting(Gf2Matrix, "kernel_basis")
     counting(SimplicialComplex, "boundary_matrix")
     for query, kernels, boundaries in (
-        (lambda: mu(diabolo_filtration, 1, 3, 5), 2, 4),
+        (lambda: mu(diabolo_filtration, 1, 3, 5), 2, 3),
         (lambda: persistent_betti(diabolo_filtration, 1, 3, 5), 1, 2),
     ):
         calls.clear()
         query()
         assert calls == {"kernel_basis": kernels, "boundary_matrix": boundaries}
+
+
+def test_betti_grid_matches_the_stacked_rank_grid():
+    # the full grid, and the sparse births x deaths that persistent_betti,
+    # mu and mu_infinity ask for, against one stacked rank per pair
+    rng = random.Random(73)
+    for _ in range(25):
+        f = random_filtration(rng, vertices=7, count=6, levels=4, max_size=4)
+        levels = range(len(f))
+        for n in range(4):
+            queries = [(levels, levels)]
+            queries += [((j,), (p,)) for j in levels for p in levels if j <= p]
+            queries += [
+                ((j - 1, j), (p - 1, p)) for j in levels for p in levels if j < p
+            ]
+            queries += [((j - 1, j), (f.m,)) for j in levels]
+            for births, deaths in queries:
+                assert _betti_grid(f, n, births, deaths) == (
+                    stacked_rank_grid(f, n, births, deaths)
+                )
+
+
+def test_rank_grid_uses_no_reduction(diabolo_filtration, monkeypatch):
+    # check holds the rank grid against the reduction, so the grid must
+    # answer with the reduction's helpers broken
+    f = diabolo_filtration
+    tables = [betti_table(f, n) for n in range(3)]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the rank grid went through the reduction")
+
+    monkeypatch.setattr(persistence, "_reduce", broken)
+    monkeypatch.setattr(persistence, "_boundary_columns", broken)
+    with pytest.raises(AssertionError, match="reduction"):
+        barcode(f, 0)
+    assert [betti_table(f, n) for n in range(3)] == tables
+    assert (mu(f, 0, 2, 3), mu(f, 1, 1, 5), mu(f, 1, 3, 4)) == (2, 1, 0)
+    assert (mu_infinity(f, 0, 0), mu_infinity(f, 1, 3)) == (1, 1)
 
 
 def test_diabolo_mu_values(diabolo_filtration):
