@@ -5,20 +5,19 @@ methods.
 
 Point queries follow the paper's rank formula.  The degree-n classes
 of level j that are still alive at level p form a quotient space: the
-cycles of K^j, pushed into K^p along the basis inclusion, modulo the
-boundaries of K^p they meet.  Its dimension is obtained from the
-degree-n boundary matrix of K^j, the degree-(n+1) boundary matrix of
-K^p, and the inclusion between the two n-simplex bases.  The
-inclusion sends each n-simplex to itself, so it is applied by simplex
-rather than as a matrix.  One helper evaluates the formula for every
-pair of the birth and death levels asked for.  It builds the
-degree-(n+1) boundary matrix of the last death level only: with its
-columns in birth order, the boundaries of K^p are a prefix of them, so
-one elimination per birth level gives the ranks at every death level
-(Zomorodian-Carlsson's persistence by rank profile).
-`persistent_betti`, `betti_table`, `mu` and `mu_infinity` use it.
-`persistent_betti_simplified` keeps the per-pair matrix form: the
-inclusion matrix, its product with the kernel basis, and `rank`.
+cycles of K^j modulo the boundaries of K^p they meet.  Its dimension
+is obtained from the degree-n boundary matrix of K^j, the
+degree-(n+1) boundary matrix of K^p, and the inclusion between the
+two n-simplex bases.  One helper evaluates the formula for every pair
+of the birth and death levels asked for, from the two boundary
+matrices of the last death level alone: with the simplices in birth
+order, every earlier level is a prefix of that one, so the ranks of
+all levels, and of the boundaries of K^p on the rows born after j
+(the lower-left submatrices of Edelsbrunner-Harer's pairing lemma),
+come from one elimination per birth level.  `persistent_betti`,
+`betti_table`, `mu` and `mu_infinity` use it.
+`persistent_betti_simplified` keeps the per-pair matrix form: a
+kernel basis, the inclusion matrix, its product, and `rank`.
 Interval multiplicities are one finite difference of these numbers
 (Zomorodian-Carlsson), shared with `check_fundamental_lemma`.
 
@@ -34,11 +33,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Container, Iterable
 
 from .filtration import Filtration
-from .gf2 import Gf2Matrix
 
 INFINITE_DEATH = math.inf
 
@@ -109,57 +107,51 @@ def _insert(pivots: dict[int, int], col: int) -> None:
 def _betti_grid(
     f: Filtration, n: int, births: Iterable[int], deaths: Iterable[int]
 ) -> dict[tuple[int, int], int]:
-    """persistent_betti at every j <= p in births x deaths.
+    """persistent_betti at every j <= p in births x deaths, from K^top alone.
 
-    Everything lives in the n-simplex basis of K^top, top the last
-    death level.  The degree-(n+1) boundary columns of K^top are
-    inserted one by one in (birth, vertices) order, so that after the
-    columns born at or before p they span the boundaries of K^p: rank_g
-    at p is the rank then.  For each birth j, the z cycles of a kernel
-    basis of K^j are carried into that basis by simplex (the basis
-    inclusion only relabels rows) and inserted first, and the same
-    sweep gives rank_stacked at each p.  The result is
-    z - (rank_g + z - rank_stacked): the cycles of K^j minus those that
-    meet the boundaries of K^p.  So a query costs one elimination per
-    birth level, over one boundary matrix; birth -1, off the grid, is
-    skipped.
+    top is the last death level.  In (birth, vertices) order each level
+    is a prefix of K^top, so the columns of D_n(K^top) and D_{n+1}(K^top)
+    inserted in that order give rank D_n(K^j), hence the z cycles of
+    K^j, and rank_g, the rank of the boundaries of K^p.  The boundaries
+    that are cycles of K^j, those that are 0 on the rows born after j,
+    span rank_g - rank_later: rank_later is the rank of D_{n+1}(K^p) on
+    those rows, a lower-left submatrix rank of Edelsbrunner-Harer's
+    pairing lemma.  The cycles of K^j stacked with the boundaries of K^p
+    have rank_stacked = z + rank_later, so this is the paper's
+    z - (rank_g + z - rank_stacked).  One elimination per birth level
+    and two more; no other level is built, and births off the grid, as
+    -1, are skipped.
     """
     deaths = sorted(set(deaths))
+    births = sorted({j for j in births if 0 <= j <= deaths[-1]})
     top = f[deaths[-1]]
-    row_of = {s.vertices: r for r, s in enumerate(top.n_simplices(n))}
-    column_of = dict(zip(
-        (s.vertices for s in top.n_simplices(n + 1)),
-        top.boundary_matrix(n + 1).column_bits(),
-    ))
-    columns = [(birth, column_of[v]) for v, birth in f.births(n + 1) if v in column_of]
 
-    def ranks(pivots: dict[int, int]) -> dict[int, int]:
-        """The rank once the columns born at or before p are in, for each p."""
-        out, k = {}, 0
-        for p in deaths:
-            while k < len(columns) and columns[k][0] <= p:
-                _insert(pivots, columns[k][1])
+    def by_birth(d: int) -> list[tuple[int, int, int]]:
+        """(birth, index in K^top's basis, column of D_d(K^top)) per d-simplex."""
+        index = {s.vertices: i for i, s in enumerate(top.n_simplices(d))}
+        columns = top.boundary_matrix(d).column_bits()
+        return [(b, index[v], columns[index[v]]) for v, b in f.births(d) if v in index]
+
+    def ranks(simplices: list, levels: list[int], mask: int = -1) -> dict[int, int]:
+        """The rank once the columns born at or before each level are in."""
+        out, pivots, k = {}, {}, 0
+        for level in levels:
+            while k < len(simplices) and simplices[k][0] <= level:
+                _insert(pivots, simplices[k][2] & mask)
                 k += 1
-            out[p] = len(pivots)
+            out[level] = len(pivots)
         return out
 
-    rank_g = ranks({})
+    cells, bounds = by_birth(n), by_birth(n + 1)
+    rank_n, rank_g = ranks(cells, births), ranks(bounds, deaths)
     grid: dict[tuple[int, int], int] = {}
     for j in births:
-        if not 0 <= j <= deaths[-1]:
-            continue
-        kernel = f[j].boundary_matrix(n).kernel_basis()
-        pushed = [0] * len(row_of)
-        for s, bits in zip(f[j].n_simplices(n), kernel.row_bits):
-            pushed[row_of[s.vertices]] = bits
-        z = kernel.cols
-        pivots: dict[int, int] = {}
-        for cycle in Gf2Matrix(len(pushed), z, tuple(pushed)).column_bits():
-            _insert(pivots, cycle)
-        rank_stacked = ranks(pivots)
+        z = sum(b <= j for b, _, _ in cells) - rank_n[j]
+        later = sum(1 << i for b, i, _ in cells if b > j)
+        rank_later = ranks(bounds, deaths, later)
         for p in deaths:
             if p >= j:
-                grid[(j, p)] = z - (rank_g[p] + z - rank_stacked[p])
+                grid[(j, p)] = z - (rank_g[p] - rank_later[p])
     return grid
 
 
@@ -188,9 +180,9 @@ def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
 
     rank [D_{n+1}(K^p) | I N_n(K^j)] - rank D_{n+1}(K^p), with the cycle
     basis N_n(K^j) pushed forward by the inclusion matrix I.  It shares
-    the kernel basis and the boundary matrices with the by-simplex form,
-    but neither the push-forward nor the elimination, so each checks the
-    other; the two must agree on every input.
+    only the boundary matrix D_{n+1}(K^p) with the prefix form, which
+    takes no kernel basis, no inclusion and no `rank`, so each checks
+    the other; the two must agree on every input.
     """
     _require_dim(n)
     f.check_level_pair(j, p)
@@ -351,8 +343,15 @@ def check_fundamental_lemma(f: Filtration, n: int) -> LemmaReport:
         count = _multiplicity(table, m, j, p)
         if count < 0:
             violations.append(LemmaViolation("negative-count", j, p, 0, count))
+    # alive[b][l]: the intervals born at b alive at l; summed over the
+    # births b <= k, those spanning [k, l], so the grid takes one pass
+    alive = [[0] * (m + 1) for _ in range(m + 1)]
+    for pair in bars.pairs:
+        for l in range(pair.birth, min(pair.death, m + 1)):
+            alive[pair.birth][l] += pair.multiplicity
+    spanning = list(accumulate(alive, lambda s, a: [x + y for x, y in zip(s, a)]))
     spans = [
-        LemmaViolation("barcode-span", k, l, table[(k, l)], bars.betti_at(k, l))
+        LemmaViolation("barcode-span", k, l, table[(k, l)], spanning[k][l])
         for k in range(m + 1)
         for l in range(k, m + 1)
     ]

@@ -122,13 +122,37 @@ def test_matrices_built_once_per_query(diabolo_filtration, monkeypatch):
 
     counting(Gf2Matrix, "kernel_basis")
     counting(SimplicialComplex, "boundary_matrix")
-    for query, kernels, boundaries in (
-        (lambda: mu(diabolo_filtration, 1, 3, 5), 2, 3),
-        (lambda: persistent_betti(diabolo_filtration, 1, 3, 5), 1, 2),
+    for query in (
+        lambda: mu(diabolo_filtration, 1, 3, 5),
+        lambda: persistent_betti(diabolo_filtration, 1, 3, 5),
     ):
         calls.clear()
         query()
-        assert calls == {"kernel_basis": kernels, "boundary_matrix": boundaries}
+        # D_n and D_{n+1} of the last death level, and no kernel basis
+        assert calls["kernel_basis"] == 0
+        assert calls == {"boundary_matrix": 2}
+
+
+def test_rank_grid_builds_only_the_last_death_level(monkeypatch):
+    text = random_filtration_document(60, 8, seed=1).serialize()
+    asked = []
+    original = Filtration.__getitem__
+
+    def recording(self, j):
+        asked.append(j)
+        return original(self, j)
+
+    monkeypatch.setattr(Filtration, "__getitem__", recording)
+    for query, top in (
+        (lambda f: betti_table(f, 1), 7),
+        (lambda f: mu(f, 1, 3, 5), 5),
+        (lambda f: mu_infinity(f, 1, 3), 7),
+        (lambda f: persistent_betti(f, 1, 2, 4), 4),
+    ):
+        f = parse_filtration(text).to_filtration()
+        asked.clear()
+        query(f)
+        assert set(asked) == {top}
 
 
 def test_betti_grid_matches_the_stacked_rank_grid():
@@ -369,10 +393,14 @@ def small_filtrations(draw):
 @given(small_filtrations())
 def test_reduction_matches_oracle(f):
     for n in range(3):
-        bars = barcode(f, n)
+        # the reduction, the rank grid and the matrix form on one draw
+        bars, table = barcode(f, n), betti_table(f, n)
         for j in range(len(f)):
             for p in range(j, len(f)):
-                assert bars.betti_at(j, p) == oracle_persistent_betti(f, n, j, p)
+                expected = oracle_persistent_betti(f, n, j, p)
+                assert table[(j, p)] == expected
+                assert persistent_betti_simplified(f, n, j, p) == expected
+                assert bars.betti_at(j, p) == expected
 
 
 def test_barcode_of_empty_filtration():
