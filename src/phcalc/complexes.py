@@ -100,6 +100,18 @@ class SimplicialComplex:
         ordered = sorted(self._simplices, key=lambda s: (len(s.vertices), s.vertices))
         self._by_dim = tuple(tuple(group) for _, group in groupby(ordered, len))
 
+    @classmethod
+    def _from_sorted(cls, simplices: list[Simplex]) -> SimplicialComplex:
+        """The complex of simplices face-closed by construction, in basis order.
+
+        ``simplices`` is sorted by (dimension, vertices); neither the
+        face-closure check nor the sort is run again.
+        """
+        complex_ = cls.__new__(cls)
+        complex_._simplices = frozenset(simplices)
+        complex_._by_dim = tuple(tuple(group) for _, group in groupby(simplices, len))
+        return complex_
+
     @property
     def simplices(self) -> frozenset[Simplex]:
         return self._simplices

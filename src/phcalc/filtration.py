@@ -80,8 +80,12 @@ class Filtration:
     """A non-empty nested sequence of complexes K^0 <= ... <= K^m.
 
     Held as one simplex-to-birth table.  Validated eagerly at
-    construction; immutable afterwards: each level is built from the
-    table on first use and kept, which changes no value the filtration reports.
+    construction; immutable afterwards.  Built from the table on first
+    use and kept, which changes no value the filtration reports: one
+    `Simplex` per vertex tuple, shared by every level; each level asked
+    for, without a second face-closure check (the table is closed under
+    subsets); and, per dimension d, the columns of D_d(K^m) in birth
+    order, of which every level's are a prefix.
     """
 
     def __init__(self, levels: Iterable[Iterable[Simplex]]):
@@ -92,6 +96,8 @@ class Filtration:
         if violation is not None:
             raise FiltrationError(violation)
         self._levels: list[SimplicialComplex | None] = [None] * len(level_facets)
+        self._basis: list[tuple[Simplex, int]] | None = None
+        self._columns: dict[int, list[tuple[int, int, int]]] = {}
 
     @classmethod
     def from_level_facets(cls, level_facets: Sequence[Iterable[Simplex]]) -> Filtration:
@@ -123,9 +129,28 @@ class Filtration:
     def __getitem__(self, j: int) -> SimplicialComplex:
         j = range(len(self._levels))[j]
         if self._levels[j] is None:
-            members = (Simplex(v) for v, birth in self._births.items() if birth <= j)
-            self._levels[j] = SimplicialComplex(members)
+            if self._basis is None:
+                # by (dimension, vertices): every level's bases, in order
+                verts = sorted(self._births, key=lambda v: (len(v), v))
+                self._basis = [(Simplex(v), self._births[v]) for v in verts]
+            members = [s for s, birth in self._basis if birth <= j]
+            self._levels[j] = SimplicialComplex._from_sorted(members)
         return self._levels[j]
+
+    def _birth_columns(self, d: int) -> list[tuple[int, int, int]]:
+        """(birth, index in K^m's basis, column of D_d(K^m)) per d-simplex, by birth.
+
+        Built on first use and kept; the d-simplices of every level are a
+        prefix of the list.
+        """
+        if d not in self._columns:
+            top = self[self.m]
+            index = {s.vertices: i for i, s in enumerate(top.n_simplices(d))}
+            columns = top.boundary_matrix(d).column_bits()
+            self._columns[d] = [
+                (b, index[v], columns[index[v]]) for v, b in self.births(d)
+            ]
+        return self._columns[d]
 
     def __iter__(self) -> Iterator[SimplicialComplex]:
         return (self[j] for j in range(len(self._levels)))

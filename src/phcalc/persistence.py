@@ -9,13 +9,14 @@ cycles of K^j modulo the boundaries of K^p they meet.  Its dimension
 is obtained from the degree-n boundary matrix of K^j, the
 degree-(n+1) boundary matrix of K^p, and the inclusion between the
 two n-simplex bases.  One helper evaluates the formula for every pair
-of the birth and death levels asked for, from the two boundary
-matrices of the last death level alone: with the simplices in birth
-order, every earlier level is a prefix of that one, so the ranks of
-all levels, and of the boundaries of K^p on the rows born after j
-(the lower-left submatrices of Edelsbrunner-Harer's pairing lemma),
-come from one elimination per birth level.  `persistent_betti`,
-`betti_table`, `mu` and `mu_infinity` use it.
+of the birth and death levels asked for, from the boundary columns of
+the last level K^m, which the filtration builds once per dimension
+and keeps for every later query: with the simplices in birth order,
+every level is a prefix of K^m, so the ranks of all levels, and of
+the boundaries of K^p on the rows born after j (the lower-left
+submatrices of Edelsbrunner-Harer's pairing lemma), come from one
+elimination per birth level.  `persistent_betti`, `betti_table`, `mu`
+and `mu_infinity` use it.
 `persistent_betti_simplified` keeps the per-pair matrix form: a
 kernel basis, the inclusion matrix, its product, and `rank`.
 Interval multiplicities are one finite difference of these numbers
@@ -107,30 +108,23 @@ def _insert(pivots: dict[int, int], col: int) -> None:
 def _betti_grid(
     f: Filtration, n: int, births: Iterable[int], deaths: Iterable[int]
 ) -> dict[tuple[int, int], int]:
-    """persistent_betti at every j <= p in births x deaths, from K^top alone.
+    """persistent_betti at every j <= p in births x deaths, from K^m's columns.
 
-    top is the last death level.  In (birth, vertices) order each level
-    is a prefix of K^top, so the columns of D_n(K^top) and D_{n+1}(K^top)
-    inserted in that order give rank D_n(K^j), hence the z cycles of
-    K^j, and rank_g, the rank of the boundaries of K^p.  The boundaries
+    The filtration keeps the columns of D_n(K^m) and D_{n+1}(K^m) in
+    (birth, vertices) order, in which every level is a prefix of K^m.
+    Inserting the columns born at or before a level gives rank D_n(K^j),
+    hence the z cycles of K^j, and rank_g, the rank of the boundaries of
+    K^p: a column born <= p has no face born after p.  The boundaries
     that are cycles of K^j, those that are 0 on the rows born after j,
     span rank_g - rank_later: rank_later is the rank of D_{n+1}(K^p) on
     those rows, a lower-left submatrix rank of Edelsbrunner-Harer's
     pairing lemma.  The cycles of K^j stacked with the boundaries of K^p
     have rank_stacked = z + rank_later, so this is the paper's
     z - (rank_g + z - rank_stacked).  One elimination per birth level
-    and two more; no other level is built, and births off the grid, as
-    -1, are skipped.
+    and two more; births off the grid, as -1, are skipped.
     """
     deaths = sorted(set(deaths))
     births = sorted({j for j in births if 0 <= j <= deaths[-1]})
-    top = f[deaths[-1]]
-
-    def by_birth(d: int) -> list[tuple[int, int, int]]:
-        """(birth, index in K^top's basis, column of D_d(K^top)) per d-simplex."""
-        index = {s.vertices: i for i, s in enumerate(top.n_simplices(d))}
-        columns = top.boundary_matrix(d).column_bits()
-        return [(b, index[v], columns[index[v]]) for v, b in f.births(d) if v in index]
 
     def ranks(simplices: list, levels: list[int], mask: int = -1) -> dict[int, int]:
         """The rank once the columns born at or before each level are in."""
@@ -142,7 +136,7 @@ def _betti_grid(
             out[level] = len(pivots)
         return out
 
-    cells, bounds = by_birth(n), by_birth(n + 1)
+    cells, bounds = f._birth_columns(n), f._birth_columns(n + 1)
     rank_n, rank_g = ranks(cells, births), ranks(bounds, deaths)
     grid: dict[tuple[int, int], int] = {}
     for j in births:
@@ -180,9 +174,10 @@ def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
 
     rank [D_{n+1}(K^p) | I N_n(K^j)] - rank D_{n+1}(K^p), with the cycle
     basis N_n(K^j) pushed forward by the inclusion matrix I.  It shares
-    only the boundary matrix D_{n+1}(K^p) with the prefix form, which
-    takes no kernel basis, no inclusion and no `rank`, so each checks
-    the other; the two must agree on every input.
+    only `SimplicialComplex.boundary_matrix` with the prefix form, which
+    reads the columns of K^m and takes no kernel basis, no inclusion and
+    no `rank`, so each checks the other; the two must agree on every
+    input.
     """
     _require_dim(n)
     f.check_level_pair(j, p)
@@ -350,10 +345,10 @@ def check_fundamental_lemma(f: Filtration, n: int) -> LemmaReport:
         for l in range(pair.birth, min(pair.death, m + 1)):
             alive[pair.birth][l] += pair.multiplicity
     spanning = list(accumulate(alive, lambda s, a: [x + y for x, y in zip(s, a)]))
-    spans = [
+    spans = [(k, l) for k in range(m + 1) for l in range(k, m + 1)]
+    violations += [
         LemmaViolation("barcode-span", k, l, table[(k, l)], spanning[k][l])
-        for k in range(m + 1)
-        for l in range(k, m + 1)
+        for k, l in spans
+        if table[(k, l)] != spanning[k][l]
     ]
-    violations += [v for v in spans if v.expected != v.actual]
     return LemmaReport(n, m, len(spans), tuple(violations))

@@ -14,6 +14,7 @@ from phcalc import (
     closure_of_facets,
     validate,
 )
+from phcalc.generate import random_filtration_document
 
 from .support import naive_nesting_violation, random_filtration, random_level_facets
 
@@ -187,15 +188,21 @@ def test_nested_in_closure_only():
 
 @pytest.fixture
 def built(monkeypatch):
-    """The complexes constructed for the rest of the test."""
+    """The complexes constructed for the rest of the test, by either path."""
     complexes = []
     original = SimplicialComplex.__init__
+    from_sorted = SimplicialComplex._from_sorted.__func__
 
     def counting(self, simplices):
         complexes.append(self)
         original(self, simplices)
 
+    def counting_sorted(cls, simplices):
+        complexes.append(from_sorted(cls, simplices))
+        return complexes[-1]
+
     monkeypatch.setattr(SimplicialComplex, "__init__", counting)
+    monkeypatch.setattr(SimplicialComplex, "_from_sorted", classmethod(counting_sorted))
     return complexes
 
 
@@ -214,3 +221,15 @@ def test_levels_are_built_on_first_use_and_kept(built):
     assert len(built) == 3
     with pytest.raises(IndexError):
         f[3]
+
+
+def test_table_built_levels_equal_the_closures_of_their_facets():
+    # levels skip the face-closure check; the birth table must make up for it
+    for seed in range(12):
+        doc = random_filtration_document(2 + 5 * seed, 6, seed=seed)
+        f = Filtration(doc.levels)
+        for level, facets in zip(f, doc.levels):
+            closure = closure_of_facets(facets)
+            assert level == closure
+            assert level.dim == closure.dim
+            assert list(level) == list(closure)

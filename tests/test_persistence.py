@@ -122,18 +122,20 @@ def test_matrices_built_once_per_query(diabolo_filtration, monkeypatch):
 
     counting(Gf2Matrix, "kernel_basis")
     counting(SimplicialComplex, "boundary_matrix")
-    for query in (
-        lambda: mu(diabolo_filtration, 1, 3, 5),
-        lambda: persistent_betti(diabolo_filtration, 1, 3, 5),
+    f = diabolo_filtration
+    for query, builds in (
+        # D_n and D_{n+1} of the last level, kept by the filtration
+        (lambda: mu(f, 1, 3, 5), 2),
+        (lambda: mu(f, 1, 3, 5), 0),
+        (lambda: persistent_betti(f, 1, 3, 5), 0),
     ):
         calls.clear()
         query()
-        # D_n and D_{n+1} of the last death level, and no kernel basis
         assert calls["kernel_basis"] == 0
-        assert calls == {"boundary_matrix": 2}
+        assert calls["boundary_matrix"] == builds
 
 
-def test_rank_grid_builds_only_the_last_death_level(monkeypatch):
+def test_rank_grid_builds_only_the_last_level(monkeypatch):
     text = random_filtration_document(60, 8, seed=1).serialize()
     asked = []
     original = Filtration.__getitem__
@@ -143,16 +145,81 @@ def test_rank_grid_builds_only_the_last_death_level(monkeypatch):
         return original(self, j)
 
     monkeypatch.setattr(Filtration, "__getitem__", recording)
-    for query, top in (
-        (lambda f: betti_table(f, 1), 7),
-        (lambda f: mu(f, 1, 3, 5), 5),
-        (lambda f: mu_infinity(f, 1, 3), 7),
-        (lambda f: persistent_betti(f, 1, 2, 4), 4),
+    for query in (
+        lambda f: betti_table(f, 1),
+        lambda f: mu(f, 1, 3, 5),
+        lambda f: mu_infinity(f, 1, 3),
+        lambda f: persistent_betti(f, 1, 2, 4),
     ):
         f = parse_filtration(text).to_filtration()
         asked.clear()
         query(f)
-        assert set(asked) == {top}
+        assert set(asked) == {f.m}
+
+
+def _point_queries(m: int) -> list[tuple]:
+    """Every persistent_betti, mu and mu_infinity query in dims 0-2, by p."""
+    queries = [("mu_infinity", n, j, m + 1) for n in range(3) for j in range(m + 1)]
+    for n in range(3):
+        for j in range(m + 1):
+            for p in range(j, m + 1):
+                queries.append(("persistent_betti", n, j, p))
+                if j < p:
+                    queries.append(("mu", n, j, p))
+    return sorted(queries, key=lambda q: q[3])
+
+
+def _ask(f: Filtration, query: tuple) -> int:
+    name, n, j, p = query
+    if name == "persistent_betti":
+        return persistent_betti(f, n, j, p)
+    if name == "mu":
+        return mu(f, n, j, p)
+    return mu_infinity(f, n, j)
+
+
+def test_a_round_of_point_queries_builds_each_boundary_matrix_once(monkeypatch):
+    f = random_filtration_document(200, 10, seed=5).to_filtration()
+    built = Counter()
+    original = SimplicialComplex.boundary_matrix
+
+    def counting(self, d):
+        built[d] += 1
+        return original(self, d)
+
+    monkeypatch.setattr(SimplicialComplex, "boundary_matrix", counting)
+    for query in _point_queries(f.m):
+        _ask(f, query)
+    assert built == {d: 1 for d in range(4)}
+
+
+def test_point_queries_in_any_order_match_the_stacked_rank_grid():
+    # one filtration answers every query in three orders; each answer
+    # must equal a fresh filtration's and the stacked rank per pair
+    for seed in range(24):
+        doc = random_filtration_document(4 + seed % 9, 5, vertices=7, seed=seed)
+        m = len(doc.levels) - 1
+        levels = range(m + 1)
+        grids = [
+            stacked_rank_grid(Filtration(doc.levels), n, levels, levels) for n in range(3)
+        ]
+
+        def expected(name, n, j, p):
+            def beta(j, p):
+                return grids[n][(j, p)] if j >= 0 and p <= m else 0
+
+            if name == "persistent_betti":
+                return beta(j, p)
+            # mu and mu_infinity, whose death p = m + 1 is past the grid
+            return beta(j, p - 1) - beta(j, p) - beta(j - 1, p - 1) + beta(j - 1, p)
+
+        queries = _point_queries(m)
+        infinity_first = sorted(queries, key=lambda q: q[0] != "mu_infinity")
+        for order in (queries, queries[::-1], infinity_first):
+            shared = Filtration(doc.levels)
+            for query in order:
+                fresh = _ask(Filtration(doc.levels), query)
+                assert _ask(shared, query) == expected(*query) == fresh
 
 
 def test_betti_grid_matches_the_stacked_rank_grid():
