@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, groupby
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .gf2 import Gf2Matrix
 
@@ -84,6 +84,22 @@ def subsets(vertices: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         yield from combinations(vertices, size)
 
 
+def _boundary_bits(
+    cells: Sequence[tuple[int, ...]], faces: Sequence[tuple[int, ...]]
+) -> list[int]:
+    """Column k: the faces of ``cells[k]``, as a bitset over the indices of ``faces``."""
+    if not faces:  # the cells are vertices, or there are none
+        return [0] * len(cells)
+    row_of = {verts: r for r, verts in enumerate(faces)}
+    columns = []
+    for verts in cells:
+        bits = 0
+        for face in combinations(verts, len(verts) - 1):
+            bits |= 1 << row_of[face]
+        columns.append(bits)
+    return columns
+
+
 class SimplicialComplex:
     """A face-closed set of simplices with per-dimension ordered bases.
 
@@ -99,18 +115,6 @@ class SimplicialComplex:
         # face-closed, so every dimension from 0 to the top has a group
         ordered = sorted(self._simplices, key=lambda s: (len(s.vertices), s.vertices))
         self._by_dim = tuple(tuple(group) for _, group in groupby(ordered, len))
-
-    @classmethod
-    def _from_sorted(cls, simplices: list[Simplex]) -> SimplicialComplex:
-        """The complex of simplices face-closed by construction, in basis order.
-
-        ``simplices`` is sorted by (dimension, vertices); neither the
-        face-closure check nor the sort is run again.
-        """
-        complex_ = cls.__new__(cls)
-        complex_._simplices = frozenset(simplices)
-        complex_._by_dim = tuple(tuple(group) for _, group in groupby(simplices, len))
-        return complex_
 
     @property
     def simplices(self) -> frozenset[Simplex]:
@@ -137,15 +141,11 @@ class SimplicialComplex:
         row count is 0 (there is nothing below the vertices).
         """
         cols = self.n_simplices(n)
-        if n == 0:
-            return Gf2Matrix.zero(0, len(cols))
-        rows = self.n_simplices(n - 1)
-        row_of = {s.vertices: i for i, s in enumerate(rows)}
-        bits = [0] * len(rows)
-        for k, s in enumerate(cols):
-            for face in combinations(s.vertices, n):
-                bits[row_of[face]] |= 1 << k
-        return Gf2Matrix(len(rows), len(cols), tuple(bits))
+        rows = self.n_simplices(n - 1) if n else ()
+        columns = _boundary_bits([s.vertices for s in cols], [s.vertices for s in rows])
+        # the columns of D_n are the rows of its transpose
+        transpose = Gf2Matrix(len(cols), len(rows), tuple(columns))
+        return Gf2Matrix(len(rows), len(cols), tuple(transpose.column_bits()))
 
     def betti(self, n: int) -> int:
         """The n-th Betti number: |S_n| - rank(D_n) - rank(D_{n+1})."""

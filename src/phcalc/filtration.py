@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
-from .complexes import Simplex, SimplicialComplex, _missing_face, subsets
+from .complexes import Simplex, SimplicialComplex, _boundary_bits, _missing_face, subsets
 from .gf2 import Gf2Matrix
 
 
@@ -81,11 +82,11 @@ class Filtration:
 
     Held as one simplex-to-birth table.  Validated eagerly at
     construction; immutable afterwards.  Built from the table on first
-    use and kept, which changes no value the filtration reports: one
-    `Simplex` per vertex tuple, shared by every level; each level asked
-    for, without a second face-closure check (the table is closed under
-    subsets); and, per dimension d, the columns of D_d(K^m) in birth
-    order, of which every level's are a prefix.
+    use and kept, which changes no value the filtration reports: the
+    simplices of each dimension in (birth, vertices) order, in which
+    every level is a prefix of K^m; per dimension d, the columns of
+    D_d(K^m) with rows and columns in that order; and each level asked
+    for, through the public constructor and its face-closure check.
     """
 
     def __init__(self, levels: Iterable[Iterable[Simplex]]):
@@ -96,8 +97,8 @@ class Filtration:
         if violation is not None:
             raise FiltrationError(violation)
         self._levels: list[SimplicialComplex | None] = [None] * len(level_facets)
-        self._basis: list[tuple[Simplex, int]] | None = None
-        self._columns: dict[int, list[tuple[int, int, int]]] = {}
+        self._by_dim: list[list[tuple[tuple[int, ...], int]]] | None = None
+        self._columns: dict[int, tuple[list[int], list[int]]] = {}
 
     @classmethod
     def from_level_facets(cls, level_facets: Sequence[Iterable[Simplex]]) -> Filtration:
@@ -119,9 +120,11 @@ class Filtration:
         return max(map(len, self._births), default=0) - 1
 
     def births(self, n: int) -> list[tuple[tuple[int, ...], int]]:
-        """(vertices, birth) of each n-simplex by (birth, vertices): faces first."""
-        cells = [item for item in self._births.items() if len(item[0]) == n + 1]
-        return sorted(cells, key=lambda item: (item[1], item[0]))
+        """(vertices, birth) of each n-simplex by (birth, vertices), in a new list."""
+        if self._by_dim is None:  # face-closed: every dimension up to the top is there
+            cells = sorted(self._births.items(), key=lambda c: (len(c[0]), c[1], c[0]))
+            self._by_dim = [list(group) for _, group in groupby(cells, lambda c: len(c[0]))]
+        return list(self._by_dim[n]) if 0 <= n < len(self._by_dim) else []
 
     def __len__(self) -> int:
         return len(self._levels)
@@ -129,27 +132,21 @@ class Filtration:
     def __getitem__(self, j: int) -> SimplicialComplex:
         j = range(len(self._levels))[j]
         if self._levels[j] is None:
-            if self._basis is None:
-                # by (dimension, vertices): every level's bases, in order
-                verts = sorted(self._births, key=lambda v: (len(v), v))
-                self._basis = [(Simplex(v), self._births[v]) for v in verts]
-            members = [s for s, birth in self._basis if birth <= j]
-            self._levels[j] = SimplicialComplex._from_sorted(members)
+            members = (Simplex(v) for v, birth in self._births.items() if birth <= j)
+            self._levels[j] = SimplicialComplex(members)
         return self._levels[j]
 
-    def _birth_columns(self, d: int) -> list[tuple[int, int, int]]:
-        """(birth, index in K^m's basis, column of D_d(K^m)) per d-simplex, by birth.
+    def _birth_columns(self, d: int) -> tuple[list[int], list[int]]:
+        """The births of the d-simplices and the columns of D_d(K^m), all by birth.
 
-        Built on first use and kept; the d-simplices of every level are a
-        prefix of the list.
+        Rows are by birth too, so each level's D_d is a prefix of both.
         """
         if d not in self._columns:
-            top = self[self.m]
-            index = {s.vertices: i for i, s in enumerate(top.n_simplices(d))}
-            columns = top.boundary_matrix(d).column_bits()
-            self._columns[d] = [
-                (b, index[v], columns[index[v]]) for v, b in self.births(d)
-            ]
+            cells, faces = self.births(d), self.births(d - 1)
+            self._columns[d] = (
+                [birth for _, birth in cells],
+                _boundary_bits([v for v, _ in cells], [v for v, _ in faces]),
+            )
         return self._columns[d]
 
     def __iter__(self) -> Iterator[SimplicialComplex]:

@@ -9,16 +9,15 @@ cycles of K^j modulo the boundaries of K^p they meet.  Its dimension
 is obtained from the degree-n boundary matrix of K^j, the
 degree-(n+1) boundary matrix of K^p, and the inclusion between the
 two n-simplex bases.  One helper evaluates the formula for every pair
-of the birth and death levels asked for, from the boundary columns of
-the last level K^m, which the filtration builds once per dimension
-and keeps for every later query: with the simplices in birth order,
-every level is a prefix of K^m, so the ranks of all levels, and of
-the boundaries of K^p on the rows born after j (the lower-left
-submatrices of Edelsbrunner-Harer's pairing lemma), come from one
-elimination per birth level.  `persistent_betti`, `betti_table`, `mu`
-and `mu_infinity` use it.
-`persistent_betti_simplified` keeps the per-pair matrix form: a
-kernel basis, the inclusion matrix, its product, and `rank`.
+of the birth and death levels asked for, and builds no level: the
+filtration keeps, per dimension, the boundary matrix of the last level
+K^m with rows and columns in birth order, of which every level's is a
+prefix.  So the ranks of all levels, and of the boundaries of K^p on
+the rows born after j (the lower-left submatrices of Edelsbrunner-
+Harer's pairing lemma), come from one elimination per birth level.
+`persistent_betti`, `betti_table`, `mu` and `mu_infinity` use it.
+`persistent_betti_simplified` keeps the per-pair matrix form on the
+two levels: a kernel basis, the inclusion matrix, its product, `rank`.
 Interval multiplicities are one finite difference of these numbers
 (Zomorodian-Carlsson), shared with `check_fundamental_lemma`.
 
@@ -32,6 +31,7 @@ level.  `check_fundamental_lemma` holds each method against the other.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations
@@ -110,39 +110,40 @@ def _betti_grid(
 ) -> dict[tuple[int, int], int]:
     """persistent_betti at every j <= p in births x deaths, from K^m's columns.
 
-    The filtration keeps the columns of D_n(K^m) and D_{n+1}(K^m) in
-    (birth, vertices) order, in which every level is a prefix of K^m.
+    The filtration keeps D_n(K^m) and D_{n+1}(K^m) with rows and columns
+    in (birth, vertices) order, in which every level is a prefix of K^m.
     Inserting the columns born at or before a level gives rank D_n(K^j),
     hence the z cycles of K^j, and rank_g, the rank of the boundaries of
     K^p: a column born <= p has no face born after p.  The boundaries
     that are cycles of K^j, those that are 0 on the rows born after j,
     span rank_g - rank_later: rank_later is the rank of D_{n+1}(K^p) on
-    those rows, a lower-left submatrix rank of Edelsbrunner-Harer's
-    pairing lemma.  The cycles of K^j stacked with the boundaries of K^p
-    have rank_stacked = z + rank_later, so this is the paper's
-    z - (rank_g + z - rank_stacked).  One elimination per birth level
-    and two more; births off the grid, as -1, are skipped.
+    the rows from the count of n-simplices born <= j up, a lower-left
+    submatrix rank of Edelsbrunner-Harer's pairing lemma.  The cycles of
+    K^j stacked with the boundaries of K^p have rank_stacked = z +
+    rank_later, so this is the paper's z - (rank_g + z - rank_stacked).
+    One elimination per birth level and two more; births off the grid,
+    as -1, are skipped.
     """
     deaths = sorted(set(deaths))
     births = sorted({j for j in births if 0 <= j <= deaths[-1]})
 
-    def ranks(simplices: list, levels: list[int], mask: int = -1) -> dict[int, int]:
-        """The rank once the columns born at or before each level are in."""
+    def ranks(born, columns, levels: list[int], shift: int = 0) -> dict[int, int]:
+        """The rank once the columns born by each level, less ``shift`` rows, are in."""
         out, pivots, k = {}, {}, 0
         for level in levels:
-            while k < len(simplices) and simplices[k][0] <= level:
-                _insert(pivots, simplices[k][2] & mask)
-                k += 1
-            out[level] = len(pivots)
+            end = bisect_right(born, level)
+            for col in columns[k:end]:
+                _insert(pivots, col >> shift)
+            out[level], k = len(pivots), end
         return out
 
     cells, bounds = f._birth_columns(n), f._birth_columns(n + 1)
-    rank_n, rank_g = ranks(cells, births), ranks(bounds, deaths)
+    rank_n, rank_g = ranks(*cells, births), ranks(*bounds, deaths)
     grid: dict[tuple[int, int], int] = {}
     for j in births:
-        z = sum(b <= j for b, _, _ in cells) - rank_n[j]
-        later = sum(1 << i for b, i, _ in cells if b > j)
-        rank_later = ranks(bounds, deaths, later)
+        count = bisect_right(cells[0], j)
+        z = count - rank_n[j]
+        rank_later = ranks(*bounds, deaths, count)
         for p in deaths:
             if p >= j:
                 grid[(j, p)] = z - (rank_g[p] - rank_later[p])
@@ -174,8 +175,8 @@ def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
 
     rank [D_{n+1}(K^p) | I N_n(K^j)] - rank D_{n+1}(K^p), with the cycle
     basis N_n(K^j) pushed forward by the inclusion matrix I.  It shares
-    only `SimplicialComplex.boundary_matrix` with the prefix form, which
-    reads the columns of K^m and takes no kernel basis, no inclusion and
+    only the boundary builder with the prefix form, which reads K^m's
+    kept columns and takes no level, no kernel basis, no inclusion and
     no `rank`, so each checks the other; the two must agree on every
     input.
     """

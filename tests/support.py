@@ -9,9 +9,29 @@ logic rather than against themselves.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from phcalc import Filtration, Simplex, SimplicialComplex, closure_of_facets
+from phcalc import complexes, filtration
 from phcalc.gf2 import Gf2Matrix
+
+
+def count_boundary_builds(monkeypatch) -> Counter:
+    """Count the calls of the shared boundary builder by degree, from now on.
+
+    The degree d of a build is read off its faces, the (d-1)-simplices
+    (0 when there are none, as for the vertices).
+    """
+    built: Counter = Counter()
+    original = complexes._boundary_bits
+
+    def counting(cells, faces):
+        built[len(faces[0]) if faces else 0] += 1
+        return original(cells, faces)
+
+    monkeypatch.setattr(complexes, "_boundary_bits", counting)
+    monkeypatch.setattr(filtration, "_boundary_bits", counting)
+    return built
 
 
 def naive_rank(rows: list[list[int]]) -> int:

@@ -7,11 +7,15 @@ import json
 
 import pytest
 
+from phcalc import cli
 from phcalc.cli import main
 from phcalc.complexes import SimplicialComplex
 from phcalc.filtration import Filtration
 from phcalc.files import parse_barcodes, parse_filtration
+from phcalc.generate import random_filtration_document
 from phcalc.persistence import LemmaReport, LemmaViolation, betti_table
+
+from .support import count_boundary_builds
 
 DIABOLO_FACETS_TEXT = "2 3\n3 4\n3 5\n4 5\n0 1 2\n"
 
@@ -233,20 +237,14 @@ def test_check_tells_never_dying_from_finite_negative_counts(
 
 
 def test_check_max_dim_stops_at_the_top_dimension(filtration_file, capsys, monkeypatch):
-    calls = []
-    original = SimplicialComplex.boundary_matrix
-
-    def counting(self, n):
-        calls.append(n)
-        return original(self, n)
-
-    monkeypatch.setattr(SimplicialComplex, "boundary_matrix", counting)
+    built = count_boundary_builds(monkeypatch)
     runs = {}
     for extra in ([], ["--max-dim", "50"], ["--max-dim", "1000000000"]):
-        calls.clear()
+        built.clear()
         assert main(["check", filtration_file] + extra) == 0
-        runs[tuple(extra)] = (len(calls), capsys.readouterr().out)
+        runs[tuple(extra)] = (dict(built), capsys.readouterr().out)
     default = runs[()]
+    assert default[0] == {d: 1 for d in range(4)}
     assert runs[("--max-dim", "50")][0] == default[0]
     assert runs[("--max-dim", "1000000000")] == default
 
@@ -264,12 +262,63 @@ def test_check_builds_each_matrix_once(filtration_file, capsys, monkeypatch):
                         counted("boundary", SimplicialComplex.boundary_matrix))
     monkeypatch.setattr(Filtration, "inclusion_matrix",
                         counted("inclusion", Filtration.inclusion_matrix))
-    monkeypatch.setattr("phcalc.cli.check_fundamental_lemma",
-                        lambda f, n: LemmaReport(n, f.m, 0, ()))
+    built = count_boundary_builds(monkeypatch)
     assert main(["check", filtration_file]) == 0
-    # 6 levels with D_0..D_3 each, 5 adjacent pairs with inclusions in dims 0..2
-    assert calls == {"boundary": 6 * 4, "inclusion": 5 * 3}
+    # no level's matrices: D_0..D_3 of the last level, once each, serve
+    # every section, the rank grid of the fundamental lemma included
+    assert calls == {"boundary": 0, "inclusion": 0}
+    assert built == {d: 1 for d in range(4)}
     assert capsys.readouterr().out.endswith("all checks passed\n")
+
+
+def _tampered_check(monkeypatch, capsys, path, tamper):
+    """Run check on the filtration in path, changed by tamper first."""
+    load = cli._load_filtration
+
+    def tampered(args):
+        f = load(args)
+        tamper(f)
+        return f
+
+    monkeypatch.setattr(cli, "_load_filtration", tampered)
+    code = main(["check", path])
+    out = capsys.readouterr().out
+    return code, out, json.loads(out[out.index("["):])
+
+
+def test_check_nilpotency_can_fail(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "gen.json"
+    path.write_text(random_filtration_document(40, 8, seed=3).serialize())
+    dropped = {}
+
+    def drop_a_face(f):
+        born, columns = f._birth_columns(2)
+        k = len(born) // 2
+        columns[k] &= columns[k] - 1  # its first-born face
+        dropped.update(birth=born[k], m=f.m)
+
+    code, out, records = _tampered_check(monkeypatch, capsys, str(path), drop_a_face)
+    assert code == 3
+    assert "nilpotency: FAIL\ninclusions: ok\n" in out
+    birth, m = dropped["birth"], dropped["m"]
+    assert 0 < birth < m
+    nilpotency = [(r["level"], r["dim"]) for r in records if r["check"] == "nilpotency"]
+    assert nilpotency == [(j, 1) for j in range(birth, m + 1)]
+
+
+def test_check_inclusions_can_fail(filtration_file, capsys, monkeypatch):
+    def late_vertex(f):
+        # vertex 3 is born at 2, its edges (3,4) and (3,5) at 3, (2,3) at 4
+        f._births[(3,)] = 4
+
+    code, out, records = _tampered_check(monkeypatch, capsys, filtration_file, late_vertex)
+    assert code == 3
+    assert "nilpotency: ok\ninclusions: FAIL\n" in out
+    assert [r for r in records if r["check"] == "chain-map-square"] == [
+        {"check": "chain-map-square", "level": 3, "dim": 1,
+         "detail": f"face (3) of ({edge}) is born at 4, after it at 3"}
+        for edge in ("3,4", "3,5")
+    ]
 
 
 def test_betti_rejects_a_facet_too_big_to_close(tmp_path, capsys, monkeypatch):

@@ -188,21 +188,15 @@ def test_nested_in_closure_only():
 
 @pytest.fixture
 def built(monkeypatch):
-    """The complexes constructed for the rest of the test, by either path."""
+    """The complexes constructed for the rest of the test."""
     complexes = []
     original = SimplicialComplex.__init__
-    from_sorted = SimplicialComplex._from_sorted.__func__
 
     def counting(self, simplices):
         complexes.append(self)
         original(self, simplices)
 
-    def counting_sorted(cls, simplices):
-        complexes.append(from_sorted(cls, simplices))
-        return complexes[-1]
-
     monkeypatch.setattr(SimplicialComplex, "__init__", counting)
-    monkeypatch.setattr(SimplicialComplex, "_from_sorted", classmethod(counting_sorted))
     return complexes
 
 
@@ -224,7 +218,7 @@ def test_levels_are_built_on_first_use_and_kept(built):
 
 
 def test_table_built_levels_equal_the_closures_of_their_facets():
-    # levels skip the face-closure check; the birth table must make up for it
+    # levels are built from the birth table, not from their facets
     for seed in range(12):
         doc = random_filtration_document(2 + 5 * seed, 6, seed=seed)
         f = Filtration(doc.levels)
@@ -233,3 +227,40 @@ def test_table_built_levels_equal_the_closures_of_their_facets():
             assert level == closure
             assert level.dim == closure.dim
             assert list(level) == list(closure)
+
+
+def test_births_returns_a_new_list_on_each_call(diabolo_filtration):
+    f = diabolo_filtration
+    edges = [((0, 1), 1), ((0, 2), 1), ((1, 2), 1), ((3, 4), 3), ((3, 5), 3),
+             ((4, 5), 3), ((2, 3), 4)]
+    first = f.births(1)
+    assert first == edges
+    first.append(((9,), 0))
+    first.reverse()
+    assert f.births(1) == edges
+    assert f.births(-1) == [] == f.births(3)
+
+
+def test_kept_columns_hold_every_level_as_a_prefix():
+    # each level's D_d is the submatrix of the kept columns born by it,
+    # rows and columns relabelled from birth order to its own bases
+    for seed in range(8):
+        f = random_filtration_document(3 + 4 * seed, 5, seed=seed).to_filtration()
+        for d in range(4):
+            born, columns = f._birth_columns(d)
+            cells, faces = f.births(d), f.births(d - 1)
+            assert born == [b for _, b in cells]
+            for j, level in enumerate(f):
+                col_of = {s.vertices: k for k, s in enumerate(level.n_simplices(d))}
+                rows = level.n_simplices(d - 1) if d else ()
+                row_of = {s.vertices: r for r, s in enumerate(rows)}
+                entries = {
+                    (row_of[faces[r][0]], col_of[v])
+                    for (v, b), col in zip(cells, columns) if b <= j
+                    for r in range(col.bit_length()) if col >> r & 1
+                }
+                matrix = level.boundary_matrix(d)
+                assert entries == {
+                    (r, k) for r in range(matrix.rows) for k in range(matrix.cols)
+                    if matrix[r, k]
+                }

@@ -33,13 +33,14 @@ from phcalc import (
     persistent_betti,
     persistent_betti_simplified,
 )
-from phcalc import persistence
+from phcalc import complexes, filtration, persistence
+from phcalc.cli import main
 from phcalc.files import parse_filtration
 from phcalc.generate import random_filtration_document
 from phcalc.gf2 import Gf2Matrix
 from phcalc.persistence import _betti_grid
 
-from .support import random_filtration, stacked_rank_grid
+from .support import count_boundary_builds, random_filtration, stacked_rank_grid
 
 # per-level Betti numbers of the diabolo filtration, by dimension
 DIABOLO_BETTI = {0: (3, 1, 4, 2, 1, 1), 1: (0, 1, 1, 2, 2, 1)}
@@ -110,18 +111,14 @@ def test_dimension_error_comes_before_level_error(diabolo_filtration):
 
 def test_matrices_built_once_per_query(diabolo_filtration, monkeypatch):
     calls = Counter()
+    method = Gf2Matrix.kernel_basis
 
-    def counting(cls, name):
-        method = getattr(cls, name)
+    def counting(*args, **kwargs):
+        calls["kernel_basis"] += 1
+        return method(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return method(*args, **kwargs)
-
-        monkeypatch.setattr(cls, name, wrapper)
-
-    counting(Gf2Matrix, "kernel_basis")
-    counting(SimplicialComplex, "boundary_matrix")
+    monkeypatch.setattr(Gf2Matrix, "kernel_basis", counting)
+    built = count_boundary_builds(monkeypatch)
     f = diabolo_filtration
     for query, builds in (
         # D_n and D_{n+1} of the last level, kept by the filtration
@@ -130,12 +127,13 @@ def test_matrices_built_once_per_query(diabolo_filtration, monkeypatch):
         (lambda: persistent_betti(f, 1, 3, 5), 0),
     ):
         calls.clear()
+        built.clear()
         query()
         assert calls["kernel_basis"] == 0
-        assert calls["boundary_matrix"] == builds
+        assert sum(built.values()) == builds
 
 
-def test_rank_grid_builds_only_the_last_level(monkeypatch):
+def test_rank_grid_builds_no_level(monkeypatch):
     text = random_filtration_document(60, 8, seed=1).serialize()
     asked = []
     original = Filtration.__getitem__
@@ -154,7 +152,36 @@ def test_rank_grid_builds_only_the_last_level(monkeypatch):
         f = parse_filtration(text).to_filtration()
         asked.clear()
         query(f)
-        assert set(asked) == {f.m}
+        assert asked == []
+
+
+def test_fast_paths_construct_no_complex(diabolo_filtration, diabolo_json, tmp_path,
+                                         capsys, monkeypatch):
+    # a level is built only through the public, face-closure-checked
+    # constructor, and no fast path builds one
+    path = tmp_path / "diabolo.json"
+    path.write_text(diabolo_json)
+    f = diabolo_filtration
+    expected = (
+        [barcode(f, n) for n in range(3)],
+        [betti_table(f, n) for n in range(3)],
+        (persistent_betti(f, 1, 3, 5), mu(f, 0, 2, 3), mu_infinity(f, 1, 3)),
+    )
+
+    def no_complex(self, simplices):
+        raise AssertionError("a SimplicialComplex was built")
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", no_complex)
+    f = parse_filtration(diabolo_json).to_filtration()
+    assert (
+        [barcode(f, n) for n in range(3)],
+        [betti_table(f, n) for n in range(3)],
+        (persistent_betti(f, 1, 3, 5), mu(f, 0, 2, 3), mu_infinity(f, 1, 3)),
+    ) == expected
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+    with pytest.raises(AssertionError, match="SimplicialComplex"):
+        f[0]
 
 
 def _point_queries(m: int) -> list[tuple]:
@@ -180,14 +207,7 @@ def _ask(f: Filtration, query: tuple) -> int:
 
 def test_a_round_of_point_queries_builds_each_boundary_matrix_once(monkeypatch):
     f = random_filtration_document(200, 10, seed=5).to_filtration()
-    built = Counter()
-    original = SimplicialComplex.boundary_matrix
-
-    def counting(self, d):
-        built[d] += 1
-        return original(self, d)
-
-    monkeypatch.setattr(SimplicialComplex, "boundary_matrix", counting)
+    built = count_boundary_builds(monkeypatch)
     for query in _point_queries(f.m):
         _ask(f, query)
     assert built == {d: 1 for d in range(4)}
@@ -258,6 +278,24 @@ def test_rank_grid_uses_no_reduction(diabolo_filtration, monkeypatch):
     assert [betti_table(f, n) for n in range(3)] == tables
     assert (mu(f, 0, 2, 3), mu(f, 1, 1, 5), mu(f, 1, 3, 4)) == (2, 1, 0)
     assert (mu_infinity(f, 0, 0), mu_infinity(f, 1, 3)) == (1, 1)
+
+
+def test_reduction_uses_no_rank_grid_columns(diabolo_filtration, diabolo_json,
+                                             monkeypatch):
+    # the mirror image: the reduction must answer with the grid's kept
+    # columns and their builder broken
+    bars = [barcode(diabolo_filtration, n) for n in range(3)]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the reduction went through the kept columns")
+
+    monkeypatch.setattr(complexes, "_boundary_bits", broken)
+    monkeypatch.setattr(filtration, "_boundary_bits", broken)
+    monkeypatch.setattr(Filtration, "_birth_columns", broken)
+    f = parse_filtration(diabolo_json).to_filtration()
+    with pytest.raises(AssertionError, match="kept columns"):
+        betti_table(f, 0)
+    assert [barcode(f, n) for n in range(3)] == bars
 
 
 def test_diabolo_mu_values(diabolo_filtration):
