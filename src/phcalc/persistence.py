@@ -8,18 +8,18 @@ of level j that are still alive at level p form a quotient space: the
 cycles of K^j modulo the boundaries of K^p they meet.  Its dimension
 is obtained from the degree-n boundary matrix of K^j, the
 degree-(n+1) boundary matrix of K^p, and the inclusion between the
-two n-simplex bases.  One helper evaluates the formula for every pair
-of the birth and death levels asked for, and builds no level: the
+two n-simplex bases.  One helper evaluates the formula one birth row
+at a time, at the death levels asked for, and builds no level: the
 filtration keeps, per dimension, the boundary matrix of the last level
 K^m with rows and columns in birth order, of which every level's is a
 prefix.  So the ranks of all levels, and of the boundaries of K^p on
 the rows born after j (the lower-left submatrices of Edelsbrunner-
-Harer's pairing lemma), come from one elimination per birth level.
-`persistent_betti`, `betti_table`, `mu` and `mu_infinity` use it.
-`persistent_betti_simplified` keeps the per-pair matrix form on the
+Harer's pairing lemma), come from one elimination per birth row.
+`persistent_betti`, `betti_table`, `mu` and `mu_infinity` read rows of
+it; `persistent_betti_simplified` keeps the per-pair matrix form on the
 two levels: a kernel basis, the inclusion matrix, its product, `rank`.
-Interval multiplicities are one finite difference of these numbers
-(Zomorodian-Carlsson), shared with `check_fundamental_lemma`.
+Interval multiplicities are one finite difference of two adjacent rows
+(Zomorodian-Carlsson); `check_fundamental_lemma` holds two at a time.
 
 Barcodes come from one column reduction of the filtered boundary
 matrix (Edelsbrunner-Letscher-Zomorodian; Zomorodian-Carlsson), with
@@ -31,11 +31,11 @@ level.  `check_fundamental_lemma` holds each method against the other.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, combinations
-from typing import Container, Iterable
+from itertools import combinations
+from typing import Container, Iterable, Iterator
 
 from .filtration import Filtration
 
@@ -107,8 +107,8 @@ def _insert(pivots: dict[int, int], col: int) -> None:
 
 def _betti_grid(
     f: Filtration, n: int, births: Iterable[int], deaths: Iterable[int]
-) -> dict[tuple[int, int], int]:
-    """persistent_betti at every j <= p in births x deaths, from K^m's columns.
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """persistent_betti by birth row: (j, {p: beta(j, p) for p >= j}), j ascending.
 
     The filtration keeps D_n(K^m) and D_{n+1}(K^m) with rows and columns
     in (birth, vertices) order, in which every level is a prefix of K^m.
@@ -118,18 +118,19 @@ def _betti_grid(
     that are cycles of K^j, those that are 0 on the rows born after j,
     span rank_g - rank_later: rank_later is the rank of D_{n+1}(K^p) on
     the rows from the count of n-simplices born <= j up, a lower-left
-    submatrix rank of Edelsbrunner-Harer's pairing lemma.  The cycles of
-    K^j stacked with the boundaries of K^p have rank_stacked = z +
+    submatrix rank of Edelsbrunner-Harer's pairing lemma, swept from the
+    first column born after j, as every earlier one is 0 on those rows.
+    The cycles of K^j stacked with the boundaries of K^p have rank z +
     rank_later, so this is the paper's z - (rank_g + z - rank_stacked).
-    One elimination per birth level and two more; births off the grid,
-    as -1, are skipped.
+    One elimination per birth row and two more; births off the grid, as
+    -1, are skipped.
     """
     deaths = sorted(set(deaths))
     births = sorted({j for j in births if 0 <= j <= deaths[-1]})
 
-    def ranks(born, columns, levels: list[int], shift: int = 0) -> dict[int, int]:
-        """The rank once the columns born by each level, less ``shift`` rows, are in."""
-        out, pivots, k = {}, {}, 0
+    def ranks(born, columns, levels, k=0, shift=0) -> dict[int, int]:
+        """The rank once columns[k:] born by each level, less ``shift`` rows, are in."""
+        out, pivots = {}, {}
         for level in levels:
             end = bisect_right(born, level)
             for col in columns[k:end]:
@@ -139,35 +140,29 @@ def _betti_grid(
 
     cells, bounds = f._birth_columns(n), f._birth_columns(n + 1)
     rank_n, rank_g = ranks(*cells, births), ranks(*bounds, deaths)
-    grid: dict[tuple[int, int], int] = {}
     for j in births:
         count = bisect_right(cells[0], j)
         z = count - rank_n[j]
-        rank_later = ranks(*bounds, deaths, count)
-        for p in deaths:
-            if p >= j:
-                grid[(j, p)] = z - (rank_g[p] - rank_later[p])
-    return grid
+        later = deaths[bisect_left(deaths, j) :]
+        rank_later = ranks(*bounds, later, bisect_right(bounds[0], j), count)
+        yield j, {p: z - (rank_g[p] - r) for p, r in rank_later.items()}
 
 
-def _multiplicity(beta: dict[tuple[int, int], int], m: int, j: int, p: int) -> int:
+def _multiplicity(before: dict[int, int], row: dict[int, int], p: int) -> int:
     """(beta(j, p-1) - beta(j, p)) - (beta(j-1, p-1) - beta(j-1, p)).
 
-    beta is 0 off the grid: at birth -1, and at death m+1, where the
-    same expression counts the classes born at j that never die.
+    ``before`` and ``row`` are the rows of births j-1 and j.  Row -1 is
+    empty, and beta is 0 at death m+1, past every row, where the same
+    expression counts the classes born at j that never die.
     """
-
-    def at(birth: int, death: int) -> int:
-        return beta[(birth, death)] if birth >= 0 and death <= m else 0
-
-    return (at(j, p - 1) - at(j, p)) - (at(j - 1, p - 1) - at(j - 1, p))
+    return (row[p - 1] - row.get(p, 0)) - (before.get(p - 1, 0) - before.get(p, 0))
 
 
 def persistent_betti(f: Filtration, n: int, j: int, p: int) -> int:
     """Number of degree-n classes of K^j still alive at K^p."""
     _require_dim(n)
     f.check_level_pair(j, p)
-    return _betti_grid(f, n, (j,), (p,))[(j, p)]
+    return next(_betti_grid(f, n, (j,), (p,)))[1][p]
 
 
 def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
@@ -190,7 +185,8 @@ def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
 def betti_table(f: Filtration, n: int) -> dict[tuple[int, int], int]:
     """persistent_betti over the whole (j, p) grid, j <= p."""
     _require_dim(n)
-    return _betti_grid(f, n, range(len(f)), range(len(f)))
+    rows = _betti_grid(f, n, range(len(f)), range(len(f)))
+    return {(j, p): beta for j, row in rows for p, beta in row.items()}
 
 
 def mu(f: Filtration, n: int, j: int, p: int) -> int:
@@ -204,7 +200,8 @@ def mu(f: Filtration, n: int, j: int, p: int) -> int:
     _require_dim(n)
     if not 0 <= j < p <= f.m:
         raise ValueError(f"need 0 <= j < p <= {f.m}, got j={j}, p={p}")
-    return _multiplicity(_betti_grid(f, n, (j - 1, j), (p - 1, p)), f.m, j, p)
+    rows = dict(_betti_grid(f, n, (j - 1, j), (p - 1, p)))
+    return _multiplicity(rows.get(j - 1, {}), rows[j], p)
 
 
 def mu_infinity(f: Filtration, n: int, j: int) -> int:
@@ -216,7 +213,8 @@ def mu_infinity(f: Filtration, n: int, j: int) -> int:
     _require_dim(n)
     if not 0 <= j <= f.m:
         raise ValueError(f"need 0 <= j <= {f.m}, got j={j}")
-    return _multiplicity(_betti_grid(f, n, (j - 1, j), (f.m,)), f.m, j, f.m + 1)
+    rows = dict(_betti_grid(f, n, (j - 1, j), (f.m,)))
+    return _multiplicity(rows.get(j - 1, {}), rows[j], f.m + 1)
 
 
 def _boundary_columns(
@@ -328,28 +326,29 @@ class LemmaReport:
 
 
 def check_fundamental_lemma(f: Filtration, n: int) -> LemmaReport:
-    """Check the rank grid of degree n against the reduction's barcode."""
-    m = f.m
-    table = betti_table(f, n)
-    bars = barcode(f, n)
-    finite = [(j, p) for j in range(m + 1) for p in range(j + 1, m + 1)]
-    never_dying = [(j, m + 1) for j in range(m + 1)]
-    violations: list[LemmaViolation] = []
-    for j, p in finite + never_dying:
-        count = _multiplicity(table, m, j, p)
-        if count < 0:
-            violations.append(LemmaViolation("negative-count", j, p, 0, count))
-    # alive[b][l]: the intervals born at b alive at l; summed over the
-    # births b <= k, those spanning [k, l], so the grid takes one pass
-    alive = [[0] * (m + 1) for _ in range(m + 1)]
-    for pair in bars.pairs:
-        for l in range(pair.birth, min(pair.death, m + 1)):
-            alive[pair.birth][l] += pair.multiplicity
-    spanning = list(accumulate(alive, lambda s, a: [x + y for x, y in zip(s, a)]))
-    spans = [(k, l) for k in range(m + 1) for l in range(k, m + 1)]
-    violations += [
-        LemmaViolation("barcode-span", k, l, table[(k, l)], spanning[k][l])
-        for k, l in spans
-        if table[(k, l)] != spanning[k][l]
-    ]
-    return LemmaReport(n, m, len(spans), tuple(violations))
+    """Check the rank grid of degree n against the reduction's barcode.
+
+    Walks the rank rows in birth order and holds two of them, k-1 and k,
+    with one running row of the bars born <= k alive at each level.
+    """
+    m, bars, i = f.m, barcode(f, n).pairs, 0  # the bars by birth
+    finite, never_dying, spans, before = [], [], [], {}
+    spanning = [0] * (m + 1)
+    for k, row in _betti_grid(f, n, range(m + 1), range(m + 1)):
+        for p in range(k + 1, m + 2):
+            count = _multiplicity(before, row, p)
+            if count < 0:
+                violation = LemmaViolation("negative-count", k, p, 0, count)
+                (finite if p <= m else never_dying).append(violation)
+        while i < len(bars) and bars[i].birth <= k:
+            for l in range(k, min(bars[i].death, m + 1)):
+                spanning[l] += bars[i].multiplicity
+            i += 1
+        spans += [
+            LemmaViolation("barcode-span", k, l, row[l], spanning[l])
+            for l in range(k, m + 1)
+            if row[l] != spanning[l]
+        ]
+        before = row
+    violations = tuple(finite + never_dying + spans)
+    return LemmaReport(n, m, (m + 1) * (m + 2) // 2, violations)

@@ -8,11 +8,13 @@ logic rather than against themselves.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import random
 from collections import Counter
 
 from phcalc import Filtration, Simplex, SimplicialComplex, closure_of_facets
-from phcalc import complexes, filtration
+from phcalc import complexes, filtration, persistence
 from phcalc.gf2 import Gf2Matrix
 
 
@@ -32,6 +34,27 @@ def count_boundary_builds(monkeypatch) -> Counter:
     monkeypatch.setattr(complexes, "_boundary_bits", counting)
     monkeypatch.setattr(filtration, "_boundary_bits", counting)
     return built
+
+
+def perturb_rank_rows(monkeypatch, deltas: dict, dim: int | None = None) -> None:
+    """Add deltas[(j, p)] to beta(j, p) in every rank row read from now on.
+
+    Only the rows of degree ``dim`` change, or those of every degree when
+    it is None; an entry a row does not hold is left out.  A later call
+    replaces the perturbation rather than adding to it.
+    """
+    original = inspect.unwrap(persistence._betti_grid)
+
+    @functools.wraps(original)
+    def perturbed(f, n, births, deaths):
+        for j, row in original(f, n, births, deaths):
+            if dim is None or n == dim:
+                for (birth, p), delta in deltas.items():
+                    if birth == j and p in row:
+                        row[p] += delta
+            yield j, row
+
+    monkeypatch.setattr(persistence, "_betti_grid", perturbed)
 
 
 def naive_rank(rows: list[list[int]]) -> int:

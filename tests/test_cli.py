@@ -13,9 +13,9 @@ from phcalc.complexes import SimplicialComplex
 from phcalc.filtration import Filtration
 from phcalc.files import parse_barcodes, parse_filtration
 from phcalc.generate import random_filtration_document
-from phcalc.persistence import LemmaReport, LemmaViolation, betti_table
+from phcalc.persistence import LemmaReport, LemmaViolation
 
-from .support import count_boundary_builds
+from .support import count_boundary_builds, perturb_rank_rows
 
 DIABOLO_FACETS_TEXT = "2 3\n3 4\n3 5\n4 5\n0 1 2\n"
 
@@ -131,12 +131,7 @@ def test_check_reports_violations_as_json(filtration_file, capsys, monkeypatch):
 
 
 def test_check_fails_on_a_wrong_rank_grid(filtration_file, capsys, monkeypatch):
-    def one_wrong_entry(f, n):
-        table = betti_table(f, n)
-        table[(3, 4)] += 1
-        return table
-
-    monkeypatch.setattr("phcalc.persistence.betti_table", one_wrong_entry)
+    perturb_rank_rows(monkeypatch, {(3, 4): 1})
     assert main(["check", filtration_file]) == 3
     out = capsys.readouterr().out
     assert "fundamental-lemma: FAIL" in out
@@ -198,15 +193,7 @@ def test_check_output_pinned_on_a_wrong_rank_grid(filtration_file, capsys, monke
     # (3, 3) - 1 makes the finite mu(3, 4) negative, (1, 5) + 1 the
     # never-dying mu at birth 2, and (4, 4) + 1 only breaks its span:
     # finite negative-counts come first, then never-dying, then spans
-    def three_wrong_entries(f, n):
-        table = betti_table(f, n)
-        if n == 1:
-            table[(3, 3)] -= 1
-            table[(1, 5)] += 1
-            table[(4, 4)] += 1
-        return table
-
-    monkeypatch.setattr("phcalc.persistence.betti_table", three_wrong_entries)
+    perturb_rank_rows(monkeypatch, {(3, 3): -1, (1, 5): 1, (4, 4): 1}, dim=1)
     assert main(["check", filtration_file]) == 3
     assert capsys.readouterr().out == PINNED_CHECK_OUTPUT
 
@@ -219,13 +206,7 @@ def test_check_tells_never_dying_from_finite_negative_counts(
     # birth 0; never-dying counts die at m + 1 = 6, past the last level
     outputs = []
     for delta in (1, -1):
-        def shifted(f, n, delta=delta):
-            table = betti_table(f, n)
-            if n == 1:
-                table[(0, 5)] += delta
-            return table
-
-        monkeypatch.setattr("phcalc.persistence.betti_table", shifted)
+        perturb_rank_rows(monkeypatch, {(0, 5): delta}, dim=1)
         assert main(["check", filtration_file]) == 3
         out = capsys.readouterr().out
         outputs.append(json.loads(out[out.index("[") :]))

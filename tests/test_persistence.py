@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -40,7 +41,12 @@ from phcalc.generate import random_filtration_document
 from phcalc.gf2 import Gf2Matrix
 from phcalc.persistence import _betti_grid
 
-from .support import count_boundary_builds, random_filtration, stacked_rank_grid
+from .support import (
+    count_boundary_builds,
+    perturb_rank_rows,
+    random_filtration,
+    stacked_rank_grid,
+)
 
 # per-level Betti numbers of the diabolo filtration, by dimension
 DIABOLO_BETTI = {0: (3, 1, 4, 2, 1, 1), 1: (0, 1, 1, 2, 2, 1)}
@@ -257,9 +263,31 @@ def test_betti_grid_matches_the_stacked_rank_grid():
             ]
             queries += [((j - 1, j), (f.m,)) for j in levels]
             for births, deaths in queries:
-                assert _betti_grid(f, n, births, deaths) == (
+                rows = list(_betti_grid(f, n, births, deaths))
+                assert [j for j, _ in rows] == sorted({j for j in births if j >= 0})
+                assert {(j, p): b for j, row in rows for p, b in row.items()} == (
                     stacked_rank_grid(f, n, births, deaths)
                 )
+
+
+def test_rank_rows_sweep_from_the_first_column_born_after_the_birth(monkeypatch):
+    # a D_{n+1} column born <= j has no face born after j, so it is 0 on
+    # the rows born after j: the sweep for birth j skips it
+    f = random_filtration_document(40, 6, seed=3).to_filtration()
+    inserted = []
+    original = persistence._insert
+
+    def counting(pivots, col):
+        inserted.append(col)
+        original(pivots, col)
+
+    monkeypatch.setattr(persistence, "_insert", counting)
+    for n in range(3):
+        cells, bounds = f._birth_columns(n)[0], f._birth_columns(n + 1)[0]
+        inserted.clear()
+        betti_table(f, n)
+        later = sum(born > j for j in range(len(f)) for born in bounds)
+        assert len(inserted) == len(cells) + len(bounds) + later
 
 
 def test_rank_grid_uses_no_reduction(diabolo_filtration, monkeypatch):
@@ -418,6 +446,23 @@ def test_interval_counts_conserve_births():
                 assert born == ended + mu_infinity(f, n, j)
 
 
+def test_lemma_check_keeps_no_grid_of_level_pairs():
+    # the check walks the rank rows holding two of them and one running
+    # row of bars, so its memory grows with m, not with the (m+1)^2 pairs
+    # (three grids of the pairs take 3.1 MB here)
+    f = random_filtration_document(150, 150, seed=5).to_filtration()
+    for d in range(4):
+        f._birth_columns(d)
+    tracemalloc.start()
+    try:
+        reports = [check_fundamental_lemma(f, n) for n in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.m == 149 and all(report.ok for report in reports)
+    assert peak <= 1 << 20
+
+
 def test_fundamental_lemma_random():
     rng = random.Random(73)
     for _ in range(30):
@@ -535,16 +580,22 @@ def test_barcode_above_top_dimension(diabolo_filtration):
 def test_lemma_check_catches_a_wrong_rank_grid(diabolo_filtration, monkeypatch):
     # the barcode side comes from the reduction, so one wrong table entry
     # must show up as a barcode-span violation
-    def one_wrong_entry(f, n):
-        table = betti_table(f, n)
-        table[(3, 4)] += 1
-        return table
-
-    monkeypatch.setattr("phcalc.persistence.betti_table", one_wrong_entry)
+    perturb_rank_rows(monkeypatch, {(3, 4): 1})
     report = check_fundamental_lemma(diabolo_filtration, 1)
     assert [v for v in report.violations if v.kind == "barcode-span"] == [
         LemmaViolation("barcode-span", 3, 4, 3, 2)
     ]
+
+
+def test_lemma_check_orders_finite_negative_counts_before_never_dying(
+    diabolo_filtration, monkeypatch
+):
+    # mu(0, 5) dies at the last level, so it is finite and comes before
+    # mu(3, 4), and both before the never-dying count at birth 1
+    perturb_rank_rows(monkeypatch, {(0, 5): 1, (3, 3): -1})
+    report = check_fundamental_lemma(diabolo_filtration, 1)
+    negative = [(v.k, v.l) for v in report.violations if v.kind == "negative-count"]
+    assert negative == [(0, 5), (3, 4), (1, 6)]
 
 
 def test_loading_and_barcodes_build_no_level(monkeypatch):
