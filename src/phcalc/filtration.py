@@ -85,8 +85,10 @@ class Filtration:
     use and kept, which changes no value the filtration reports: the
     simplices of each dimension in (birth, vertices) order, in which
     every level is a prefix of K^m; per dimension d, the columns of
-    D_d(K^m) with rows and columns in that order; and each level asked
-    for, through the public constructor and its face-closure check.
+    D_d(K^m) with rows and columns in that order, and the list of
+    rank D_d(K^j) for every level j, which the rank grid fills; and each
+    level asked for, through the public constructor and its face-closure
+    check.
     """
 
     def __init__(self, levels: Iterable[Iterable[Simplex]]):
@@ -99,6 +101,7 @@ class Filtration:
         self._levels: list[SimplicialComplex | None] = [None] * len(level_facets)
         self._by_dim: list[list[tuple[tuple[int, ...], int]]] | None = None
         self._columns: dict[int, tuple[list[int], list[int]]] = {}
+        self._ranks: dict[int, list[int]] = {}
 
     @classmethod
     def from_level_facets(cls, level_facets: Sequence[Iterable[Simplex]]) -> Filtration:

@@ -12,9 +12,10 @@ two n-simplex bases.  One helper evaluates the formula one birth row
 at a time, at the death levels asked for, and builds no level: the
 filtration keeps, per dimension, the boundary matrix of the last level
 K^m with rows and columns in birth order, of which every level's is a
-prefix.  So the ranks of all levels, and of the boundaries of K^p on
-the rows born after j (the lower-left submatrices of Edelsbrunner-
-Harer's pairing lemma), come from one elimination per birth row.
+prefix.  So the rank of D_d at every level comes from one elimination,
+kept on the filtration for every later query, and the rank of the
+boundaries of K^p on the rows born after j (the lower-left submatrices
+of Edelsbrunner-Harer's pairing lemma) from one per birth row.
 `persistent_betti`, `betti_table`, `mu` and `mu_infinity` read rows of
 it; `persistent_betti_simplified` keeps the per-pair matrix form on the
 two levels: a kernel basis, the inclusion matrix, its product, `rank`.
@@ -105,6 +106,24 @@ def _insert(pivots: dict[int, int], col: int) -> None:
         col ^= pivots[low]
 
 
+def _prefix_ranks(born, columns, levels, k=0, shift=0) -> dict[int, int]:
+    """The rank once columns[k:] born by each level, less ``shift`` rows, are in."""
+    out, pivots = {}, {}
+    for level in levels:
+        end = bisect_right(born, level)
+        for col in columns[k:end]:
+            _insert(pivots, col >> shift)
+        out[level], k = len(pivots), end
+    return out
+
+
+def _level_ranks(f: Filtration, d: int) -> list[int]:
+    """rank D_d(K^j) for every level j: one sweep, kept on the filtration."""
+    if d not in f._ranks:
+        f._ranks[d] = list(_prefix_ranks(*f._birth_columns(d), range(len(f))).values())
+    return f._ranks[d]
+
+
 def _betti_grid(
     f: Filtration, n: int, births: Iterable[int], deaths: Iterable[int]
 ) -> Iterator[tuple[int, dict[int, int]]]:
@@ -122,29 +141,19 @@ def _betti_grid(
     first column born after j, as every earlier one is 0 on those rows.
     The cycles of K^j stacked with the boundaries of K^p have rank z +
     rank_later, so this is the paper's z - (rank_g + z - rank_stacked).
-    One elimination per birth row and two more; births off the grid, as
-    -1, are skipped.
+    rank D_n and rank_g at every level are the filtration's kept ranks
+    of D_n and D_{n+1}, so each birth row takes one elimination, of
+    rank_later; births off the grid, as -1, are skipped.
     """
     deaths = sorted(set(deaths))
     births = sorted({j for j in births if 0 <= j <= deaths[-1]})
-
-    def ranks(born, columns, levels, k=0, shift=0) -> dict[int, int]:
-        """The rank once columns[k:] born by each level, less ``shift`` rows, are in."""
-        out, pivots = {}, {}
-        for level in levels:
-            end = bisect_right(born, level)
-            for col in columns[k:end]:
-                _insert(pivots, col >> shift)
-            out[level], k = len(pivots), end
-        return out
-
     cells, bounds = f._birth_columns(n), f._birth_columns(n + 1)
-    rank_n, rank_g = ranks(*cells, births), ranks(*bounds, deaths)
+    rank_n, rank_g = _level_ranks(f, n), _level_ranks(f, n + 1)
     for j in births:
         count = bisect_right(cells[0], j)
         z = count - rank_n[j]
         later = deaths[bisect_left(deaths, j) :]
-        rank_later = ranks(*bounds, later, bisect_right(bounds[0], j), count)
+        rank_later = _prefix_ranks(*bounds, later, bisect_right(bounds[0], j), count)
         yield j, {p: z - (rank_g[p] - r) for p, r in rank_later.items()}
 
 

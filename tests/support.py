@@ -36,6 +36,19 @@ def count_boundary_builds(monkeypatch) -> Counter:
     return built
 
 
+def count_inserts(monkeypatch) -> list[int]:
+    """Record every column the rank grid's elimination inserts, from now on."""
+    inserted: list[int] = []
+    original = persistence._insert
+
+    def counting(pivots, col):
+        inserted.append(col)
+        original(pivots, col)
+
+    monkeypatch.setattr(persistence, "_insert", counting)
+    return inserted
+
+
 def perturb_rank_rows(monkeypatch, deltas: dict, dim: int | None = None) -> None:
     """Add deltas[(j, p)] to beta(j, p) in every rank row read from now on.
 

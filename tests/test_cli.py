@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from phcalc import cli
+from phcalc import cli, persistence
 from phcalc.cli import main
 from phcalc.complexes import SimplicialComplex
 from phcalc.filtration import Filtration
@@ -138,6 +138,25 @@ def test_check_fails_on_a_wrong_rank_grid(filtration_file, capsys, monkeypatch):
     payload = json.loads(out[out.index("[") :])
     assert {"check": "fundamental-lemma", "dim": 1, "kind": "barcode-span",
             "k": 3, "l": 4, "detail": "expected 3, got 2"} in payload
+
+
+def test_check_fails_on_a_wrong_kept_rank(filtration_file, capsys, monkeypatch):
+    # rank D_1(K^3) one too high, as if the kept list held it: dimension 1
+    # counts a cycle too few there, and dimension 0 a boundary too many
+    original = persistence._level_ranks
+
+    def perturbed(f, d):
+        return [r + (d == 1 and j == 3) for j, r in enumerate(original(f, d))]
+
+    monkeypatch.setattr(persistence, "_level_ranks", perturbed)
+    assert main(["check", filtration_file]) == 3
+    out = capsys.readouterr().out
+    assert "fundamental-lemma: FAIL" in out
+    payload = json.loads(out[out.index("[") :])
+    assert {v["check"] for v in payload} == {"fundamental-lemma"}
+    assert {v["dim"] for v in payload} == {0, 1}
+    assert {"check": "fundamental-lemma", "dim": 1, "kind": "barcode-span",
+            "k": 3, "l": 3, "detail": "expected 1, got 2"} in payload
 
 
 PINNED_CHECK_OUTPUT = """\

@@ -43,6 +43,7 @@ from phcalc.persistence import _betti_grid
 
 from .support import (
     count_boundary_builds,
+    count_inserts,
     perturb_rank_rows,
     random_filtration,
     stacked_rank_grid,
@@ -273,21 +274,59 @@ def test_betti_grid_matches_the_stacked_rank_grid():
 def test_rank_rows_sweep_from_the_first_column_born_after_the_birth(monkeypatch):
     # a D_{n+1} column born <= j has no face born after j, so it is 0 on
     # the rows born after j: the sweep for birth j skips it
-    f = random_filtration_document(40, 6, seed=3).to_filtration()
-    inserted = []
-    original = persistence._insert
-
-    def counting(pivots, col):
-        inserted.append(col)
-        original(pivots, col)
-
-    monkeypatch.setattr(persistence, "_insert", counting)
+    inserted = count_inserts(monkeypatch)
     for n in range(3):
+        f = random_filtration_document(40, 6, seed=3).to_filtration()
         cells, bounds = f._birth_columns(n)[0], f._birth_columns(n + 1)[0]
         inserted.clear()
         betti_table(f, n)
         later = sum(born > j for j in range(len(f)) for born in bounds)
         assert len(inserted) == len(cells) + len(bounds) + later
+
+
+def test_warm_point_queries_sweep_only_the_columns_born_between_birth_and_death(
+    monkeypatch,
+):
+    # rank D_n and rank_g are kept per dimension, so once dims n and n + 1
+    # are kept a query inserts only rank_later's columns, those born in
+    # (j, p] for each birth j; the first query in a dimension sweeps the
+    # dimensions not kept yet, all of their columns, once
+    f = random_filtration_document(40, 6, seed=3).to_filtration()
+    inserted, kept, m = count_inserts(monkeypatch), set(), f.m
+    for n in range(3):
+        bounds = f._birth_columns(n + 1)[0]
+
+        def between(births, p):
+            return sum(j < born <= p for j in births if j >= 0 for born in bounds)
+
+        cold = sum(len(f._birth_columns(d)[0]) for d in {n, n + 1} - kept)
+        kept |= {n, n + 1}
+        inserted.clear()
+        persistent_betti(f, n, 0, m)
+        assert len(inserted) == cold + between((0,), m)
+        queries = [(persistent_betti, (j, p), between((j,), p))
+                   for j in range(m + 1) for p in range(j, m + 1)]
+        queries += [(mu, (j, p), between((j - 1, j), p))
+                    for j in range(m + 1) for p in range(j + 1, m + 1)]
+        queries += [(mu_infinity, (j,), between((j - 1, j), m)) for j in range(m + 1)]
+        for query, args, expected in queries:
+            inserted.clear()
+            query(f, n, *args)
+            assert len(inserted) == expected, (query.__name__, n, args)
+
+
+def test_kept_ranks_match_each_levels_boundary_matrix():
+    # against the matrix form, which shares no elimination with the sweep
+    rng = random.Random(29)
+    tops = set()
+    for _ in range(20):
+        f = random_filtration(rng, vertices=7, count=6, levels=4, max_size=4)
+        tops.add(f.dim)
+        for d in range(f.dim + 2):
+            assert persistence._level_ranks(f, d) == [
+                level.boundary_matrix(d).rank() for level in f
+            ]
+    assert 3 in tops
 
 
 def test_rank_grid_uses_no_reduction(diabolo_filtration, monkeypatch):
