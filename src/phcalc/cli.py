@@ -16,8 +16,6 @@ import time
 from .complexes import Simplex, closure_of_facets
 from .filtration import Filtration, FiltrationError
 from .files import ParseError, parse_facets, parse_filtration, serialize_barcodes
-from .generate import random_filtration_document
-from .oracle import EnumerationLimitError, oracle_betti, oracle_persistent_betti
 from .persistence import (
     barcode,
     check_fundamental_lemma,
@@ -25,7 +23,9 @@ from .persistence import (
     mu_infinity,
     persistent_betti,
 )
-from .render import ascii_bars, svg_document
+
+# oracle, generate and render load in the subcommands that use them: a process
+# imports only what its subcommand runs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,10 +119,14 @@ def cmd_barcode(args: argparse.Namespace) -> int:
         dims = [args.dim]
     codes = [barcode(f, n) for n in dims]
     if args.format == "text":
+        from .render import ascii_bars
+
         text = "\n".join(ascii_bars(b, f.m) for b in codes)
     elif args.format == "json":
         text = serialize_barcodes(codes)
     else:
+        from .render import svg_document
+
         text = svg_document(codes, f.m)
     _write_text(args.output, text)
     return EXIT_OK
@@ -185,6 +189,8 @@ def _check_oracle(f: Filtration, max_dim: int, violations: list[dict]) -> bool:
 
     Returns False if the enumeration bound was hit (checks skipped).
     """
+    from .oracle import EnumerationLimitError, oracle_betti, oracle_persistent_betti
+
     try:
         for j in range(len(f)):
             for n in range(max_dim + 1):
@@ -240,6 +246,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .generate import random_filtration_document
+
     doc = random_filtration_document(
         args.triangles, args.levels, args.vertices, args.seed
     )
@@ -248,6 +256,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .generate import random_filtration_document
+
     betti_times = []
     pbetti_times = []
     for triangles in args.triangles:

@@ -9,15 +9,16 @@ order, which fixes the row and column bases of every boundary matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, groupby
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .gf2 import Gf2Matrix
+from ._value import Value
+
+if TYPE_CHECKING:
+    from .gf2 import Gf2Matrix
 
 
-@dataclass(frozen=True, order=True)
-class Simplex:
+class Simplex(Value, order=True):
     """A non-empty finite vertex set; an n-simplex has n+1 vertices."""
 
     vertices: tuple[int, ...]
@@ -140,12 +141,16 @@ class SimplicialComplex:
         (n-1)-simplex is a face of the k-th n-simplex.  For n = 0 the
         row count is 0 (there is nothing below the vertices).
         """
+        from .gf2 import Gf2Matrix
+
         cols = self.n_simplices(n)
         rows = self.n_simplices(n - 1) if n else ()
-        columns = _boundary_bits([s.vertices for s in cols], [s.vertices for s in rows])
-        # the columns of D_n are the rows of its transpose
-        transpose = Gf2Matrix(len(cols), len(rows), tuple(columns))
-        return Gf2Matrix(len(rows), len(cols), tuple(transpose.column_bits()))
+        row_of = {s.vertices: r for r, s in enumerate(rows)}
+        bits = [0] * len(rows)  # row r: the cofaces of face r
+        for k, s in enumerate(cols if rows else ()):
+            for face in combinations(s.vertices, n):
+                bits[row_of[face]] |= 1 << k
+        return Gf2Matrix(len(rows), len(cols), tuple(bits))
 
     def betti(self, n: int) -> int:
         """The n-th Betti number: |S_n| - rank(D_n) - rank(D_{n+1})."""

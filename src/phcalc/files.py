@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
+from ._value import Value
 from .complexes import Simplex
 from .filtration import Filtration
 from .persistence import Barcode, PersistencePair
@@ -115,20 +114,18 @@ def _facet_at(obj: object, where: str, bound: _ClosureBound) -> Simplex:
     return facet
 
 
-@dataclass(frozen=True)
-class FiltrationDocument:
+class FiltrationDocument(Value):
     """A filtration as written to disk: cumulative facet lists per level."""
 
     levels: tuple[tuple[Simplex, ...], ...]
     name: str | None = None
+    _filtration = None  # built on first use; not annotated, so not a compared field
 
     def to_filtration(self) -> Filtration:
         """The filtration of these levels, built once; parsed documents carry it."""
+        if self._filtration is None:
+            object.__setattr__(self, "_filtration", Filtration(self.levels))
         return self._filtration
-
-    @cached_property
-    def _filtration(self) -> Filtration:
-        return Filtration(self.levels)
 
     def serialize(self) -> str:
         doc: dict[str, object] = {}

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from ._value import Value
 from .complexes import Simplex, SimplicialComplex, _boundary_bits, _missing_face, subsets
-from .gf2 import Gf2Matrix
+
+if TYPE_CHECKING:
+    from .gf2 import Gf2Matrix
 
 
-@dataclass(frozen=True)
-class FiltrationViolation:
+class FiltrationViolation(Value):
     """Why a level sequence is not a filtration.
 
     ``kind`` is "not-a-complex" (``simplex`` is a missing face of some
@@ -176,6 +177,8 @@ class Filtration:
         row where the c-th n-simplex of K^j sits in K^p's basis.  Always
         injective (full column rank).
         """
+        from .gf2 import Gf2Matrix
+
         if n < 0:
             raise ValueError(f"dimension must be >= 0, got {n}")
         self.check_level_pair(j, p)

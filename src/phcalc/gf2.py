@@ -7,12 +7,12 @@ in column ``j``), so a row operation is a single XOR regardless of width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._value import Value
 
-@dataclass(frozen=True)
-class Gf2Matrix:
+
+class Gf2Matrix(Value):
     """A ``rows x cols`` matrix with entries in {0, 1}, arithmetic mod 2.
 
     Either dimension may be zero; empty matrices behave as the usual

@@ -10,8 +10,8 @@ the enumeration cap keeps worst-case runs within seconds.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
+from ._value import Value
 from .complexes import SimplicialComplex
 from .filtration import Filtration
 from .gf2 import Gf2Matrix
@@ -31,8 +31,7 @@ class EnumerationLimitError(ValueError):
         self.limit_bits = limit_bits
 
 
-@dataclass(frozen=True)
-class ChainSet:
+class ChainSet(Value):
     """A GF(2) subspace given by its full element list.
 
     Vectors are bitmasks of length ambient_dim, kept sorted so that

@@ -34,17 +34,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Container, Iterable, Iterator
 
+from ._value import Value
 from .filtration import Filtration
 
 INFINITE_DEATH = math.inf
 
 
-@dataclass(frozen=True, order=True)
-class PersistencePair:
+class PersistencePair(Value, order=True):
     """A birth-death interval [birth, death) with a multiplicity.
 
     ``death`` is a level index, or ``math.inf`` for classes that never
@@ -76,8 +75,7 @@ class PersistencePair:
         return f"[{self.birth},{death})"
 
 
-@dataclass(frozen=True)
-class Barcode:
+class Barcode(Value):
     """All intervals of one homology dimension, sorted by (birth, death)."""
 
     dimension: int
@@ -179,10 +177,9 @@ def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
 
     rank [D_{n+1}(K^p) | I N_n(K^j)] - rank D_{n+1}(K^p), with the cycle
     basis N_n(K^j) pushed forward by the inclusion matrix I.  It shares
-    only the boundary builder with the prefix form, which reads K^m's
-    kept columns and takes no level, no kernel basis, no inclusion and
-    no `rank`, so each checks the other; the two must agree on every
-    input.
+    no boundary code with the prefix form, which reads K^m's kept
+    columns and takes no level, no kernel basis, no inclusion and no
+    `rank`, so each checks the other; the two must agree on every input.
     """
     _require_dim(n)
     f.check_level_pair(j, p)
@@ -292,8 +289,7 @@ def barcode(f: Filtration, n: int) -> Barcode:
     )
 
 
-@dataclass(frozen=True)
-class LemmaViolation:
+class LemmaViolation(Value):
     """One failed check at grid point (k, l).
 
     A "negative-count" multiplicity is born at k and dies at l; those
@@ -314,8 +310,7 @@ class LemmaViolation:
         )
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(Value):
     """Outcome of holding the rank grid against the reduction in one degree.
 
     Every multiplicity of the rank grid must be a count (>= 0), and for

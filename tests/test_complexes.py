@@ -7,6 +7,7 @@ import random
 import pytest
 
 from phcalc import Simplex, SimplicialComplex, closure_of_facets, is_complex
+from phcalc.complexes import _boundary_bits
 
 from .support import component_count, random_complex, random_facets
 
@@ -128,6 +129,17 @@ def test_nilpotency_random():
         c = random_complex(rng, vertices=9, count=6, max_size=5)
         for n in range(4):
             assert (c.boundary_matrix(n) @ c.boundary_matrix(n + 1)).is_zero()
+
+
+def test_boundary_matrix_columns_match_the_column_builder():
+    # boundary_matrix builds rows (cofaces) and _boundary_bits columns (faces)
+    rng = random.Random(41)
+    for _ in range(60):
+        c = random_complex(rng, vertices=9, count=6, max_size=5)
+        for n in range(c.dim + 2):
+            cells = [s.vertices for s in c.n_simplices(n)]
+            faces = [s.vertices for s in c.n_simplices(n - 1)] if n else []
+            assert c.boundary_matrix(n).column_bits() == _boundary_bits(cells, faces)
 
 
 def test_betti0_against_union_find():

@@ -1,0 +1,123 @@
+"""What a phcalc process loads: the lazy package namespace and per-subcommand imports.
+
+Tests in one interpreter share `sys.modules`, so a module imported by an
+earlier test would hide an import a subcommand lacks; each probe here
+runs in a fresh interpreter.
+"""
+
+from __future__ import annotations
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import phcalc
+from phcalc.generate import random_filtration_document
+
+SRC = str(Path(phcalc.__file__).resolve().parent.parent)
+
+# Loads everything listed, then prints the modules the last statement loaded.
+PROBE = """
+import sys
+before = set(sys.modules)
+{statement}
+sys.stdout.flush()
+sys.stderr.write("\\nLOADED " + " ".join(sorted(set(sys.modules) - before)))
+"""
+
+UNUSED_BY_BARCODE_AND_CHECK = {
+    "dataclasses", "phcalc.gf2", "phcalc.oracle", "phcalc.generate", "phcalc.render",
+}
+
+HOMES = {
+    "complexes": ["SimplicialComplex", "Simplex", "closure_of_facets", "is_complex"],
+    "filtration": ["Filtration", "FiltrationError", "FiltrationViolation", "validate"],
+    "gf2": ["Gf2Matrix"],
+    "oracle": ["ChainSet", "EnumerationLimitError", "enumerate_image", "enumerate_kernel",
+               "oracle_betti", "oracle_persistent_betti"],
+    "persistence": ["INFINITE_DEATH", "Barcode", "LemmaReport", "LemmaViolation",
+                    "PersistencePair", "barcode", "betti_table", "check_fundamental_lemma",
+                    "mu", "mu_infinity", "persistent_betti", "persistent_betti_simplified"],
+}
+
+
+def _loaded(statement: str) -> tuple[str, set[str]]:
+    """Run ``statement`` in a fresh interpreter: its stdout and the modules it loaded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", PROBE.format(statement=statement)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout, set(run.stderr.rpartition("\nLOADED ")[2].split())
+
+
+def _main(*argv: str) -> tuple[str, set[str]]:
+    statement = f"import phcalc.cli\nassert phcalc.cli.main({list(argv)!r}) == 0"
+    return _loaded(statement)
+
+
+@pytest.fixture(scope="module")
+def gen_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("startup") / "gen.json"
+    path.write_text(random_filtration_document(8, 3, seed=1).serialize())
+    return str(path)
+
+
+def test_package_import_loads_no_submodule():
+    _, loaded = _loaded("import phcalc")
+    assert not {m for m in loaded if m.startswith("phcalc.")}
+    assert "dataclasses" not in loaded
+
+
+def test_cli_import_loads_no_unused_module():
+    _, loaded = _loaded("import phcalc.cli")
+    assert "phcalc.cli" in loaded
+    assert not loaded & UNUSED_BY_BARCODE_AND_CHECK
+
+
+def test_json_barcode_and_check_load_no_unused_module(gen_file):
+    out, loaded = _main("barcode", gen_file, "--all-dims", "--format", "json")
+    assert '"barcodes"' in out
+    assert not loaded & UNUSED_BY_BARCODE_AND_CHECK
+    out, loaded = _main("check", gen_file)
+    assert out.endswith("all checks passed\n")
+    assert not loaded & UNUSED_BY_BARCODE_AND_CHECK
+
+
+def test_text_barcode_loads_render_and_oracle_check_loads_oracle(gen_file):
+    _, loaded = _main("barcode", gen_file, "--all-dims", "--format", "text")
+    assert "phcalc.render" in loaded
+    assert not loaded & (UNUSED_BY_BARCODE_AND_CHECK - {"phcalc.render"})
+    out, loaded = _main("check", gen_file, "--oracle")
+    assert "oracle: ok" in out
+    assert "phcalc.oracle" in loaded
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from phcalc import *", namespace)
+    assert set(phcalc.__all__) <= namespace.keys()
+    assert sorted(phcalc.__all__) == sorted(
+        [name for names in HOMES.values() for name in names] + ["__version__"]
+    )
+
+
+@pytest.mark.parametrize("module", sorted(HOMES))
+def test_public_names_are_their_home_module_objects(module):
+    home = importlib.import_module(f"phcalc.{module}")
+    for name in HOMES[module]:
+        assert getattr(phcalc, name) is getattr(home, name)
+        assert name in dir(phcalc)
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        phcalc.no_such_name  # noqa: B018
+    assert getattr(phcalc, "no_such_name", None) is None
+    assert phcalc.__version__ == "0.1.0"
