@@ -117,7 +117,8 @@ def cmd_barcode(args: argparse.Namespace) -> int:
         dims = list(range(max(f.dim, 0) + 1))
     else:
         dims = [args.dim]
-    codes = [barcode(f, n) for n in dims]
+    # top down, so that each dimension's reduction is cleared by the one above it
+    codes = [barcode(f, n) for n in reversed(dims)][::-1]
     if args.format == "text":
         from .render import ascii_bars
 
@@ -174,8 +175,9 @@ def _check_inclusions(
 
 
 def _check_lemma(f: Filtration, max_dim: int, violations: list[dict]) -> None:
-    for n in range(max_dim + 1):
-        report = check_fundamental_lemma(f, n)
+    # top down, so that each dimension's reduction is cleared by the one above it
+    reports = [check_fundamental_lemma(f, n) for n in reversed(range(max_dim + 1))]
+    for n, report in enumerate(reversed(reports)):
         for v in report.violations:
             violations.append(
                 {"check": "fundamental-lemma", "dim": n, "kind": v.kind,

@@ -9,11 +9,12 @@ order, which fixes the row and column bases of every boundary matrix.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations, groupby
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._value import Value
 
+TYPE_CHECKING = False  # no `typing` import at run time: type checkers read it as True
 if TYPE_CHECKING:
     from .gf2 import Gf2Matrix
 

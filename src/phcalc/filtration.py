@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import groupby
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._value import Value
 from .complexes import Simplex, SimplicialComplex, _boundary_bits, _missing_face, subsets
 
+TYPE_CHECKING = False  # no `typing` import at run time: type checkers read it as True
 if TYPE_CHECKING:
     from .gf2 import Gf2Matrix
 
@@ -86,10 +87,14 @@ class Filtration:
     use and kept, which changes no value the filtration reports: the
     simplices of each dimension in (birth, vertices) order, in which
     every level is a prefix of K^m; per dimension d, the columns of
-    D_d(K^m) with rows and columns in that order, and the list of
-    rank D_d(K^j) for every level j, which the rank grid fills; and each
-    level asked for, through the public constructor and its face-closure
-    check.
+    D_d(K^m) with rows and columns in that order, the list of
+    rank D_d(K^j) for every level j, which the rank grid fills, and the
+    pivots of D_d reduced, which `barcode` fills; per dimension n and
+    birth j that a point query asked, the rank_later row up to the
+    furthest death asked for j, as the births of the columns that raised
+    its rank: O(rank) integers per birth asked, and none for `check` or
+    `betti_table`, which keep no row; and each level asked for, through
+    the public constructor and its face-closure check.
     """
 
     def __init__(self, levels: Iterable[Iterable[Simplex]]):
@@ -103,6 +108,8 @@ class Filtration:
         self._by_dim: list[list[tuple[tuple[int, ...], int]]] | None = None
         self._columns: dict[int, tuple[list[int], list[int]]] = {}
         self._ranks: dict[int, list[int]] = {}
+        self._later: dict[tuple[int, int], tuple[int, list[int]]] = {}
+        self._pivots: dict[int, dict[int, int]] = {}
 
     @classmethod
     def from_level_facets(cls, level_facets: Sequence[Iterable[Simplex]]) -> Filtration:

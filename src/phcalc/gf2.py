@@ -7,7 +7,7 @@ in column ``j``), so a row operation is a single XOR regardless of width.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._value import Value
 

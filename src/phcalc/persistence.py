@@ -17,8 +17,13 @@ kept on the filtration for every later query, and the rank of the
 boundaries of K^p on the rows born after j (the lower-left submatrices
 of Edelsbrunner-Harer's pairing lemma) from one per birth row.
 `persistent_betti`, `betti_table`, `mu` and `mu_infinity` read rows of
-it; `persistent_betti_simplified` keeps the per-pair matrix form on the
-two levels: a kernel basis, the inclusion matrix, its product, `rank`.
+it.  The point queries keep each birth row they sweep, up to the
+furthest death asked for that birth, as the births of the columns that
+raised its rank, so a later query inside it sweeps nothing and reads
+the rank with one bisect; `betti_table` and `check_fundamental_lemma`
+stream their rows and keep none.  `persistent_betti_simplified` keeps
+the per-pair matrix form on the two levels: a kernel basis, the
+inclusion matrix, its product, `rank`.
 Interval multiplicities are one finite difference of two adjacent rows
 (Zomorodian-Carlsson); `check_fundamental_lemma` holds two at a time.
 
@@ -26,7 +31,9 @@ Barcodes come from one column reduction of the filtered boundary
 matrix (Edelsbrunner-Letscher-Zomorodian; Zomorodian-Carlsson), with
 clearing (Chen-Kerber): each pivot pairs the birth of a class with its
 death.  It reads births from the filtration's table and builds no
-level.  `check_fundamental_lemma` holds each method against the other.
+level, and the filtration keeps each dimension's pivots, so the
+barcodes of every dimension reduce each boundary matrix once.
+`check_fundamental_lemma` holds each method against the other.
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import combinations
-from typing import Container, Iterable, Iterator
+from collections.abc import Container, Iterable, Iterator
+from itertools import combinations, compress
 
 from ._value import Value
 from .filtration import Filtration
@@ -94,32 +101,58 @@ def _require_dim(n: int) -> None:
         raise ValueError(f"dimension must be >= 0, got {n}")
 
 
-def _insert(pivots: dict[int, int], col: int) -> None:
-    """Reduce a column against {last nonzero row: column}; keep it if nonzero."""
+def _insert(pivots: dict[int, int], col: int) -> bool:
+    """Reduce a column against {last nonzero row: column}; keep it if nonzero, and say so."""
     while col:
         low = col.bit_length() - 1
         if low not in pivots:
             pivots[low] = col
-            return
+            return True
         col ^= pivots[low]
+    return False
 
 
-def _prefix_ranks(born, columns, levels, k=0, shift=0) -> dict[int, int]:
-    """The rank once columns[k:] born by each level, less ``shift`` rows, are in."""
-    out, pivots = {}, {}
+def _raises(
+    born: list[int], columns: list[int], start: int, end: int, shift: int = 0
+) -> list[int]:
+    """Sweep columns[start:end], less ``shift`` rows: the births of those that raise the rank.
+
+    The rank once every column born by a level is in is the count of
+    the births returned that are <= it.
+    """
+    pivots: dict[int, int] = {}
+    raises = [_insert(pivots, col >> shift) for col in columns[start:end]]
+    return list(compress(born[start:end], raises))
+
+
+def _counts(raised: list[int], levels: Iterable[int]) -> list[int]:
+    """How many of ``raised`` are <= each of ``levels``, both ascending: one walk."""
+    counts, i, end = [], 0, len(raised)
     for level in levels:
-        end = bisect_right(born, level)
-        for col in columns[k:end]:
-            _insert(pivots, col >> shift)
-        out[level], k = len(pivots), end
-    return out
+        while i < end and raised[i] <= level:
+            i += 1
+        counts.append(i)
+    return counts
 
 
 def _level_ranks(f: Filtration, d: int) -> list[int]:
     """rank D_d(K^j) for every level j: one sweep, kept on the filtration."""
     if d not in f._ranks:
-        f._ranks[d] = list(_prefix_ranks(*f._birth_columns(d), range(len(f))).values())
+        born, columns = f._birth_columns(d)
+        f._ranks[d] = _counts(_raises(born, columns, 0, len(born)), range(len(f)))
     return f._ranks[d]
+
+
+def _later_raises(f: Filtration, n: int, j: int, p: int) -> list[int]:
+    """The births of the D_{n+1} columns born in (j, p] that raise rank_later(j, .).
+
+    rank_later(j, q) is the rank of D_{n+1}(K^q) on the rows of the
+    n-simplices born after j; a column born <= j is 0 there.  For q <= p
+    it is the count of the births returned that are <= q.
+    """
+    born, columns = f._birth_columns(n + 1)
+    shift = bisect_right(f._birth_columns(n)[0], j)
+    return _raises(born, columns, bisect_right(born, j), bisect_right(born, p), shift)
 
 
 def _betti_grid(
@@ -140,19 +173,39 @@ def _betti_grid(
     The cycles of K^j stacked with the boundaries of K^p have rank z +
     rank_later, so this is the paper's z - (rank_g + z - rank_stacked).
     rank D_n and rank_g at every level are the filtration's kept ranks
-    of D_n and D_{n+1}, so each birth row takes one elimination, of
-    rank_later; births off the grid, as -1, are skipped.
+    of D_n and D_{n+1}.  rank_later is one bisect per death in a row the
+    point queries kept that reaches the last death asked, and otherwise
+    one elimination per birth row, kept nowhere; births off the grid,
+    as -1, are skipped.
     """
     deaths = sorted(set(deaths))
     births = sorted({j for j in births if 0 <= j <= deaths[-1]})
-    cells, bounds = f._birth_columns(n), f._birth_columns(n + 1)
+    cells = f._birth_columns(n)[0]
     rank_n, rank_g = _level_ranks(f, n), _level_ranks(f, n + 1)
     for j in births:
-        count = bisect_right(cells[0], j)
-        z = count - rank_n[j]
+        z = bisect_right(cells, j) - rank_n[j]
         later = deaths[bisect_left(deaths, j) :]
-        rank_later = _prefix_ranks(*bounds, later, bisect_right(bounds[0], j), count)
-        yield j, {p: z - (rank_g[p] - r) for p, r in rank_later.items()}
+        reach, raised = f._later.get((n, j), (-1, None))
+        if reach >= later[-1]:
+            rank_later = [bisect_right(raised, p) for p in later]
+        else:
+            rank_later = _counts(_later_raises(f, n, j, later[-1]), later)
+        yield j, {p: z - (rank_g[p] - r) for p, r in zip(later, rank_later)}
+
+
+def _point_rows(
+    f: Filtration, n: int, births: tuple[int, ...], deaths: tuple[int, ...]
+) -> dict[int, dict[int, int]]:
+    """The rows of _betti_grid, once each birth keeps its rank_later up to the last death.
+
+    A birth whose kept row stops short sweeps (j, last death] again, as
+    on its first query, and keeps the longer row.
+    """
+    p = deaths[-1]
+    for j in births:
+        if j >= 0 and f._later.get((n, j), (-1,))[0] < p:
+            f._later[(n, j)] = (p, _later_raises(f, n, j, p))
+    return dict(_betti_grid(f, n, births, deaths))
 
 
 def _multiplicity(before: dict[int, int], row: dict[int, int], p: int) -> int:
@@ -169,7 +222,7 @@ def persistent_betti(f: Filtration, n: int, j: int, p: int) -> int:
     """Number of degree-n classes of K^j still alive at K^p."""
     _require_dim(n)
     f.check_level_pair(j, p)
-    return next(_betti_grid(f, n, (j,), (p,)))[1][p]
+    return _point_rows(f, n, (j,), (p,))[j][p]
 
 
 def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
@@ -206,7 +259,7 @@ def mu(f: Filtration, n: int, j: int, p: int) -> int:
     _require_dim(n)
     if not 0 <= j < p <= f.m:
         raise ValueError(f"need 0 <= j < p <= {f.m}, got j={j}, p={p}")
-    rows = dict(_betti_grid(f, n, (j - 1, j), (p - 1, p)))
+    rows = _point_rows(f, n, (j - 1, j), (p - 1, p))
     return _multiplicity(rows.get(j - 1, {}), rows[j], p)
 
 
@@ -219,7 +272,7 @@ def mu_infinity(f: Filtration, n: int, j: int) -> int:
     _require_dim(n)
     if not 0 <= j <= f.m:
         raise ValueError(f"need 0 <= j <= {f.m}, got j={j}")
-    rows = dict(_betti_grid(f, n, (j - 1, j), (f.m,)))
+    rows = _point_rows(f, n, (j - 1, j), (f.m,))
     return _multiplicity(rows.get(j - 1, {}), rows[j], f.m + 1)
 
 
@@ -262,20 +315,33 @@ def _reduce(columns: list[int], cleared: Container[int] = ()) -> dict[int, int]:
     return pivots
 
 
+def _pivots(f: Filtration, d: int) -> dict[int, int]:
+    """{pivot row: column} of the reduced D_d, kept on the filtration.
+
+    The pivots do not depend on clearing; D_d is cleared by D_{d+1}'s
+    pivots when those are kept already, and no other reduction is run.
+    """
+    if d not in f._pivots:
+        columns = _boundary_columns(f.births(d), f.births(d - 1))
+        f._pivots[d] = _reduce(columns, f._pivots.get(d + 1, ()))
+    return f._pivots[d]
+
+
 def barcode(f: Filtration, n: int) -> Barcode:
     """The degree-n barcode: every interval with positive multiplicity.
 
     Reduces the degree-(n+1) boundary columns, then the degree-n ones
     with clearing: an n-simplex that is a pivot of degree n+1 creates a
-    class, so its column is skipped.  Each pivot (i, c) is the interval
+    class, so its column is skipped.  A reduction kept from an earlier
+    barcode is read, not run again.  Each pivot (i, c) is the interval
     [birth of i, birth of c), dropped when both are born at one level;
     an n-simplex whose column reduces to zero and that is no pivot is a
     class that never dies.
     """
     _require_dim(n)
-    below, cells, above = (f.births(d) for d in (n - 1, n, n + 1))
-    deaths = _reduce(_boundary_columns(above, cells))
-    negative = set(_reduce(_boundary_columns(cells, below), deaths).values())
+    deaths = _pivots(f, n + 1)
+    negative = set(_pivots(f, n).values())
+    cells, above = f.births(n), f.births(n + 1)
     counts: Counter[tuple[int, int | float]] = Counter()
     for i, c in deaths.items():
         birth, death = cells[i][1], above[c][1]

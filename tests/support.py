@@ -43,7 +43,7 @@ def count_inserts(monkeypatch) -> list[int]:
 
     def counting(pivots, col):
         inserted.append(col)
-        original(pivots, col)
+        return original(pivots, col)
 
     monkeypatch.setattr(persistence, "_insert", counting)
     return inserted

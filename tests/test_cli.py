@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,7 @@ from phcalc.complexes import SimplicialComplex
 from phcalc.filtration import Filtration
 from phcalc.files import parse_barcodes, parse_filtration
 from phcalc.generate import random_filtration_document
-from phcalc.persistence import LemmaReport, LemmaViolation
+from phcalc.persistence import LemmaReport, LemmaViolation, barcode, persistent_betti
 
 from .support import count_boundary_builds, perturb_rank_rows
 
@@ -269,6 +270,70 @@ def test_check_builds_each_matrix_once(filtration_file, capsys, monkeypatch):
     assert calls == {"boundary": 0, "inclusion": 0}
     assert built == {d: 1 for d in range(4)}
     assert capsys.readouterr().out.endswith("all checks passed\n")
+
+
+def test_all_barcodes_build_and_reduce_each_boundary_matrix_once(
+    filtration_file, capsys, monkeypatch
+):
+    # the filtration keeps each dimension's pivots: D_d is built and
+    # reduced once for every barcode and check that needs it, top down
+    # where all are needed, so that each is cleared by the pivots above
+    f = parse_filtration(open(filtration_file).read()).to_filtration()
+    for n in range(3):
+        barcode(f, n)
+    columns = [len(f.births(d)) for d in range(4)]
+    pivots = [len(f._pivots[d]) for d in range(4)] + [0]
+    assert pivots[1] and pivots[2]
+    built, reduced = [], []
+    build, reduce = persistence._boundary_columns, persistence._reduce
+
+    def counting_build(cells, faces):
+        built.append(len(faces[0][0]) if faces else 0)
+        return build(cells, faces)
+
+    def counting_reduce(cols, cleared=()):
+        reduced.append((len(cols), len(cleared)))
+        return reduce(cols, cleared)
+
+    monkeypatch.setattr(persistence, "_boundary_columns", counting_build)
+    monkeypatch.setattr(persistence, "_reduce", counting_reduce)
+    # (degree, degree whose pivots clear it or None), in reduction order
+    for argv, order in (
+        (["barcode", filtration_file, "--all-dims", "--format", "json"],
+         [(3, None), (2, 3), (1, 2), (0, 1)]),
+        (["check", filtration_file], [(3, None), (2, 3), (1, 2), (0, 1)]),
+        (["barcode", filtration_file, "-n", "1"], [(2, None), (1, 2)]),
+        (["barcode", filtration_file, "-n", "0"], [(1, None), (0, 1)]),
+    ):
+        built.clear()
+        reduced.clear()
+        assert main(argv) == 0
+        assert built == [d for d, _ in order], argv
+        assert reduced == [
+            (columns[d], 0 if above is None else pivots[above]) for d, above in order
+        ], argv
+    capsys.readouterr()
+
+
+def test_perturbed_rank_rows_reach_check_after_point_queries(
+    filtration_file, capsys, monkeypatch
+):
+    # kept rank_later rows go through the same rows as check, so a wrong
+    # row shows in the point queries and in check on one filtration
+    asked = []
+
+    def ask_first(f):
+        assert [persistent_betti(f, 1, j, 5) for j in range(6)] == [0, 0, 0, 1, 1, 1]
+        asked.append(f)
+
+    perturb_rank_rows(monkeypatch, {(3, 4): 1}, dim=1)
+    code, out, payload = _tampered_check(monkeypatch, capsys, filtration_file, ask_first)
+    assert code == 3 and "fundamental-lemma: FAIL" in out
+    assert asked[0]._later.keys() == {(1, j) for j in range(6)}
+    assert {"check": "fundamental-lemma", "dim": 1, "kind": "barcode-span",
+            "k": 3, "l": 4, "detail": "expected 3, got 2"} in payload
+    f = parse_filtration(open(filtration_file).read()).to_filtration()
+    assert [persistent_betti(f, 1, 3, 4) for _ in range(2)] == [3, 3]
 
 
 def _tampered_check(monkeypatch, capsys, path, tamper):

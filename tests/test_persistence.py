@@ -12,6 +12,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -287,32 +288,123 @@ def test_rank_rows_sweep_from_the_first_column_born_after_the_birth(monkeypatch)
 def test_warm_point_queries_sweep_only_the_columns_born_between_birth_and_death(
     monkeypatch,
 ):
-    # rank D_n and rank_g are kept per dimension, so once dims n and n + 1
-    # are kept a query inserts only rank_later's columns, those born in
-    # (j, p] for each birth j; the first query in a dimension sweeps the
+    # rank D_n and rank_g are kept per dimension, and each birth j asked
+    # keeps its rank_later row up to the furthest death p asked for it,
+    # so once dims n and n + 1 are kept a query inserts, per birth, the
+    # columns born in (j, p] on the first query there or past its kept
+    # row, and none inside it; the first query in a dimension sweeps the
     # dimensions not kept yet, all of their columns, once
     f = random_filtration_document(40, 6, seed=3).to_filtration()
     inserted, kept, m = count_inserts(monkeypatch), set(), f.m
+    rng = random.Random(17)
+    cases, swept = Counter(), Counter()
     for n in range(3):
-        bounds = f._birth_columns(n + 1)[0]
+        bounds, reach = f._birth_columns(n + 1)[0], {}
 
-        def between(births, p):
-            return sum(j < born <= p for j in births if j >= 0 for born in bounds)
+        def sweeps(births, p):
+            total = 0
+            for j in births:
+                if j < 0:
+                    continue
+                if reach.get(j, -1) < p:
+                    case = "past" if j in reach else "first"
+                    columns = sum(j < born <= p for born in bounds)
+                    swept[case] += columns
+                    total += columns
+                    reach[j] = p
+                else:
+                    case = "inside"
+                cases[case] += 1
+            return total
 
         cold = sum(len(f._birth_columns(d)[0]) for d in {n, n + 1} - kept)
         kept |= {n, n + 1}
         inserted.clear()
-        persistent_betti(f, n, 0, m)
-        assert len(inserted) == cold + between((0,), m)
-        queries = [(persistent_betti, (j, p), between((j,), p))
+        persistent_betti(f, n, 0, 2)
+        assert len(inserted) == cold + sweeps((0,), 2)
+        queries = [(persistent_betti, (j, p), (j,), p)
                    for j in range(m + 1) for p in range(j, m + 1)]
-        queries += [(mu, (j, p), between((j - 1, j), p))
+        queries += [(mu, (j, p), (j - 1, j), p)
                     for j in range(m + 1) for p in range(j + 1, m + 1)]
-        queries += [(mu_infinity, (j,), between((j - 1, j), m)) for j in range(m + 1)]
-        for query, args, expected in queries:
+        queries += [(mu_infinity, (j,), (j - 1, j), m) for j in range(m + 1)]
+        rng.shuffle(queries)
+        for query, args, births, p in queries + queries:
             inserted.clear()
             query(f, n, *args)
-            assert len(inserted) == expected, (query.__name__, n, args)
+            assert len(inserted) == sweeps(births, p), (query.__name__, n, args)
+        assert {j: f._later[(n, j)][0] for j in range(m + 1)} == reach
+    assert cases.keys() == {"first", "past", "inside"}
+    assert swept["first"] > 0 and swept["past"] > 0
+
+
+def test_check_and_betti_table_keep_no_rank_later_row():
+    # they stream one row per birth and keep none, so their memory stays
+    # linear in m; a point query keeps the rows of the births it asks
+    f = random_filtration_document(60, 12, seed=7).to_filtration()
+    tables = [betti_table(f, n) for n in range(3)]
+    assert all(check_fundamental_lemma(f, n).ok for n in range(3))
+    assert f._later == {}
+    assert mu(f, 1, 3, 7) == tables[1][(3, 6)] - tables[1][(3, 7)] - (
+        tables[1][(2, 6)] - tables[1][(2, 7)]
+    )
+    assert f._later.keys() == {(1, 2), (1, 3)}
+    assert {reach for reach, _ in f._later.values()} == {7}
+
+
+def _two_spheres(rng: random.Random) -> Filtration:
+    """An octahedron, filled later, and a hollow tetrahedron, facets born at random."""
+    octahedron = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+    filling = [(0, 1, b, c) for b in (2, 3) for c in (4, 5)]
+    hollow = list(combinations(range(6, 10), 3))
+    born = [(s, rng.randrange(4)) for s in octahedron + hollow]
+    born += [(s, rng.randrange(3, 6)) for s in filling]
+    return Filtration.from_level_facets(
+        [[Simplex(s) for s, at in born if at <= j] for j in range(6)]
+    )
+
+
+def test_seeded_point_queries_in_random_order_match_betti_table_and_barcode():
+    # one filtration answers every query, kept rows and all; repeated
+    # queries and growing deaths on one birth read and extend kept rows
+    rng = random.Random(41)
+    filtrations = [random_filtration_document(6 + 4 * s, 3 + s % 7, seed=s).to_filtration()
+                   for s in range(6)]
+    filtrations += [random_filtration(rng, vertices=7, count=6, levels=6, max_size=4)
+                    for _ in range(6)]
+    filtrations += [_two_spheres(rng) for _ in range(4)]
+    asked, h2 = Counter(), False
+    for f in filtrations:
+        m = f.m
+        tables = [betti_table(Filtration(f.levels), n) for n in range(3)]
+        bars = [barcode(Filtration(f.levels), n) for n in range(3)]
+        h2 |= bars[2].total_bars() > 0
+
+        def expected(kind, n, j, p):
+            if kind == "persistent_betti":
+                assert tables[n][(j, p)] == bars[n].betti_at(j, p)
+                return tables[n][(j, p)]
+            death = INFINITE_DEATH if kind == "mu_infinity" else p
+            return sum(b.multiplicity for b in bars[n].pairs
+                       if (b.birth, b.death) == (j, death))
+
+        queries = []
+        for _ in range(40):
+            n, j = rng.randrange(3), rng.randrange(m + 1)
+            kind = rng.choice(("persistent_betti", "mu", "mu_infinity"))
+            if kind == "mu" and j == m:
+                j -= 1
+            if kind == "mu_infinity":
+                queries.append((kind, n, j, m + 1))
+            else:
+                queries.append((kind, n, j, rng.randrange(j + (kind == "mu"), m + 1)))
+        queries += rng.sample(queries, 10)
+        n, j = rng.randrange(3), rng.randrange(m)
+        queries += [("persistent_betti", n, j, p) for p in range(j, m + 1)]
+        queries += [("mu", n, j, p) for p in range(j + 1, m + 1)]
+        for query in queries:
+            assert _ask(f, query) == expected(*query), query
+            asked[query[0], query[1]] += 1
+    assert h2 and len(asked) == 9
 
 
 def test_kept_ranks_match_each_levels_boundary_matrix():

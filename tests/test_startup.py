@@ -45,12 +45,12 @@ HOMES = {
 }
 
 
-def _loaded(statement: str) -> tuple[str, set[str]]:
+def _loaded(statement: str, *flags: str) -> tuple[str, set[str]]:
     """Run ``statement`` in a fresh interpreter: its stdout and the modules it loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", PROBE.format(statement=statement)],
+        [sys.executable, *flags, "-c", PROBE.format(statement=statement)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert run.returncode == 0, run.stderr
@@ -88,6 +88,20 @@ def test_json_barcode_and_check_load_no_unused_module(gen_file):
     out, loaded = _main("check", gen_file)
     assert out.endswith("all checks passed\n")
     assert not loaded & UNUSED_BY_BARCODE_AND_CHECK
+
+
+def test_barcode_and_check_import_no_typing_without_site(gen_file):
+    # -S skips `site`, which may import `typing` first; phcalc takes its
+    # annotation names from collections.abc and imports no `typing` itself
+    no_typing = "\nassert 'typing' not in sys.modules, sorted(sys.modules)"
+    _, loaded = _loaded("import phcalc.cli" + no_typing, "-S")
+    assert "phcalc.cli" in loaded
+    for argv in (["barcode", gen_file, "--all-dims", "--format", "json"],
+                 ["barcode", gen_file, "--all-dims", "--format", "text"],
+                 ["check", gen_file]):
+        run = f"import phcalc.cli\nassert phcalc.cli.main({argv!r}) == 0"
+        _, loaded = _loaded(run + no_typing, "-S")
+        assert "phcalc.persistence" in loaded
 
 
 def test_text_barcode_loads_render_and_oracle_check_loads_oracle(gen_file):
