@@ -74,6 +74,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(path, exc.strerror or str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, str(exc)) from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -165,6 +167,8 @@ def _check_inclusions(
     for n in range(1, len(bounds) - 1):
         faces = f.births(n - 1)
         for (verts, birth), col in zip(f.births(n), bounds[n][1]):
+            if not col:  # no face, so none born later; nilpotency judges it
+                continue
             face, born = faces[col.bit_length() - 1]
             if born > birth:  # the square of levels born - 1 and born fails
                 violations.append(

@@ -65,6 +65,11 @@ class Simplex(Value, order=True):
         return "(" + ",".join(str(v) for v in self.vertices) + ")"
 
 
+def _require_dim(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"dimension must be >= 0, got {n}")
+
+
 def is_complex(simplices: Iterable[Simplex]) -> bool:
     """True iff every non-empty proper subset of every member is a member."""
     return _missing_face(frozenset(simplices)) is None
@@ -129,8 +134,7 @@ class SimplicialComplex:
 
     def n_simplices(self, n: int) -> tuple[Simplex, ...]:
         """The n-simplices in lexicographic order (the standard basis)."""
-        if n < 0:
-            raise ValueError(f"dimension must be >= 0, got {n}")
+        _require_dim(n)
         if n >= len(self._by_dim):
             return ()
         return self._by_dim[n]

@@ -68,18 +68,13 @@ def parse_facets(text: str) -> tuple[Simplex, ...]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
         try:
-            vertices = [int(f) for f in fields]
+            vertices = [int(f) for f in line.split()]
         except ValueError:
             raise ParseError(
                 f"line {lineno}", f"vertices must be integers, got {line!r}"
             ) from None
-        try:
-            facet = Simplex(tuple(vertices))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}", str(exc)) from None
-        facets.append(bound.admit(facet, f"line {lineno}"))
+        facets.append(_facet_at(vertices, f"line {lineno}", bound))
     return tuple(facets)
 
 
@@ -94,9 +89,12 @@ def _load_json(text: str) -> object:
         raise ParseError(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
     except RecursionError:
         raise ParseError("document", "nested too deeply") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ParseError("document", str(exc)) from None
 
 
 def _facet_at(obj: object, where: str, bound: _ClosureBound) -> Simplex:
+    """The facet a list of vertices read at ``where`` names, built and bounded once."""
     if not isinstance(obj, list) or not obj:
         raise ParseError(where, "each facet must be a non-empty list of vertices")
     for k, v in enumerate(obj):

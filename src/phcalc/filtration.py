@@ -6,7 +6,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import groupby
 
 from ._value import Value
-from .complexes import Simplex, SimplicialComplex, _boundary_bits, _missing_face, subsets
+from .complexes import (
+    Simplex, SimplicialComplex, _boundary_bits, _missing_face, _require_dim, subsets
+)
 
 TYPE_CHECKING = False  # no `typing` import at run time: type checkers read it as True
 if TYPE_CHECKING:
@@ -87,14 +89,10 @@ class Filtration:
     use and kept, which changes no value the filtration reports: the
     simplices of each dimension in (birth, vertices) order, in which
     every level is a prefix of K^m; per dimension d, the columns of
-    D_d(K^m) with rows and columns in that order, the list of
-    rank D_d(K^j) for every level j, which the rank grid fills, and the
-    pivots of D_d reduced, which `barcode` fills; per dimension n and
-    birth j that a point query asked, the rank_later row up to the
-    furthest death asked for j, as the births of the columns that raised
-    its rank: O(rank) integers per birth asked, and none for `check` or
-    `betti_table`, which keep no row; and each level asked for, through
-    the public constructor and its face-closure check.
+    D_d(K^m) with rows and columns in that order; and each level asked
+    for, through the public constructor and its face-closure check.
+    `persistence` keeps what it reads off those columns in ``_ranks``,
+    ``_later`` and ``_pivots``, described where it fills them.
     """
 
     def __init__(self, levels: Iterable[Iterable[Simplex]]):
@@ -186,8 +184,7 @@ class Filtration:
         """
         from .gf2 import Gf2Matrix
 
-        if n < 0:
-            raise ValueError(f"dimension must be >= 0, got {n}")
+        _require_dim(n)
         self.check_level_pair(j, p)
         domain = self[j].n_simplices(n)
         codomain = self[p].n_simplices(n)

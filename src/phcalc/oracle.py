@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from ._value import Value
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _require_dim
 from .filtration import Filtration
 from .gf2 import Gf2Matrix
 
@@ -149,8 +149,7 @@ def enumerate_image(d: Gf2Matrix) -> ChainSet:
 
 def oracle_betti(c: SimplicialComplex, n: int) -> int:
     """Betti number as log2 |Z_n| - log2 |B_n| over explicit sets."""
-    if n < 0:
-        raise ValueError(f"dimension must be >= 0, got {n}")
+    _require_dim(n)
     cycles = enumerate_kernel(c.boundary_matrix(n))
     boundaries = enumerate_image(c.boundary_matrix(n + 1))
     if not boundaries.is_subset_of(cycles):
@@ -168,8 +167,7 @@ def oracle_persistent_betti(f: Filtration, n: int, j: int, p: int) -> int:
     intersects the resulting set with the boundaries of K^p, and
     subtracts the log-dimensions.
     """
-    if n < 0:
-        raise ValueError(f"dimension must be >= 0, got {n}")
+    _require_dim(n)
     f.check_level_pair(j, p)
     cycles = enumerate_kernel(f[j].boundary_matrix(n))
     inclusion = f.inclusion_matrix(n, j, p)

@@ -45,6 +45,7 @@ from collections.abc import Container, Iterable, Iterator
 from itertools import combinations, compress
 
 from ._value import Value
+from .complexes import _require_dim
 from .filtration import Filtration
 
 INFINITE_DEATH = math.inf
@@ -96,11 +97,6 @@ class Barcode(Value):
         return sum(p.multiplicity for p in self.pairs if p.spans(k, l))
 
 
-def _require_dim(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"dimension must be >= 0, got {n}")
-
-
 def _insert(pivots: dict[int, int], col: int) -> bool:
     """Reduce a column against {last nonzero row: column}; keep it if nonzero, and say so."""
     while col:
@@ -110,19 +106,6 @@ def _insert(pivots: dict[int, int], col: int) -> bool:
             return True
         col ^= pivots[low]
     return False
-
-
-def _raises(
-    born: list[int], columns: list[int], start: int, end: int, shift: int = 0
-) -> list[int]:
-    """Sweep columns[start:end], less ``shift`` rows: the births of those that raise the rank.
-
-    The rank once every column born by a level is in is the count of
-    the births returned that are <= it.
-    """
-    pivots: dict[int, int] = {}
-    raises = [_insert(pivots, col >> shift) for col in columns[start:end]]
-    return list(compress(born[start:end], raises))
 
 
 def _counts(raised: list[int], levels: Iterable[int]) -> list[int]:
@@ -135,24 +118,28 @@ def _counts(raised: list[int], levels: Iterable[int]) -> list[int]:
     return counts
 
 
-def _level_ranks(f: Filtration, d: int) -> list[int]:
-    """rank D_d(K^j) for every level j: one sweep, kept on the filtration."""
-    if d not in f._ranks:
-        born, columns = f._birth_columns(d)
-        f._ranks[d] = _counts(_raises(born, columns, 0, len(born)), range(len(f)))
-    return f._ranks[d]
-
-
 def _later_raises(f: Filtration, n: int, j: int, p: int) -> list[int]:
     """The births of the D_{n+1} columns born in (j, p] that raise rank_later(j, .).
 
     rank_later(j, q) is the rank of D_{n+1}(K^q) on the rows of the
     n-simplices born after j; a column born <= j is 0 there.  For q <= p
-    it is the count of the births returned that are <= q.
+    it is the count of the births returned that are <= q.  At j = -1 no
+    row is born by j, so none is shifted off and D_n's births are not
+    read: rank_later(-1, q) is rank D_{n+1}(K^q).
     """
     born, columns = f._birth_columns(n + 1)
-    shift = bisect_right(f._birth_columns(n)[0], j)
-    return _raises(born, columns, bisect_right(born, j), bisect_right(born, p), shift)
+    start, end = bisect_right(born, j), bisect_right(born, p)
+    shift = bisect_right(f._birth_columns(n)[0], j) if j >= 0 else 0
+    pivots: dict[int, int] = {}
+    raises = [_insert(pivots, col >> shift) for col in columns[start:end]]
+    return list(compress(born[start:end], raises))
+
+
+def _level_ranks(f: Filtration, d: int) -> list[int]:
+    """rank D_d(K^j) for every level j: the row of birth -1, kept on the filtration."""
+    if d not in f._ranks:
+        f._ranks[d] = _counts(_later_raises(f, d - 1, -1, f.m), range(len(f)))
+    return f._ranks[d]
 
 
 def _betti_grid(
@@ -198,8 +185,10 @@ def _point_rows(
 ) -> dict[int, dict[int, int]]:
     """The rows of _betti_grid, once each birth keeps its rank_later up to the last death.
 
-    A birth whose kept row stops short sweeps (j, last death] again, as
-    on its first query, and keeps the longer row.
+    The filtration keeps, per (n, j) asked, (reach, _later_raises up to
+    reach): O(rank) integers per birth asked; `check` and `betti_table`
+    keep none.  A birth whose kept row stops short sweeps (j, last
+    death] again, as on its first query, and keeps the longer row.
     """
     p = deaths[-1]
     for j in births:
@@ -292,7 +281,7 @@ def _boundary_columns(
     return columns
 
 
-def _reduce(columns: list[int], cleared: Container[int] = ()) -> dict[int, int]:
+def _reduce(columns: list[int], cleared: Container[int]) -> dict[int, int]:
     """Reduce the columns left to right; return {pivot row: column}.
 
     A column's pivot is its lowest (highest-index) nonzero row.  Earlier

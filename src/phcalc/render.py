@@ -83,20 +83,17 @@ def _svg_panel(barcode: Barcode, last_level: int, x0: int) -> tuple[list[str], i
     for i, pair in enumerate(reversed(bars)):
         y = top + grid_h - (i + 0.5) * _ROW
         x_birth = left + (pair.birth + 0.5) * _CELL
+        end = last_level + 1 if pair.is_infinite else pair.death
+        x_end = left + (end + 0.5) * _CELL
+        parts.append(
+            f'<line x1="{x_birth:g}" y1="{y:g}" x2="{x_end:g}" y2="{y:g}" class="bar"/>'
+        )
         if pair.is_infinite:
-            x_end = left + (last_level + 1.5) * _CELL
-            parts.append(
-                f'<line x1="{x_birth:g}" y1="{y:g}" x2="{x_end:g}" y2="{y:g}" class="bar"/>'
-            )
             parts.append(
                 f'<path d="M {x_end:g} {y - 4:g} L {x_end + 7:g} {y:g} L {x_end:g} {y + 4:g} Z" '
                 f'class="head"/>'
             )
         else:
-            x_end = left + (pair.death + 0.5) * _CELL
-            parts.append(
-                f'<line x1="{x_birth:g}" y1="{y:g}" x2="{x_end:g}" y2="{y:g}" class="bar"/>'
-            )
             parts.append(f'<circle cx="{x_end:g}" cy="{y:g}" r="3.5" class="death"/>')
         parts.append(f'<circle cx="{x_birth:g}" cy="{y:g}" r="3.5" class="birth"/>')
     width = _MARGIN + grid_w + _CELL // 2

@@ -386,6 +386,24 @@ def test_check_inclusions_can_fail(filtration_file, capsys, monkeypatch):
     ]
 
 
+def test_check_inclusions_skip_a_column_with_no_faces(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "gen.json"
+    path.write_text(random_filtration_document(40, 8, seed=3).serialize())
+    zeroed = {}
+
+    def zero_an_edge(f):
+        born, columns = f._birth_columns(1)
+        columns[0] = 0  # the first-born edge, which has a coface
+        zeroed.update(birth=born[0], last=f._birth_columns(0)[0][-1])
+
+    code, out, records = _tampered_check(monkeypatch, capsys, str(path), zero_an_edge)
+    # a zero column read as its top row would name the last-born vertex, born later
+    assert zeroed["birth"] < zeroed["last"]
+    assert code == 3
+    assert "nilpotency: FAIL\ninclusions: ok\n" in out
+    assert {r["check"] for r in records} == {"nilpotency"}
+
+
 def test_betti_rejects_a_facet_too_big_to_close(tmp_path, capsys, monkeypatch):
     def no_closure(facets):
         raise AssertionError("the closure was built")
@@ -449,6 +467,17 @@ def test_usage_errors_exit_one(capsys):
 def test_missing_file_exits_one(capsys):
     assert main(["betti", "/nonexistent/path.txt", "-n", "0"]) == 1
     assert "path.txt" in capsys.readouterr().err
+
+
+def test_a_file_not_in_utf8_is_a_parse_error_at_its_path(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff 0 1\n")
+    for args in (["betti", str(path), "-n", "0"], ["barcode", str(path), "--all-dims"]):
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            f"phcalc: error: {path}: 'utf-8' codec can't decode byte 0xff"
+            " in position 0: invalid start byte\n"
+        )
 
 
 def test_parse_error_exits_one(tmp_path, capsys):

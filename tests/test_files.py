@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
+import sys
 
 import pytest
 
@@ -50,6 +52,28 @@ def test_parse_facets_reports_line():
         parse_facets("0 1\n1 2\n1 x\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_facets("0 1\n4 4\n")
+    big = " ".join(map(str, range(21)))  # closes to 2**21 - 1 simplices
+    for text, message in [
+        ("0 1\n4 4\n", "line 2: duplicate vertices in (4, 4)"),
+        ("0 1\n\n2 -1 # x\n", "line 3: vertex -1 is not a non-negative integer"),
+        (f"0 1\n{big}\n", "line 2: the facets so far may close to 2097154 simplices,"
+                          f" more than {MAX_CLOSURE_SIZE}"),
+    ]:
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_facets(text)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits"
+)
+def test_an_integer_too_long_to_read_is_a_parse_error_at_the_document():
+    digits = "1" * 5000
+    for parse, text in [
+        (parse_filtration, f'{{"levels": [[[0, {digits}]]]}}'),
+        (parse_barcodes, f'{{"barcodes": [{{"dimension": {digits}, "intervals": []}}]}}'),
+    ]:
+        with pytest.raises(ParseError, match=r"^document: Exceeds the limit \(\d+ digits\)"):
+            parse(text)
 
 
 def test_facets_round_trip():
