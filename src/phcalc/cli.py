@@ -82,8 +82,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _load_filtration(args: argparse.Namespace) -> Filtration:

@@ -70,10 +70,11 @@ def parse_facets(text: str) -> tuple[Simplex, ...]:
             continue
         try:
             vertices = [int(f) for f in line.split()]
-        except ValueError:
-            raise ParseError(
-                f"line {lineno}", f"vertices must be integers, got {line!r}"
-            ) from None
+        except ValueError as exc:
+            reason = str(exc)
+            if reason.startswith("invalid literal"):  # else past the digit limit
+                reason = f"vertices must be integers, got {line!r}"
+            raise ParseError(f"line {lineno}", reason) from None
         facets.append(_facet_at(vertices, f"line {lineno}", bound))
     return tuple(facets)
 

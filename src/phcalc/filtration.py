@@ -91,8 +91,8 @@ class Filtration:
     every level is a prefix of K^m; per dimension d, the columns of
     D_d(K^m) with rows and columns in that order; and each level asked
     for, through the public constructor and its face-closure check.
-    `persistence` keeps what it reads off those columns in ``_ranks``,
-    ``_later`` and ``_pivots``, described where it fills them.
+    `persistence` keeps what it reads off those columns in ``_later``,
+    the swept rank rows, and ``_pivots``, described where it fills them.
     """
 
     def __init__(self, levels: Iterable[Iterable[Simplex]]):
@@ -105,7 +105,6 @@ class Filtration:
         self._levels: list[SimplicialComplex | None] = [None] * len(level_facets)
         self._by_dim: list[list[tuple[tuple[int, ...], int]]] | None = None
         self._columns: dict[int, tuple[list[int], list[int]]] = {}
-        self._ranks: dict[int, list[int]] = {}
         self._later: dict[tuple[int, int], tuple[int, list[int]]] = {}
         self._pivots: dict[int, dict[int, int]] = {}
 

@@ -12,18 +12,19 @@ two n-simplex bases.  One helper evaluates the formula one birth row
 at a time, at the death levels asked for, and builds no level: the
 filtration keeps, per dimension, the boundary matrix of the last level
 K^m with rows and columns in birth order, of which every level's is a
-prefix.  So the rank of D_d at every level comes from one elimination,
-kept on the filtration for every later query, and the rank of the
-boundaries of K^p on the rows born after j (the lower-left submatrices
-of Edelsbrunner-Harer's pairing lemma) from one per birth row.
-`persistent_betti`, `betti_table`, `mu` and `mu_infinity` read rows of
-it.  The point queries keep each birth row they sweep, up to the
-furthest death asked for that birth, as the births of the columns that
-raised its rank, so a later query inside it sweeps nothing and reads
-the rank with one bisect; `betti_table` and `check_fundamental_lemma`
-stream their rows and keep none.  `persistent_betti_simplified` keeps
-the per-pair matrix form on the two levels: a kernel basis, the
-inclusion matrix, its product, `rank`.
+prefix.  Every rank it needs is read off one kind of swept row: the
+births of the columns that raise the rank of the boundaries on the
+rows born after j (the lower-left submatrices of Edelsbrunner-Harer's
+pairing lemma), swept from the first column born after j.  A rank is
+one bisect in a row.  The row of birth -1 is the rank of D_d at every
+level; it is swept once per dimension and kept on the filtration.
+`persistent_betti`, `betti_table`, `mu` and `mu_infinity` read the
+helper's rows.  The point queries also keep each birth row they sweep,
+up to the furthest death asked for that birth, so a later query inside
+it sweeps nothing; `betti_table` and `check_fundamental_lemma` keep no
+row of a birth >= 0, so their memory stays linear in m.
+`persistent_betti_simplified` keeps the per-pair matrix form on the
+two levels: a kernel basis, the inclusion matrix, its product, `rank`.
 Interval multiplicities are one finite difference of two adjacent rows
 (Zomorodian-Carlsson); `check_fundamental_lemma` holds two at a time.
 
@@ -108,42 +109,35 @@ def _insert(pivots: dict[int, int], col: int) -> bool:
     return False
 
 
-def _counts(raised: list[int], levels: Iterable[int]) -> list[int]:
-    """How many of ``raised`` are <= each of ``levels``, both ascending: one walk."""
-    counts, i, end = [], 0, len(raised)
-    for level in levels:
-        while i < end and raised[i] <= level:
-            i += 1
-        counts.append(i)
-    return counts
-
-
-def _later_raises(f: Filtration, n: int, j: int, p: int) -> list[int]:
-    """The births of the D_{n+1} columns born in (j, p] that raise rank_later(j, .).
+def _later_raises(f: Filtration, n: int, j: int, p: int, keep: bool = False) -> list[int]:
+    """The births of the D_{n+1} columns born after j that raise rank_later(j, .).
 
     rank_later(j, q) is the rank of D_{n+1}(K^q) on the rows of the
     n-simplices born after j; a column born <= j is 0 there.  For q <= p
     it is the count of the births returned that are <= q.  At j = -1 no
     row is born by j, so none is shifted off and D_n's births are not
-    read: rank_later(-1, q) is rank D_{n+1}(K^q).
+    read: rank_later(-1, q) is rank D_{n+1}(K^q).  The filtration keeps
+    rows as {(n, j): (reach, the births up to reach)}, O(rank) integers
+    each.  A kept row that reaches p is read, not swept; otherwise the
+    columns born in (j, p] are swept, and their row is kept if ``keep``
+    is true or j is -1, whose row is rank D_{n+1} at every level.
     """
+    reach, raised = f._later.get((n, j), (-1, None))
+    if reach >= p:
+        return raised
     born, columns = f._birth_columns(n + 1)
     start, end = bisect_right(born, j), bisect_right(born, p)
     shift = bisect_right(f._birth_columns(n)[0], j) if j >= 0 else 0
     pivots: dict[int, int] = {}
     raises = [_insert(pivots, col >> shift) for col in columns[start:end]]
-    return list(compress(born[start:end], raises))
-
-
-def _level_ranks(f: Filtration, d: int) -> list[int]:
-    """rank D_d(K^j) for every level j: the row of birth -1, kept on the filtration."""
-    if d not in f._ranks:
-        f._ranks[d] = _counts(_later_raises(f, d - 1, -1, f.m), range(len(f)))
-    return f._ranks[d]
+    raised = list(compress(born[start:end], raises))
+    if keep or j < 0:
+        f._later[(n, j)] = (p, raised)
+    return raised
 
 
 def _betti_grid(
-    f: Filtration, n: int, births: Iterable[int], deaths: Iterable[int]
+    f: Filtration, n: int, births: Iterable[int], deaths: Iterable[int], keep: bool = False
 ) -> Iterator[tuple[int, dict[int, int]]]:
     """persistent_betti by birth row: (j, {p: beta(j, p) for p >= j}), j ascending.
 
@@ -159,42 +153,23 @@ def _betti_grid(
     first column born after j, as every earlier one is 0 on those rows.
     The cycles of K^j stacked with the boundaries of K^p have rank z +
     rank_later, so this is the paper's z - (rank_g + z - rank_stacked).
-    rank D_n and rank_g at every level are the filtration's kept ranks
-    of D_n and D_{n+1}.  rank_later is one bisect per death in a row the
-    point queries kept that reaches the last death asked, and otherwise
-    one elimination per birth row, kept nowhere; births off the grid,
-    as -1, are skipped.
+    rank D_n and rank_g are the rows of birth -1 of dimensions n - 1
+    and n, kept once swept.  Every rank is one bisect in a row of
+    raises, rank_g's once per death asked.  Each birth row reaches the
+    last death asked, and is kept when ``keep`` is true; births off the
+    grid, as -1, are skipped.
     """
     deaths = sorted(set(deaths))
-    births = sorted({j for j in births if 0 <= j <= deaths[-1]})
     cells = f._birth_columns(n)[0]
-    rank_n, rank_g = _level_ranks(f, n), _level_ranks(f, n + 1)
-    for j in births:
-        z = bisect_right(cells, j) - rank_n[j]
+    raised_n, raised_g = _later_raises(f, n - 1, -1, f.m), _later_raises(f, n, -1, f.m)
+    rank_g = {p: bisect_right(raised_g, p) for p in deaths}
+    for j in sorted(set(births)):
+        if not 0 <= j <= deaths[-1]:
+            continue
+        z = bisect_right(cells, j) - bisect_right(raised_n, j)
         later = deaths[bisect_left(deaths, j) :]
-        reach, raised = f._later.get((n, j), (-1, None))
-        if reach >= later[-1]:
-            rank_later = [bisect_right(raised, p) for p in later]
-        else:
-            rank_later = _counts(_later_raises(f, n, j, later[-1]), later)
-        yield j, {p: z - (rank_g[p] - r) for p, r in zip(later, rank_later)}
-
-
-def _point_rows(
-    f: Filtration, n: int, births: tuple[int, ...], deaths: tuple[int, ...]
-) -> dict[int, dict[int, int]]:
-    """The rows of _betti_grid, once each birth keeps its rank_later up to the last death.
-
-    The filtration keeps, per (n, j) asked, (reach, _later_raises up to
-    reach): O(rank) integers per birth asked; `check` and `betti_table`
-    keep none.  A birth whose kept row stops short sweeps (j, last
-    death] again, as on its first query, and keeps the longer row.
-    """
-    p = deaths[-1]
-    for j in births:
-        if j >= 0 and f._later.get((n, j), (-1,))[0] < p:
-            f._later[(n, j)] = (p, _later_raises(f, n, j, p))
-    return dict(_betti_grid(f, n, births, deaths))
+        raised = _later_raises(f, n, j, later[-1], keep)
+        yield j, {p: z - rank_g[p] + bisect_right(raised, p) for p in later}
 
 
 def _multiplicity(before: dict[int, int], row: dict[int, int], p: int) -> int:
@@ -211,7 +186,7 @@ def persistent_betti(f: Filtration, n: int, j: int, p: int) -> int:
     """Number of degree-n classes of K^j still alive at K^p."""
     _require_dim(n)
     f.check_level_pair(j, p)
-    return _point_rows(f, n, (j,), (p,))[j][p]
+    return dict(_betti_grid(f, n, (j,), (p,), keep=True))[j][p]
 
 
 def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
@@ -248,7 +223,7 @@ def mu(f: Filtration, n: int, j: int, p: int) -> int:
     _require_dim(n)
     if not 0 <= j < p <= f.m:
         raise ValueError(f"need 0 <= j < p <= {f.m}, got j={j}, p={p}")
-    rows = _point_rows(f, n, (j - 1, j), (p - 1, p))
+    rows = dict(_betti_grid(f, n, (j - 1, j), (p - 1, p), keep=True))
     return _multiplicity(rows.get(j - 1, {}), rows[j], p)
 
 
@@ -261,7 +236,7 @@ def mu_infinity(f: Filtration, n: int, j: int) -> int:
     _require_dim(n)
     if not 0 <= j <= f.m:
         raise ValueError(f"need 0 <= j <= {f.m}, got j={j}")
-    rows = _point_rows(f, n, (j - 1, j), (f.m,))
+    rows = dict(_betti_grid(f, n, (j - 1, j), (f.m,), keep=True))
     return _multiplicity(rows.get(j - 1, {}), rows[j], f.m + 1)
 
 

@@ -142,18 +142,16 @@ def test_check_fails_on_a_wrong_rank_grid(filtration_file, capsys, monkeypatch):
 
 
 def test_check_fails_on_a_wrong_kept_rank(filtration_file, capsys, monkeypatch):
-    # rank D_1(K^3) one too high, as if the kept list held it: dimension 1
-    # counts a cycle too few there, and dimension 0 a boundary too many
-    original = persistence._level_ranks
+    # rank D_1(K^3) one too high, as if the kept row of birth -1 raised it
+    # at level 3, not 4: dimension 1 counts a cycle too few there, and
+    # dimension 0 a boundary too many
+    def raise_early(f):
+        assert persistence._later_raises(f, 0, -1, f.m) == [1, 1, 3, 3, 4]
+        f._later[(0, -1)] = (f.m, [1, 1, 3, 3, 3])
 
-    def perturbed(f, d):
-        return [r + (d == 1 and j == 3) for j, r in enumerate(original(f, d))]
-
-    monkeypatch.setattr(persistence, "_level_ranks", perturbed)
-    assert main(["check", filtration_file]) == 3
-    out = capsys.readouterr().out
+    code, out, payload = _tampered_check(monkeypatch, capsys, filtration_file, raise_early)
+    assert code == 3
     assert "fundamental-lemma: FAIL" in out
-    payload = json.loads(out[out.index("[") :])
     assert {v["check"] for v in payload} == {"fundamental-lemma"}
     assert {v["dim"] for v in payload} == {0, 1}
     assert {"check": "fundamental-lemma", "dim": 1, "kind": "barcode-span",
@@ -329,7 +327,7 @@ def test_perturbed_rank_rows_reach_check_after_point_queries(
     perturb_rank_rows(monkeypatch, {(3, 4): 1}, dim=1)
     code, out, payload = _tampered_check(monkeypatch, capsys, filtration_file, ask_first)
     assert code == 3 and "fundamental-lemma: FAIL" in out
-    assert asked[0]._later.keys() == {(1, j) for j in range(6)}
+    assert {(n, j) for n, j in asked[0]._later if j >= 0} == {(1, j) for j in range(6)}
     assert {"check": "fundamental-lemma", "dim": 1, "kind": "barcode-span",
             "k": 3, "l": 4, "detail": "expected 3, got 2"} in payload
     f = parse_filtration(open(filtration_file).read()).to_filtration()
@@ -419,6 +417,54 @@ def test_check_oracle_skips_when_too_large(filtration_file, capsys, monkeypatch)
     monkeypatch.setattr("phcalc.oracle.ENUMERATION_LIMIT_BITS", 2)
     assert main(["check", filtration_file, "--oracle"]) == 0
     assert "oracle: skipped (enumeration bound)" in capsys.readouterr().out
+
+
+def _oracle_violations(path, capsys) -> list[dict]:
+    """Run check --oracle on path, which must fail in the oracle section only."""
+    assert main(["check", path, "--oracle"]) == 3
+    out = capsys.readouterr().out
+    for line in ("nilpotency: ok", "inclusions: ok", "fundamental-lemma: ok",
+                 "oracle: FAIL"):
+        assert line in out
+    return json.loads(out[out.index("["):])
+
+
+def test_check_oracle_fails_on_a_wrong_persistent_betti(
+    filtration_file, capsys, monkeypatch
+):
+    def wrong(f, n, j, p):
+        return persistent_betti(f, n, j, p) + ((n, j, p) == (1, 2, 4))
+
+    monkeypatch.setattr(cli, "persistent_betti", wrong)
+    assert _oracle_violations(filtration_file, capsys) == [
+        {"check": "oracle-pbetti", "dim": 1, "j": 2, "p": 4,
+         "detail": "rank method 2, oracle 1"}
+    ]
+
+
+def test_check_oracle_fails_on_a_wrong_betti_number(
+    filtration_file, diabolo_filtration, capsys, monkeypatch
+):
+    original, level = SimplicialComplex.betti, diabolo_filtration[3]
+
+    def wrong(self, n):
+        return original(self, n) + (n == 1 and self == level)
+
+    monkeypatch.setattr(SimplicialComplex, "betti", wrong)
+    assert _oracle_violations(filtration_file, capsys) == [
+        {"check": "oracle-betti", "level": 3, "dim": 1,
+         "detail": "rank method 3, oracle 2"}
+    ]
+
+
+def test_an_unwritable_output_is_an_error_at_its_path(filtration_file, tmp_path, capsys):
+    path = str(tmp_path / "missing" / "out")
+    for argv in (["barcode", filtration_file, "-n", "0", "-o", path],
+                 ["gen", "-t", "4", "-l", "2", "-o", path]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"phcalc: error: {path}: No such file or directory\n"
 
 
 def test_gen_writes_deterministic_file(tmp_path, capsys):

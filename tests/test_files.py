@@ -76,6 +76,20 @@ def test_an_integer_too_long_to_read_is_a_parse_error_at_the_document():
             parse(text)
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits"
+)
+def test_a_facet_integer_too_long_to_read_is_a_parse_error_at_its_line():
+    # the interpreter's reason, with no digit echoed; other lines as before
+    too_long = r"^line 2: Exceeds the limit \(\d+ digits\)"
+    with pytest.raises(ParseError, match=too_long) as info:
+        parse_facets("0 1\n0 " + "1" * 5000 + "\n")
+    assert "11111" not in str(info.value)
+    not_integers = r"^line 2: vertices must be integers, got '0 x'$"
+    with pytest.raises(ParseError, match=not_integers):
+        parse_facets("0 1\n0 x\n")
+
+
 def test_facets_round_trip():
     facets = (Simplex((0, 1, 2)), Simplex((2, 3)), Simplex((7,)))
     assert parse_facets(serialize_facets(facets)) == facets

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter
 from itertools import combinations
 
@@ -337,18 +338,40 @@ def test_warm_point_queries_sweep_only_the_columns_born_between_birth_and_death(
     assert swept["first"] > 0 and swept["past"] > 0
 
 
+def test_point_queries_after_check_sweep_only_the_columns_born_between_birth_and_death(
+    monkeypatch,
+):
+    # check keeps the rows of birth -1, the ranks of every D_d, so a
+    # round of point queries after it sweeps, per birth j and death p,
+    # only the columns born in (j, p], and no D_d in full again
+    f = random_filtration_document(40, 6, seed=3).to_filtration()
+    assert all(check_fundamental_lemma(f, n).ok for n in range(3))
+    inserted = count_inserts(monkeypatch)
+    for n in range(3):
+        bounds = f._birth_columns(n + 1)[0]
+        for j in range(f.m + 1):
+            inserted.clear()
+            persistent_betti(f, n, j, f.m)
+            assert len(inserted) == sum(born > j for born in bounds), (n, j)
+
+
 def test_check_and_betti_table_keep_no_rank_later_row():
     # they stream one row per birth and keep none, so their memory stays
     # linear in m; a point query keeps the rows of the births it asks
+    # (the rows of birth -1 are the ranks of each D_d, kept by every caller)
     f = random_filtration_document(60, 12, seed=7).to_filtration()
+
+    def kept():
+        return {(n, j): row for (n, j), row in f._later.items() if j >= 0}
+
     tables = [betti_table(f, n) for n in range(3)]
     assert all(check_fundamental_lemma(f, n).ok for n in range(3))
-    assert f._later == {}
+    assert kept() == {}
     assert mu(f, 1, 3, 7) == tables[1][(3, 6)] - tables[1][(3, 7)] - (
         tables[1][(2, 6)] - tables[1][(2, 7)]
     )
-    assert f._later.keys() == {(1, 2), (1, 3)}
-    assert {reach for reach, _ in f._later.values()} == {7}
+    assert kept().keys() == {(1, 2), (1, 3)}
+    assert {reach for reach, _ in kept().values()} == {7}
 
 
 def _two_spheres(rng: random.Random) -> Filtration:
@@ -415,7 +438,8 @@ def test_kept_ranks_match_each_levels_boundary_matrix():
         f = random_filtration(rng, vertices=7, count=6, levels=4, max_size=4)
         tops.add(f.dim)
         for d in range(f.dim + 2):
-            assert persistence._level_ranks(f, d) == [
+            raised = persistence._later_raises(f, d - 1, -1, f.m)
+            assert [bisect_right(raised, j) for j in range(len(f))] == [
                 level.boundary_matrix(d).rank() for level in f
             ]
     assert 3 in tops
