@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from itertools import chain, compress, count, repeat
+from operator import is_
 
 from ._value import Value
 from .complexes import Simplex
@@ -44,7 +47,15 @@ class _ClosureBound:
         self.total = 0
         self.parsed: dict[tuple[int, ...], Simplex] = {}
 
-    def admit(self, facet: Simplex, where: str) -> Simplex:
+    def facet(self, raw: tuple[int, ...], where: str) -> Simplex:
+        """The facet ``raw`` names; built, checked and bounded the first time it is read."""
+        facet = self.parsed.get(raw)
+        if facet is not None:
+            return facet
+        try:
+            facet = Simplex(raw)
+        except ValueError as exc:
+            raise ParseError(where, str(exc)) from None
         if facet.vertices not in self.seen:
             self.seen.add(facet.vertices)
             self.total += (1 << len(facet)) - 1
@@ -53,7 +64,13 @@ class _ClosureBound:
                     where, f"the facets so far may close to {self.total} simplices,"
                     f" more than {MAX_CLOSURE_SIZE}"
                 )
+        self.parsed[raw] = facet
         return facet
+
+
+# A vertex of a facet line: ASCII digits after an optional `-`, as in JSON;
+# `int()` would also take `+1`, `1_0` and non-ASCII digits
+_VERTEX = re.compile(r"-?[0-9]+")
 
 
 def parse_facets(text: str) -> tuple[Simplex, ...]:
@@ -68,13 +85,13 @@ def parse_facets(text: str) -> tuple[Simplex, ...]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        tokens = line.split()
+        if not all(map(_VERTEX.fullmatch, tokens)):
+            raise ParseError(f"line {lineno}", f"vertices must be integers, got {line!r}")
         try:
-            vertices = [int(f) for f in line.split()]
-        except ValueError as exc:
-            reason = str(exc)
-            if reason.startswith("invalid literal"):  # else past the digit limit
-                reason = f"vertices must be integers, got {line!r}"
-            raise ParseError(f"line {lineno}", reason) from None
+            vertices = [int(f) for f in tokens]
+        except ValueError as exc:  # past the interpreter's digit limit
+            raise ParseError(f"line {lineno}", str(exc)) from None
         facets.append(_facet_at(vertices, f"line {lineno}", bound))
     return tuple(facets)
 
@@ -102,15 +119,28 @@ def _facet_at(obj: object, where: str, bound: _ClosureBound) -> Simplex:
         if isinstance(v, bool) or not isinstance(v, int):
             raise ParseError(f"{where}[{k}]", f"vertex must be an integer, got {v!r}")
     # keyed only after the type check: True == 1 would alias the two
-    raw = tuple(obj)
-    facet = bound.parsed.get(raw)
-    if facet is None:
-        try:
-            facet = Simplex(raw)
-        except ValueError as exc:
-            raise ParseError(where, str(exc)) from None
-        facet = bound.parsed[raw] = bound.admit(facet, where)
-    return facet
+    return bound.facet(tuple(obj), where)
+
+
+def _plain(raw_level: list) -> bool:
+    """Whether every facet of a level is a non-empty list of ints, in C-level passes.
+
+    Exact types only, so `true` never passes as 1.  A level that fails
+    is read entry by entry, which locates the first bad one.
+    """
+    return (
+        set(map(type, raw_level)) <= {list}
+        and all(raw_level)
+        and set(map(type, chain.from_iterable(raw_level))) <= {int}
+    )
+
+
+def _plain_facets(raw_level: list, j: int, bound: _ClosureBound) -> tuple[Simplex, ...]:
+    """The facets of a plain level; only raw tuples not read before are built, in order."""
+    facets = list(map(bound.parsed.get, map(tuple, raw_level)))
+    for k in compress(count(), map(is_, facets, repeat(None))):  # the entries not read before
+        facets[k] = bound.facet(tuple(raw_level[k]), f"levels[{j}][{k}]")
+    return tuple(facets)
 
 
 class FiltrationDocument(Value):
@@ -162,9 +192,12 @@ def parse_filtration(text: str, incremental: bool = False) -> FiltrationDocument
     for j, raw_level in enumerate(raw_levels):
         if not isinstance(raw_level, list):
             raise ParseError(f"levels[{j}]", "each level must be a list of facets")
-        parsed = tuple(
-            _facet_at(raw, f"levels[{j}][{k}]", bound) for k, raw in enumerate(raw_level)
-        )
+        if _plain(raw_level):
+            parsed = _plain_facets(raw_level, j, bound)
+        else:
+            parsed = tuple(
+                _facet_at(raw, f"levels[{j}][{k}]", bound) for k, raw in enumerate(raw_level)
+            )
         if incremental and levels:
             parsed = levels[-1] + parsed
         levels.append(parsed)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import groupby
+from operator import attrgetter
 
 from ._value import Value
 from .complexes import (
@@ -13,6 +14,8 @@ from .complexes import (
 TYPE_CHECKING = False  # no `typing` import at run time: type checkers read it as True
 if TYPE_CHECKING:
     from .gf2 import Gf2Matrix
+
+_vertices = attrgetter("vertices")
 
 
 class FiltrationViolation(Value):
@@ -52,28 +55,29 @@ def validate(levels: Sequence[SimplicialComplex]) -> FiltrationViolation | None:
         missing = _missing_face(level.simplices)
         if missing is not None:
             return FiltrationViolation("not-a-complex", j, missing)
-    return _sweep(level.simplices for level in levels)[1]
+    return _sweep(map(_vertices, level.simplices) for level in levels)[1]
 
 
 def _sweep(
-    level_facets: Iterable[Iterable[Simplex]],
+    level_facets: Iterable[Iterable[tuple[int, ...]]],
 ) -> tuple[dict[tuple[int, ...], int], FiltrationViolation | None]:
     """The birth of each simplex of the levels' closures, or the first violation.
 
-    A new facet of level j gives birth j to its faces not yet in the
+    Levels are given as canonical vertex tuples.  A facet of level j
+    that level j - 1 lacks gives birth j to its faces not yet in the
     table.  Level j's closure is built only if it lacks a facet of level
     j - 1; the witness is then the least simplex of the table outside it.
     """
     births: dict[tuple[int, ...], int] = {}
     previous: set[tuple[int, ...]] = set()
     for j, level in enumerate(level_facets):
-        facets = {s.vertices for s in level}
+        facets = set(level)
         if not previous <= facets:
             closure = {verts for facet in facets for verts in subsets(facet)}
             dropped = births.keys() - closure
             if dropped:
                 return births, FiltrationViolation("not-nested", j, Simplex(min(dropped)))
-        for facet in facets:
+        for facet in facets - previous:
             if facet not in births:
                 for verts in subsets(facet):
                     births.setdefault(verts, j)
@@ -99,7 +103,7 @@ class Filtration:
         level_facets = list(levels)
         if not level_facets:
             raise ValueError("a filtration needs at least one level")
-        self._births, violation = _sweep(level_facets)
+        self._births, violation = _sweep(map(_vertices, level) for level in level_facets)
         if violation is not None:
             raise FiltrationError(violation)
         self._levels: list[SimplicialComplex | None] = [None] * len(level_facets)

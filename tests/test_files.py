@@ -9,6 +9,8 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phcalc import (
     Barcode,
@@ -90,6 +92,17 @@ def test_a_facet_integer_too_long_to_read_is_a_parse_error_at_its_line():
         parse_facets("0 1\n0 x\n")
 
 
+@pytest.mark.parametrize(
+    "line", ["0 1_0", "+1 2", "1 \uff15", "0 " + "1" * 5000 + "x"],
+    ids=["underscore", "plus", "fullwidth-digit", "digits-then-x"],
+)
+def test_a_facet_vertex_is_an_ascii_integer(line):
+    # as in JSON: no `+`, no `_` and no non-ASCII digit, which `int()` would take
+    message = f"line 2: vertices must be integers, got {line!r}"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_facets(f"0 1\n{line}\n")
+
+
 def test_facets_round_trip():
     facets = (Simplex((0, 1, 2)), Simplex((2, 3)), Simplex((7,)))
     assert parse_facets(serialize_facets(facets)) == facets
@@ -156,6 +169,58 @@ def test_parse_filtration_builds_each_facet_once(monkeypatch):
     # every occurrence is still type-checked: true must not pass as 1
     with pytest.raises(ParseError, match=r"^levels\[1\]\[1\]\[0\]: "):
         parse_filtration('{"levels": [[[1, 2]], [[1, 2], [true, 2]]]}')
+
+
+def _over_the_bound_in_a_plain_level():
+    # 3 + 2 * (2**19 - 1) simplices: the second 19-vertex facet crosses the bound
+    return [[[0, 1]], [[0, 1], list(range(2, 21)), [1, 0], list(range(21, 40)), [5, 6]]]
+
+
+@pytest.mark.parametrize("levels, expected", [
+    ([[[1, 2]], [[1, 2], [True, 2]]], "levels[1][1][0]: vertex must be an integer, got True"),
+    ([[[1, 2]], [[1, 2], [1.0, 2]]], "levels[1][1][0]: vertex must be an integer, got 1.0"),
+    ([[[1, 2]], [[1, 2], ["1", 2]]], "levels[1][1][0]: vertex must be an integer, got '1'"),
+    ([[[1, 2]], [[1, 2], []]], "levels[1][1]: each facet must be a non-empty list of vertices"),
+    ([[[1, 2]], [[1, 2], {}]], "levels[1][1]: each facet must be a non-empty list of vertices"),
+    ([[[1, 2]], [[1, 2], "1 2"]], "levels[1][1]: each facet must be a non-empty list of vertices"),
+    ([[[1, 2]], {"0": [1, 2]}], "levels[1]: each level must be a list of facets"),
+    ([[[1, 2]], [[1, 2], [2, 1, 2]]], "levels[1][1]: duplicate vertices in (1, 2, 2)"),
+    (_over_the_bound_in_a_plain_level(),
+     f"levels[1][3]: the facets so far may close to 1048577 simplices, more than {MAX_CLOSURE_SIZE}"),
+    ([[[0, 1]], [[0, 1], [1, 2], [1, 2]]], {
+        "levels": [[(0, 1)], [(0, 1), (1, 2), (1, 2)]],
+        "objects": [[0], [0, 1, 1]],
+        "births": {(0,): 0, (1,): 0, (0, 1): 0, (2,): 1, (1, 2): 1},
+    }),
+    ([[[0, 1, 2]], [[2, 0, 1], [0, 1, 2], [3]]], {
+        "levels": [[(0, 1, 2)], [(0, 1, 2), (0, 1, 2), (3,)]],
+        "objects": [[0], [1, 0, 2]],
+        "births": {
+            (0,): 0, (1,): 0, (2,): 0, (0, 1): 0, (0, 2): 0, (1, 2): 0, (0, 1, 2): 0,
+            (3,): 1,
+        },
+    }),
+], ids=[
+    "true", "float", "string-vertex", "empty-facet", "object-facet", "string-facet",
+    "object-level", "duplicate-vertex", "closure-bound", "same-facet-twice", "permuted-facet",
+])
+def test_a_level_is_checked_in_bulk_and_read_as_entry_by_entry(levels, expected):
+    """The second level relists a facet of the first; a bad entry is located as before."""
+    text = json.dumps({"levels": levels})
+    if isinstance(expected, str):
+        for incremental in (False, True):
+            with pytest.raises(ParseError) as info:
+                parse_filtration(text, incremental=incremental)
+            assert str(info.value) == expected
+        return
+    doc = parse_filtration(text)
+    assert [[f.vertices for f in level] for level in doc.levels] == expected["levels"]
+    objects: dict[int, int] = {}  # each distinct Simplex object, numbered as first met
+    assert [
+        [objects.setdefault(id(f), len(objects)) for f in level] for level in doc.levels
+    ] == expected["objects"]
+    f = doc.to_filtration()
+    assert {v: birth for n in range(f.dim + 1) for v, birth in f.births(n)} == expected["births"]
 
 
 def test_parse_filtration_validates_nesting():
@@ -257,3 +322,43 @@ def test_parse_filtration_bounds_the_closure(monkeypatch):
     for incremental in (False, True):
         with pytest.raises(ParseError, match=r"^levels\[1\]\[1\]: "):
             parse_filtration(text, incremental=incremental)
+
+
+# What a filtration file's "levels" may hold: in half the documents nested
+# lists of ints, half of them listed cumulatively; in the other half also
+# bools, floats, strings and empty lists anywhere.
+@st.composite
+def _raw_levels(draw):
+    if draw(st.booleans()):
+        junk = st.booleans() | st.floats(allow_nan=False, allow_infinity=False)
+        junk = junk | st.text(max_size=2) | st.just([])
+        facet = st.lists(st.integers(-1, 5) | junk, max_size=3) | junk
+        return draw(st.lists(st.lists(facet, max_size=4) | junk, max_size=4))
+    facet = st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True)
+    levels = draw(st.lists(st.lists(facet, max_size=3), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        levels = [sum(levels[: j + 1], []) for j in range(len(levels))]
+    return levels
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_raw_levels(), st.booleans())
+def test_parse_filtration_of_any_nested_lists_parses_or_raises(levels, incremental):
+    try:
+        doc = parse_filtration(json.dumps({"levels": levels}), incremental=incremental)
+    except (ParseError, FiltrationError):
+        return
+    if incremental:
+        levels = [sum(levels[: j + 1], []) for j in range(len(levels))]
+    built = [[Simplex(tuple(f)) for f in level] for level in levels]
+    assert doc.levels == tuple(map(tuple, built))
+    assert doc.to_filtration() == Filtration.from_level_facets(built)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.text(max_size=40) | st.text("0123456789 -+_#x\n\uff15", max_size=40))
+def test_parse_facets_of_any_text_parses_or_raises_at_a_line(text):
+    try:
+        parse_facets(text)
+    except ParseError as exc:
+        assert re.match(r"line \d+$", exc.location)
