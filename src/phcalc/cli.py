@@ -116,14 +116,15 @@ def cmd_mu(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _top_down(run, f: Filtration, dims) -> list:
+    """[run(f, n) for n in dims], run top down: each reduction is cleared by the one above."""
+    return [run(f, n) for n in reversed(dims)][::-1]
+
+
 def cmd_barcode(args: argparse.Namespace) -> int:
     f = _load_filtration(args)
-    if args.all_dims:
-        dims = list(range(max(f.dim, 0) + 1))
-    else:
-        dims = [args.dim]
-    # top down, so that each dimension's reduction is cleared by the one above it
-    codes = [barcode(f, n) for n in reversed(dims)][::-1]
+    dims = range(max(f.dim, 0) + 1) if args.all_dims else [args.dim]
+    codes = _top_down(barcode, f, dims)
     if args.format == "text":
         from .render import ascii_bars
 
@@ -138,14 +139,17 @@ def cmd_barcode(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_nilpotency(
-    bounds: list[tuple[list[int], list[int]]], levels: int, violations: list[dict]
-) -> None:
+# A `check` section maps (f, max_dim) to its violations, or to None if skipped.
+# Sections read D_0..D_{max_dim+1} of K^m in birth order, kept on f and built
+# once; each level's are a prefix of them.
+
+
+def _check_nilpotency(f: Filtration, max_dim: int) -> list[dict]:
     """D_n D_{n+1} is a prefix of K^m's: nonzero from the first bad column's birth."""
     first: dict[int, int] = {}
-    for n in range(len(bounds) - 1):
-        faces = bounds[n][1]
-        for birth, col in zip(*bounds[n + 1]):
+    for n in range(max_dim + 1):
+        faces = f._birth_columns(n)[1]
+        for birth, col in zip(*f._birth_columns(n + 1)):
             product = 0
             while col:
                 low = col & -col
@@ -154,22 +158,19 @@ def _check_nilpotency(
             if product:
                 first[n] = birth
                 break
-    for j in range(levels):
-        for n, birth in first.items():
-            if j >= birth:
-                violations.append(
-                    {"check": "nilpotency", "level": j, "dim": n,
-                     "detail": "boundary of boundary is nonzero"}
-                )
+    return [
+        {"check": "nilpotency", "level": j, "dim": n,
+         "detail": "boundary of boundary is nonzero"}
+        for j in range(len(f)) for n, birth in first.items() if j >= birth
+    ]
 
 
-def _check_inclusions(
-    f: Filtration, bounds: list[tuple[list[int], list[int]]], violations: list[dict]
-) -> None:
+def _check_inclusions(f: Filtration, max_dim: int) -> list[dict]:
     """K^j in K^{j+1} is a chain map iff no column's last-born face (top row) is later."""
-    for n in range(1, len(bounds) - 1):
+    violations = []
+    for n in range(1, max_dim + 1):
         faces = f.births(n - 1)
-        for (verts, birth), col in zip(f.births(n), bounds[n][1]):
+        for (verts, birth), col in zip(f.births(n), f._birth_columns(n)[1]):
             if not col:  # no face, so none born later; nilpotency judges it
                 continue
             face, born = faces[col.bit_length() - 1]
@@ -179,27 +180,27 @@ def _check_inclusions(
                      "detail": f"face {Simplex(face)} of {Simplex(verts)} is born "
                                f"at {born}, after it at {birth}"}
                 )
+    return violations
 
 
-def _check_lemma(f: Filtration, max_dim: int, violations: list[dict]) -> None:
-    # top down, so that each dimension's reduction is cleared by the one above it
-    reports = [check_fundamental_lemma(f, n) for n in reversed(range(max_dim + 1))]
-    for n, report in enumerate(reversed(reports)):
-        for v in report.violations:
-            violations.append(
-                {"check": "fundamental-lemma", "dim": n, "kind": v.kind,
-                 "k": v.k, "l": v.l,
-                 "detail": f"expected {v.expected}, got {v.actual}"}
-            )
+def _check_lemma(f: Filtration, max_dim: int) -> list[dict]:
+    reports = _top_down(check_fundamental_lemma, f, range(max_dim + 1))
+    return [
+        {"check": "fundamental-lemma", "dim": n, "kind": v.kind, "k": v.k, "l": v.l,
+         "detail": f"expected {v.expected}, got {v.actual}"}
+        for n, report in enumerate(reports) for v in report.violations
+    ]
 
 
-def _check_oracle(f: Filtration, max_dim: int, violations: list[dict]) -> bool:
+def _check_oracle(f: Filtration, max_dim: int) -> list[dict] | None:
     """Differential test against the brute-force oracle.
 
-    Returns False if the enumeration bound was hit (checks skipped).
+    Past the enumeration bound the section stops: it fails if it found a
+    violation before, and is skipped (None) otherwise.
     """
     from .oracle import EnumerationLimitError, oracle_betti, oracle_persistent_betti
 
+    violations = []
     try:
         for j in range(len(f)):
             for n in range(max_dim + 1):
@@ -221,31 +222,26 @@ def _check_oracle(f: Filtration, max_dim: int, violations: list[dict]) -> bool:
                              "detail": f"rank method {fast}, oracle {slow}"}
                         )
     except EnumerationLimitError:
-        return False
-    return True
+        return violations or None
+    return violations
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     f = _load_filtration(args)
     top = max(f.dim, 0)  # every check above the top dimension is empty
     max_dim = top if args.max_dim is None else min(args.max_dim, top)
-    violations: list[dict] = []
-    # D_0..D_{max_dim+1} of K^m in birth order, built once; every level's are a prefix
-    bounds = [f._birth_columns(n) for n in range(max_dim + 2)]
-
-    checks = [
-        ("nilpotency", lambda: _check_nilpotency(bounds, len(f), violations)),
-        ("inclusions", lambda: _check_inclusions(f, bounds, violations)),
-        ("fundamental-lemma", lambda: _check_lemma(f, max_dim, violations)),
-    ]
+    sections = [("nilpotency", _check_nilpotency), ("inclusions", _check_inclusions),
+                ("fundamental-lemma", _check_lemma)]
     if args.oracle:
-        checks.append(("oracle", lambda: _check_oracle(f, max_dim, violations)))
-    for name, run in checks:
-        before = len(violations)
-        if run() is False:  # the oracle hit its enumeration bound
+        sections.append(("oracle", _check_oracle))
+    violations = []
+    for name, section in sections:
+        found = section(f, max_dim)
+        if found is None:
             print(f"{name}: skipped (enumeration bound)")
         else:
-            print(f"{name}: {'ok' if len(violations) == before else 'FAIL'}")
+            print(f"{name}: {'FAIL' if found else 'ok'}")
+            violations += found
 
     if violations:
         print(json.dumps(violations, indent=2))

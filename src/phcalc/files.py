@@ -87,7 +87,8 @@ def parse_facets(text: str) -> tuple[Simplex, ...]:
             continue
         tokens = line.split()
         if not all(map(_VERTEX.fullmatch, tokens)):
-            raise ParseError(f"line {lineno}", f"vertices must be integers, got {line!r}")
+            shown = f"{line[:80]!r}{'...' if len(line) > 80 else ''}"  # cut a long line
+            raise ParseError(f"line {lineno}", f"vertices must be integers, got {shown}")
         try:
             vertices = [int(f) for f in tokens]
         except ValueError as exc:  # past the interpreter's digit limit
@@ -230,6 +231,8 @@ def _pair_at(obj: object, where: str) -> PersistencePair:
     unknown = set(obj) - {"birth", "death", "multiplicity"}
     if unknown:
         raise ParseError(where, f"unknown fields {sorted(unknown)}")
+    if "death" not in obj:  # only null is a death that never comes
+        raise ParseError(where, "missing field 'death'")
     birth = obj.get("birth")
     death = obj.get("death")
     count = obj.get("multiplicity")

@@ -419,6 +419,24 @@ def test_check_oracle_skips_when_too_large(filtration_file, capsys, monkeypatch)
     assert "oracle: skipped (enumeration bound)" in capsys.readouterr().out
 
 
+def test_check_oracle_fails_when_it_hits_its_bound_after_a_violation(
+    tmp_path, capsys, monkeypatch
+):
+    # level 0 is one vertex, in the bound, where betti is one too high;
+    # level 1 closes a triangle, 7 simplices, past a bound of 3 bits
+    monkeypatch.setattr("phcalc.oracle.ENUMERATION_LIMIT_BITS", 3)
+    original = SimplicialComplex.betti
+    monkeypatch.setattr(
+        SimplicialComplex, "betti", lambda self, n: original(self, n) + (n == 0)
+    )
+    path = tmp_path / "bounded.json"
+    path.write_text('{"levels": [[[0]], [[0], [1, 2, 3]], [[0, 1, 2, 3]]]}')
+    assert _oracle_violations(str(path), capsys) == [
+        {"check": "oracle-betti", "level": 0, "dim": 0,
+         "detail": "rank method 2, oracle 1"}
+    ]
+
+
 def _oracle_violations(path, capsys) -> list[dict]:
     """Run check --oracle on path, which must fail in the oracle section only."""
     assert main(["check", path, "--oracle"]) == 3

@@ -20,6 +20,7 @@ from phcalc import (
     Simplex,
     barcode,
 )
+from phcalc.cli import main
 from phcalc.files import (
     MAX_CLOSURE_SIZE,
     FiltrationDocument,
@@ -93,14 +94,26 @@ def test_a_facet_integer_too_long_to_read_is_a_parse_error_at_its_line():
 
 
 @pytest.mark.parametrize(
-    "line", ["0 1_0", "+1 2", "1 \uff15", "0 " + "1" * 5000 + "x"],
-    ids=["underscore", "plus", "fullwidth-digit", "digits-then-x"],
+    "line", ["0 1_0", "+1 2", "1 \uff15"], ids=["underscore", "plus", "fullwidth-digit"]
 )
 def test_a_facet_vertex_is_an_ascii_integer(line):
     # as in JSON: no `+`, no `_` and no non-ASCII digit, which `int()` would take
     message = f"line 2: vertices must be integers, got {line!r}"
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse_facets(f"0 1\n{line}\n")
+
+
+def test_a_long_bad_facet_line_is_cut_in_the_message():
+    # 5,000 ones then `x` is no integer, so no digit-limit message either;
+    # up to 80 characters a line is echoed in full, past them cut and marked
+    for line, shown in [
+        ("0 " + "1" * 5000 + "x", "'0 " + "1" * 78 + "'..."),
+        ("0 " + "1" * 78 + "x", "'0 " + "1" * 78 + "'..."),
+        ("0 " + "1" * 77 + "x", "'0 " + "1" * 77 + "x'"),
+    ]:
+        message = f"line 2: vertices must be integers, got {shown}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_facets(f"0 1\n{line}\n")
 
 
 def test_facets_round_trip():
@@ -303,6 +316,16 @@ def test_parse_barcodes_located_errors():
         )
 
 
+def test_parse_barcodes_rejects_an_interval_with_no_death():
+    # null is a bar that never dies; a missing death is an error, as a
+    # missing birth or multiplicity is
+    text = '{"barcodes": [{"dimension": 0, "intervals": [{"birth": 0, "multiplicity": 1}]}]}'
+    with pytest.raises(
+        ParseError, match=r"^barcodes\[0\]\.intervals\[0\]: missing field 'death'$"
+    ):
+        parse_barcodes(text)
+
+
 # 40 vertices close to 2**40 - 1 simplices; only the up-front bound may see them
 HUGE_FACET = list(range(40))
 
@@ -362,3 +385,73 @@ def test_parse_facets_of_any_text_parses_or_raises_at_a_line(text):
         parse_facets(text)
     except ParseError as exc:
         assert re.match(r"line \d+$", exc.location)
+
+
+# Any JSON value, small
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.text(max_size=2)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+# A barcode document whose every bar is born before it dies
+_fitting_barcodes = st.lists(
+    st.fixed_dictionaries({
+        "dimension": st.integers(0, 3),
+        "intervals": st.lists(st.builds(
+            lambda birth, length, count: {"birth": birth, "multiplicity": count,
+                                          "death": None if length is None else birth + length},
+            st.integers(0, 3), st.none() | st.integers(1, 3), st.integers(1, 2),
+        ), max_size=3),
+    }),
+    max_size=3,
+).map(lambda barcodes: {"barcodes": barcodes})
+
+
+@st.composite
+def _barcodes_document(draw):
+    """A fitting barcode document, or one changed in one place: a value
+    replaced by any JSON value, or a field left out or added."""
+    root = [draw(_fitting_barcodes)]
+    if draw(st.booleans()):
+        return root[0]
+    places = []  # (container, key) of every value, the document's own included
+
+    def walk(node):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            places.append((node, key))
+            if isinstance(value, (dict, list)):
+                walk(value)
+
+    walk(root)
+    node, key = draw(st.sampled_from(places[::-1]))  # leaves first
+    change = draw(st.sampled_from(["replace", "drop", "add"]))
+    if change == "drop" and isinstance(node, dict):
+        del node[key]
+    elif change == "add" and isinstance(node[key], dict):
+        node[key][draw(st.text(max_size=2))] = draw(_json)
+    else:
+        node[key] = draw(_json)
+    return root[0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_barcodes_document())
+def test_parse_barcodes_of_any_json_parses_or_raises_and_round_trips(doc):
+    try:
+        parsed = parse_barcodes(json.dumps(doc))
+    except ParseError:
+        return
+    assert parse_barcodes(serialize_barcodes(parsed)) == parsed
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_raw_levels(), st.booleans())
+def test_barcode_command_on_any_nested_lists_exits_with_a_documented_code(
+    tmp_path_factory, levels, incremental
+):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-levels.json"
+    path.write_text(json.dumps({"levels": levels}))
+    argv = ["barcode", str(path), "--all-dims"] + ["--incremental"] * incremental
+    assert main(argv) in (0, 1, 2)
