@@ -35,7 +35,7 @@ class Simplex(Value, order=True):
             raise ValueError("a simplex needs at least one vertex")
         if verts[0] < 0:
             raise ValueError(f"vertex {verts[0]!r} is not a non-negative integer")
-        if any(a == b for a, b in zip(verts, verts[1:])):
+        if len(set(verts)) != len(verts):
             raise ValueError(f"duplicate vertices in {verts}")
         object.__setattr__(self, "vertices", verts)
 

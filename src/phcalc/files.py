@@ -249,6 +249,11 @@ def _pair_at(obj: object, where: str) -> PersistencePair:
 
 
 def parse_barcodes(text: str) -> tuple[Barcode, ...]:
+    """The barcodes of a document as `serialize_barcodes` writes it.
+
+    Each dimension is listed once, and each interval once, in (birth,
+    death) order, so one barcode has one document.
+    """
     doc = _load_json(text)
     if not isinstance(doc, dict) or set(doc) != {"barcodes"}:
         raise ParseError("document", "top level must be an object with 'barcodes'")
@@ -263,11 +268,22 @@ def parse_barcodes(text: str) -> tuple[Barcode, ...]:
         dim = raw["dimension"]
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
             raise ParseError(f"{where}.dimension", f"must be a count, got {dim!r}")
+        if any(b.dimension == dim for b in out):
+            raise ParseError(f"{where}.dimension", f"dimension {dim} listed twice")
         intervals = raw["intervals"]
         if not isinstance(intervals, list):
             raise ParseError(f"{where}.intervals", "must be a list")
         pairs = tuple(
             _pair_at(p, f"{where}.intervals[{k}]") for k, p in enumerate(intervals)
         )
+        for k in range(1, len(pairs)):
+            before, pair = pairs[k - 1], pairs[k]
+            if (before.birth, before.death) == (pair.birth, pair.death):
+                raise ParseError(f"{where}.intervals[{k}]", f"interval {pair} listed twice")
+            if (before.birth, before.death) > (pair.birth, pair.death):
+                raise ParseError(
+                    f"{where}.intervals[{k}]",
+                    f"interval {pair} listed after {before}, out of (birth, death) order",
+                )
         out.append(Barcode(dim, pairs))
     return tuple(out)

@@ -18,15 +18,18 @@ rows born after j (the lower-left submatrices of Edelsbrunner-Harer's
 pairing lemma), swept from the first column born after j.  A rank is
 one bisect in a row.  The row of birth -1 is the rank of D_d at every
 level; it is swept once per dimension and kept on the filtration.
-`persistent_betti`, `betti_table`, `mu` and `mu_infinity` read the
-helper's rows.  The point queries also keep each birth row they sweep,
-up to the furthest death asked for that birth, so a later query inside
-it sweeps nothing; `betti_table` and `check_fundamental_lemma` keep no
-row of a birth >= 0, so their memory stays linear in m.
+`persistent_betti` and `betti_table` read the helper's rows.
+Interval multiplicities are a finite difference of four persistent
+Betti numbers (Zomorodian-Carlsson), in which the cycle count and
+rank_g cancel, so `mu` and `mu_infinity` read no grid: they count the
+raises of two adjacent swept rows.  The point queries keep each birth
+row they sweep, up to the furthest death asked for that birth, so a
+later query inside it sweeps nothing; `betti_table` and
+`check_fundamental_lemma` keep no row of a birth >= 0, so their memory
+stays linear in m.  `check_fundamental_lemma` takes the finite
+difference as written, on two grid rows at a time.
 `persistent_betti_simplified` keeps the per-pair matrix form on the
 two levels: a kernel basis, the inclusion matrix, its product, `rank`.
-Interval multiplicities are one finite difference of two adjacent rows
-(Zomorodian-Carlsson); `check_fundamental_lemma` holds two at a time.
 
 Barcodes come from one column reduction of the filtered boundary
 matrix (Edelsbrunner-Letscher-Zomorodian; Zomorodian-Carlsson), with
@@ -212,32 +215,49 @@ def betti_table(f: Filtration, n: int) -> dict[tuple[int, int], int]:
     return {(j, p): beta for j, row in rows for p, beta in row.items()}
 
 
+def _raised(f: Filtration, n: int, j: int, lo: int, p: int) -> int:
+    """How many D_{n+1} columns born in [lo, p] raise row j of degree n.
+
+    That is rank_later(j, p) - rank_later(j, lo - 1).  Row j is kept,
+    reaching p; row -1, whose raises are rank_g's, reaches m.
+    """
+    raised = _later_raises(f, n, j, p if j >= 0 else f.m, keep=True)
+    return bisect_right(raised, p) - bisect_left(raised, lo)
+
+
 def mu(f: Filtration, n: int, j: int, p: int) -> int:
     """Count of degree-n classes born exactly at K^j that die entering K^p.
 
-    (beta(j, p-1) - beta(j, p)) - (beta(j-1, p-1) - beta(j-1, p)), with
-    the beta terms at birth level -1 taken as 0.  Signed: a negative
-    value is returned as data, and `check_fundamental_lemma` reports it
-    as a "negative-count" violation.
+    (beta(j, p-1) - beta(j, p)) - (beta(j-1, p-1) - beta(j-1, p)).  With
+    beta(j, p) = z(j) - rank_g(p) + rank_later(j, p), the z and rank_g
+    terms cancel, which leaves the raises of row j-1 at p minus those of
+    row j at p; row -1 is rank_g's, so the beta terms at birth level -1
+    are 0.  Only a wrong row could make it negative, and nothing here
+    checks it: `check_fundamental_lemma` finds "negative-count"
+    violations on the grid rows, through `_multiplicity`.
     """
     _require_dim(n)
     if not 0 <= j < p <= f.m:
         raise ValueError(f"need 0 <= j < p <= {f.m}, got j={j}, p={p}")
-    rows = dict(_betti_grid(f, n, (j - 1, j), (p - 1, p), keep=True))
-    return _multiplicity(rows.get(j - 1, {}), rows[j], p)
+    return _raised(f, n, j - 1, p, p) - _raised(f, n, j, p, p)
 
 
 def mu_infinity(f: Filtration, n: int, j: int) -> int:
     """Count of degree-n classes born exactly at K^j that never die.
 
     beta(j, m) - beta(j-1, m): the classes of K^j alive at the final
-    level, minus those already present one level earlier.
+    level, minus those already present one level earlier.  rank_g
+    cancels, z(j) - z(j-1) is the n-cells born at j less the raises of
+    D_n's row -1 at j, and the rank_later terms are rows j and j-1 up
+    to m.
     """
     _require_dim(n)
     if not 0 <= j <= f.m:
         raise ValueError(f"need 0 <= j <= {f.m}, got j={j}")
-    rows = dict(_betti_grid(f, n, (j - 1, j), (f.m,), keep=True))
-    return _multiplicity(rows.get(j - 1, {}), rows[j], f.m + 1)
+    cells, m = f._birth_columns(n)[0], f.m
+    born = bisect_right(cells, j) - bisect_left(cells, j)
+    later = _raised(f, n, j, 0, m) - _raised(f, n, j - 1, 0, m)
+    return born - _raised(f, n - 1, -1, j, j) + later
 
 
 def _boundary_columns(

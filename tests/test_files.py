@@ -326,6 +326,43 @@ def test_parse_barcodes_rejects_an_interval_with_no_death():
         parse_barcodes(text)
 
 
+def _barcodes_text(*barcodes) -> str:
+    """A barcode document: (dimension, [(birth, death or None), ...]) per barcode."""
+    return json.dumps({"barcodes": [
+        {"dimension": dim, "intervals": [
+            {"birth": birth, "death": death, "multiplicity": 1} for birth, death in bars
+        ]} for dim, bars in barcodes
+    ]})
+
+
+def test_parse_barcodes_rejects_intervals_out_of_birth_death_order():
+    # one barcode has one reading: [0,inf) sorts after [0,1) and before [1,2)
+    text = _barcodes_text((0, [(0, None), (1, 2)]), (1, [(0, 1), (1, 2), (0, None)]))
+    with pytest.raises(ParseError) as info:
+        parse_barcodes(text)
+    assert str(info.value) == (
+        "barcodes[1].intervals[2]: interval [0,inf) listed after [1,2), "
+        "out of (birth, death) order"
+    )
+
+
+def test_parse_barcodes_rejects_an_interval_listed_twice():
+    # a repeated bar is one interval with a higher multiplicity
+    text = _barcodes_text((0, [(0, 1), (0, 1), (2, None)]))
+    with pytest.raises(ParseError) as info:
+        parse_barcodes(text)
+    assert str(info.value) == "barcodes[0].intervals[1]: interval [0,1) listed twice"
+    with pytest.raises(ParseError, match=r"^barcodes\[0\]\.intervals\[1\]: interval \[2,inf\)"):
+        parse_barcodes(_barcodes_text((0, [(2, None), (2, None)])))
+
+
+def test_parse_barcodes_rejects_a_dimension_listed_twice():
+    text = _barcodes_text((1, [(0, 1)]), (0, []), (1, [(2, 3)]))
+    with pytest.raises(ParseError) as info:
+        parse_barcodes(text)
+    assert str(info.value) == "barcodes[2].dimension: dimension 1 listed twice"
+
+
 # 40 vertices close to 2**40 - 1 simplices; only the up-front bound may see them
 HUGE_FACET = list(range(40))
 
@@ -395,7 +432,8 @@ _json = st.recursive(
     | st.dictionaries(st.text(max_size=2), inner, max_size=3),
     max_leaves=6,
 )
-# A barcode document whose every bar is born before it dies
+# A barcode document as serialize_barcodes writes one: distinct dimensions,
+# each bar born before it dies, each interval once in (birth, death) order
 _fitting_barcodes = st.lists(
     st.fixed_dictionaries({
         "dimension": st.integers(0, 3),
@@ -403,9 +441,12 @@ _fitting_barcodes = st.lists(
             lambda birth, length, count: {"birth": birth, "multiplicity": count,
                                           "death": None if length is None else birth + length},
             st.integers(0, 3), st.none() | st.integers(1, 3), st.integers(1, 2),
-        ), max_size=3),
+        ), max_size=3, unique_by=lambda bar: (bar["birth"], bar["death"])).map(
+            lambda bars: sorted(bars, key=lambda bar: (bar["birth"], bar["death"] or math.inf))
+        ),
     }),
     max_size=3,
+    unique_by=lambda barcode: barcode["dimension"],
 ).map(lambda barcodes: {"barcodes": barcodes})
 
 
@@ -434,6 +475,13 @@ def _barcodes_document(draw):
     else:
         node[key] = draw(_json)
     return root[0]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_fitting_barcodes)
+def test_parse_barcodes_reads_every_fitting_document(doc):
+    parsed = parse_barcodes(json.dumps(doc))
+    assert json.loads(serialize_barcodes(parsed)) == doc
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

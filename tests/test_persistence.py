@@ -41,7 +41,7 @@ from phcalc.cli import main
 from phcalc.files import parse_filtration
 from phcalc.generate import random_filtration_document
 from phcalc.gf2 import Gf2Matrix
-from phcalc.persistence import _betti_grid
+from phcalc.persistence import _betti_grid, _multiplicity
 
 from .support import (
     count_boundary_builds,
@@ -336,6 +336,71 @@ def test_warm_point_queries_sweep_only_the_columns_born_between_birth_and_death(
         assert {j: f._later[(n, j)][0] for j in range(m + 1)} == reach
     assert cases.keys() == {"first", "past", "inside"}
     assert swept["first"] > 0 and swept["past"] > 0
+
+
+def test_mu_and_mu_infinity_equal_the_finite_difference_of_two_grid_rows(
+    diabolo_filtration,
+):
+    # mu counts the raises of rows j - 1 and j at p, where z and rank_g
+    # cancel; the grid's rows of births j - 1 and j give the difference as
+    # the paper writes it, on a filtration of its own
+    rng = random.Random(59)
+    filtrations = [diabolo_filtration, _two_spheres(rng)]
+    filtrations += [random_filtration(rng, vertices=7, count=6, levels=5, max_size=4)
+                    for _ in range(8)]
+    filtrations += [random_filtration_document(8 + 6 * s, 4 + s, seed=s).to_filtration()
+                    for s in range(4)]
+    tops = set()
+    for f in filtrations:
+        m, grid = f.m, Filtration(f.levels)
+        tops.add(f.dim)
+        for n in range(4):
+            rows = dict(_betti_grid(grid, n, range(m + 1), range(m + 1)))
+            for j in range(m + 1):
+                before = rows.get(j - 1, {})
+                for p in range(j + 1, m + 1):
+                    assert mu(f, n, j, p) == _multiplicity(before, rows[j], p), (n, j, p)
+                assert mu_infinity(f, n, j) == _multiplicity(before, rows[j], m + 1), (n, j)
+    assert 3 in tops
+
+
+def test_first_mu_sweeps_only_rows_j_minus_1_and_j_and_a_warm_one_nothing(monkeypatch):
+    # a multiplicity reads no cycle count and no rank_g, so the first mu
+    # in a fresh dimension inserts the columns born in (j - 1, p] and
+    # (j, p], and all of them for row -1, which reaches m; once
+    # mu_infinity has swept its rows to m, neither mu nor mu_infinity
+    # inserts a column, and no multiplicity runs the rank grid
+    levels = 8
+    text = random_filtration_document(60, levels, seed=11).serialize()
+    inserted = count_inserts(monkeypatch)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a multiplicity ran the rank grid")
+
+    monkeypatch.setattr(persistence, "_betti_grid", no_grid)
+    rng = random.Random(23)
+    for n in range(3):
+        for j in range(levels - 1):
+            f = parse_filtration(text).to_filtration()
+            bounds, m = f._birth_columns(n + 1)[0], f.m
+            p = rng.randrange(j + 1, m + 1)
+            inserted.clear()
+            mu(f, n, j, p)
+            reach = p if j > 0 else m  # row -1 is swept to m
+            assert len(inserted) == sum(j - 1 < born <= reach for born in bounds) + sum(
+                j < born <= p for born in bounds
+            ), (n, j, p)
+            assert {k for d, k in f._later if d == n} == {j - 1, j}
+            inserted.clear()
+            for q in range(j + 1, p + 1):
+                mu(f, n, j, q)
+            assert inserted == [], (n, j, p)
+            mu_infinity(f, n, j)
+            inserted.clear()
+            mu_infinity(f, n, j)
+            for q in range(j + 1, m + 1):
+                mu(f, n, j, q)
+            assert inserted == [], (n, j)
 
 
 def test_point_queries_after_check_sweep_only_the_columns_born_between_birth_and_death(

@@ -128,6 +128,7 @@ def test_post_init_is_a_class_attribute_the_constructor_calls(monkeypatch):
     [
         (lambda: Simplex(()), "a simplex needs at least one vertex"),
         (lambda: Simplex((1, 1)), "duplicate vertices in (1, 1)"),
+        (lambda: Simplex((3, 1, 3, 1)), "duplicate vertices in (1, 1, 3, 3)"),
         (lambda: Simplex((-1,)), "vertex -1 is not a non-negative integer"),
         (lambda: Simplex((True,)), "vertex True is not a non-negative integer"),
         (lambda: Simplex((1, "a")), "vertex 'a' is not a non-negative integer"),
