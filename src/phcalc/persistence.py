@@ -9,7 +9,7 @@ cycles of K^j modulo the boundaries of K^p they meet.  Its dimension
 is obtained from the degree-n boundary matrix of K^j, the
 degree-(n+1) boundary matrix of K^p, and the inclusion between the
 two n-simplex bases.  One helper evaluates the formula one birth row
-at a time, at the death levels asked for, and builds no level: the
+at a time, at every death level, and builds no level: the
 filtration keeps, per dimension, the boundary matrix of the last level
 K^m with rows and columns in birth order, of which every level's is a
 prefix.  Every rank it needs is read off one kind of swept row: the
@@ -18,13 +18,16 @@ rows born after j (the lower-left submatrices of Edelsbrunner-Harer's
 pairing lemma), swept from the first column born after j.  A rank is
 one bisect in a row.  The row of birth -1 is the rank of D_d at every
 level; it is swept once per dimension and kept on the filtration.
-`persistent_betti` and `betti_table` read the helper's rows.
+`betti_table` and `check_fundamental_lemma` read the helper's rows.
+The point queries read no grid.  `persistent_betti` takes its one
+number off three swept rows, by one bisect each: the rows of birth -1
+of dimensions n - 1 and n, for the cycle count and rank_g, and row j.
 Interval multiplicities are a finite difference of four persistent
 Betti numbers (Zomorodian-Carlsson), in which the cycle count and
-rank_g cancel, so `mu` and `mu_infinity` read no grid: they count the
-raises of two adjacent swept rows.  The point queries keep each birth
-row they sweep, up to the furthest death asked for that birth, so a
-later query inside it sweeps nothing; `betti_table` and
+rank_g cancel, so `mu` and `mu_infinity` count the raises of two
+adjacent swept rows.  The point queries keep each birth row they
+sweep, up to the furthest death asked for that birth, so a later
+query inside it sweeps nothing; `betti_table` and
 `check_fundamental_lemma` keep no row of a birth >= 0, so their memory
 stays linear in m.  `check_fundamental_lemma` takes the finite
 difference as written, on two grid rows at a time.
@@ -45,12 +48,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Container, Iterable, Iterator
+from collections.abc import Container, Iterator
 from itertools import combinations, compress
 
 from ._value import Value
 from .complexes import _require_dim
-from .filtration import Filtration
+from .filtration import Filtration, _require_level
 
 INFINITE_DEATH = math.inf
 
@@ -139,9 +142,7 @@ def _later_raises(f: Filtration, n: int, j: int, p: int, keep: bool = False) -> 
     return raised
 
 
-def _betti_grid(
-    f: Filtration, n: int, births: Iterable[int], deaths: Iterable[int], keep: bool = False
-) -> Iterator[tuple[int, dict[int, int]]]:
+def _betti_grid(f: Filtration, n: int) -> Iterator[tuple[int, dict[int, int]]]:
     """persistent_betti by birth row: (j, {p: beta(j, p) for p >= j}), j ascending.
 
     The filtration keeps D_n(K^m) and D_{n+1}(K^m) with rows and columns
@@ -158,21 +159,16 @@ def _betti_grid(
     rank_later, so this is the paper's z - (rank_g + z - rank_stacked).
     rank D_n and rank_g are the rows of birth -1 of dimensions n - 1
     and n, kept once swept.  Every rank is one bisect in a row of
-    raises, rank_g's once per death asked.  Each birth row reaches the
-    last death asked, and is kept when ``keep`` is true; births off the
-    grid, as -1, are skipped.
+    raises, rank_g's once per level.  Each birth row reaches m and is
+    not kept, so the grid's memory stays linear in m.
     """
-    deaths = sorted(set(deaths))
-    cells = f._birth_columns(n)[0]
-    raised_n, raised_g = _later_raises(f, n - 1, -1, f.m), _later_raises(f, n, -1, f.m)
-    rank_g = {p: bisect_right(raised_g, p) for p in deaths}
-    for j in sorted(set(births)):
-        if not 0 <= j <= deaths[-1]:
-            continue
+    m, cells = f.m, f._birth_columns(n)[0]
+    raised_n, raised_g = _later_raises(f, n - 1, -1, m), _later_raises(f, n, -1, m)
+    rank_g = [bisect_right(raised_g, p) for p in range(m + 1)]
+    for j in range(m + 1):
         z = bisect_right(cells, j) - bisect_right(raised_n, j)
-        later = deaths[bisect_left(deaths, j) :]
-        raised = _later_raises(f, n, j, later[-1], keep)
-        yield j, {p: z - rank_g[p] + bisect_right(raised, p) for p in later}
+        raised = _later_raises(f, n, j, m)
+        yield j, {p: z - rank_g[p] + bisect_right(raised, p) for p in range(j, m + 1)}
 
 
 def _multiplicity(before: dict[int, int], row: dict[int, int], p: int) -> int:
@@ -186,10 +182,19 @@ def _multiplicity(before: dict[int, int], row: dict[int, int], p: int) -> int:
 
 
 def persistent_betti(f: Filtration, n: int, j: int, p: int) -> int:
-    """Number of degree-n classes of K^j still alive at K^p."""
+    """Number of degree-n classes of K^j still alive at K^p.
+
+    z(j) - rank_g(p) + rank_later(j, p), the form `_betti_grid` derives,
+    read off three swept rows: D_n's row -1 at j for the cycles, D_{n+1}'s
+    row -1 at p for rank_g, and row j, kept, at p.
+    """
     _require_dim(n)
     f.check_level_pair(j, p)
-    return dict(_betti_grid(f, n, (j,), (p,), keep=True))[j][p]
+    cells, m = f._birth_columns(n)[0], f.m
+    raised_n, raised_g = _later_raises(f, n - 1, -1, m), _later_raises(f, n, -1, m)
+    z = bisect_right(cells, j) - bisect_right(raised_n, j)
+    raised = _later_raises(f, n, j, p, keep=True)
+    return z - bisect_right(raised_g, p) + bisect_right(raised, p)
 
 
 def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
@@ -211,8 +216,7 @@ def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
 def betti_table(f: Filtration, n: int) -> dict[tuple[int, int], int]:
     """persistent_betti over the whole (j, p) grid, j <= p."""
     _require_dim(n)
-    rows = _betti_grid(f, n, range(len(f)), range(len(f)))
-    return {(j, p): beta for j, row in rows for p, beta in row.items()}
+    return {(j, p): beta for j, row in _betti_grid(f, n) for p, beta in row.items()}
 
 
 def _raised(f: Filtration, n: int, j: int, lo: int, p: int) -> int:
@@ -237,6 +241,8 @@ def mu(f: Filtration, n: int, j: int, p: int) -> int:
     violations on the grid rows, through `_multiplicity`.
     """
     _require_dim(n)
+    _require_level("j", j)
+    _require_level("p", p)
     if not 0 <= j < p <= f.m:
         raise ValueError(f"need 0 <= j < p <= {f.m}, got j={j}, p={p}")
     return _raised(f, n, j - 1, p, p) - _raised(f, n, j, p, p)
@@ -248,15 +254,17 @@ def mu_infinity(f: Filtration, n: int, j: int) -> int:
     beta(j, m) - beta(j-1, m): the classes of K^j alive at the final
     level, minus those already present one level earlier.  rank_g
     cancels, z(j) - z(j-1) is the n-cells born at j less the raises of
-    D_n's row -1 at j, and the rank_later terms are rows j and j-1 up
-    to m.
+    D_n's row -1 at j, and the rank_later terms are rows j and j-1,
+    which reach m, so each is its length.
     """
     _require_dim(n)
+    _require_level("j", j)
     if not 0 <= j <= f.m:
         raise ValueError(f"need 0 <= j <= {f.m}, got j={j}")
     cells, m = f._birth_columns(n)[0], f.m
     born = bisect_right(cells, j) - bisect_left(cells, j)
-    later = _raised(f, n, j, 0, m) - _raised(f, n, j - 1, 0, m)
+    later = len(_later_raises(f, n, j, m, keep=True))
+    later -= len(_later_raises(f, n, j - 1, m, keep=True))
     return born - _raised(f, n - 1, -1, j, j) + later
 
 
@@ -388,7 +396,7 @@ def check_fundamental_lemma(f: Filtration, n: int) -> LemmaReport:
     m, bars, i = f.m, barcode(f, n).pairs, 0  # the bars by birth
     finite, never_dying, spans, before = [], [], [], {}
     spanning = [0] * (m + 1)
-    for k, row in _betti_grid(f, n, range(m + 1), range(m + 1)):
+    for k, row in _betti_grid(f, n):
         for p in range(k + 1, m + 2):
             count = _multiplicity(before, row, p)
             if count < 0:

@@ -59,8 +59,8 @@ def perturb_rank_rows(monkeypatch, deltas: dict, dim: int | None = None) -> None
     original = inspect.unwrap(persistence._betti_grid)
 
     @functools.wraps(original)
-    def perturbed(f, n, births, deaths, keep=False):
-        for j, row in original(f, n, births, deaths, keep):
+    def perturbed(f, n):
+        for j, row in original(f, n):
             if dim is None or n == dim:
                 for (birth, p), delta in deltas.items():
                     if birth == j and p in row:

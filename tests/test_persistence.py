@@ -118,6 +118,35 @@ def test_dimension_error_comes_before_level_error(diabolo_filtration):
             query()
 
 
+def test_persistent_betti_refuses_a_non_integer_level(diabolo_filtration):
+    # as f[3.5] does, and before it keeps a row under a key that is no level
+    f = diabolo_filtration
+    kept = set(f._later)
+    with pytest.raises(TypeError, match="level j must be an integer, got 3.5"):
+        persistent_betti(f, 1, 3.5, 4)
+    with pytest.raises(TypeError, match="level p must be an integer, got 4.5"):
+        persistent_betti(f, 1, 3, 4.5)
+    assert set(f._later) == kept
+
+
+def test_mu_refuses_a_non_integer_level(diabolo_filtration):
+    f = diabolo_filtration
+    kept = set(f._later)
+    with pytest.raises(TypeError, match="level j must be an integer, got 2.5"):
+        mu(f, 1, 2.5, 4)
+    with pytest.raises(TypeError, match="level p must be an integer, got 4.5"):
+        mu(f, 1, 2, 4.5)
+    assert set(f._later) == kept
+
+
+def test_mu_infinity_refuses_a_non_integer_level(diabolo_filtration):
+    f = diabolo_filtration
+    kept = set(f._later)
+    with pytest.raises(TypeError, match="level j must be an integer, got 2.5"):
+        mu_infinity(f, 1, 2.5)
+    assert set(f._later) == kept
+
+
 def test_matrices_built_once_per_query(diabolo_filtration, monkeypatch):
     calls = Counter()
     method = Gf2Matrix.kernel_basis
@@ -252,25 +281,17 @@ def test_point_queries_in_any_order_match_the_stacked_rank_grid():
 
 
 def test_betti_grid_matches_the_stacked_rank_grid():
-    # the full grid, and the sparse births x deaths that persistent_betti,
-    # mu and mu_infinity ask for, against one stacked rank per pair
+    # the full grid, against one stacked rank per pair
     rng = random.Random(73)
     for _ in range(25):
         f = random_filtration(rng, vertices=7, count=6, levels=4, max_size=4)
         levels = range(len(f))
         for n in range(4):
-            queries = [(levels, levels)]
-            queries += [((j,), (p,)) for j in levels for p in levels if j <= p]
-            queries += [
-                ((j - 1, j), (p - 1, p)) for j in levels for p in levels if j < p
-            ]
-            queries += [((j - 1, j), (f.m,)) for j in levels]
-            for births, deaths in queries:
-                rows = list(_betti_grid(f, n, births, deaths))
-                assert [j for j, _ in rows] == sorted({j for j in births if j >= 0})
-                assert {(j, p): b for j, row in rows for p, b in row.items()} == (
-                    stacked_rank_grid(f, n, births, deaths)
-                )
+            rows = list(_betti_grid(f, n))
+            assert [j for j, _ in rows] == list(levels)
+            assert {(j, p): b for j, row in rows for p, b in row.items()} == (
+                stacked_rank_grid(f, n, levels, levels)
+            )
 
 
 def test_rank_rows_sweep_from_the_first_column_born_after_the_birth(monkeypatch):
@@ -343,7 +364,8 @@ def test_mu_and_mu_infinity_equal_the_finite_difference_of_two_grid_rows(
 ):
     # mu counts the raises of rows j - 1 and j at p, where z and rank_g
     # cancel; the grid's rows of births j - 1 and j give the difference as
-    # the paper writes it, on a filtration of its own
+    # the paper writes it, on a filtration of its own, and persistent_betti,
+    # read off three swept rows, equals the grid's entry
     rng = random.Random(59)
     filtrations = [diabolo_filtration, _two_spheres(rng)]
     filtrations += [random_filtration(rng, vertices=7, count=6, levels=5, max_size=4)
@@ -355,9 +377,11 @@ def test_mu_and_mu_infinity_equal_the_finite_difference_of_two_grid_rows(
         m, grid = f.m, Filtration(f.levels)
         tops.add(f.dim)
         for n in range(4):
-            rows = dict(_betti_grid(grid, n, range(m + 1), range(m + 1)))
+            rows = dict(_betti_grid(grid, n))
             for j in range(m + 1):
                 before = rows.get(j - 1, {})
+                for p in range(j, m + 1):
+                    assert persistent_betti(f, n, j, p) == rows[j][p], (n, j, p)
                 for p in range(j + 1, m + 1):
                     assert mu(f, n, j, p) == _multiplicity(before, rows[j], p), (n, j, p)
                 assert mu_infinity(f, n, j) == _multiplicity(before, rows[j], m + 1), (n, j)
@@ -369,13 +393,14 @@ def test_first_mu_sweeps_only_rows_j_minus_1_and_j_and_a_warm_one_nothing(monkey
     # in a fresh dimension inserts the columns born in (j - 1, p] and
     # (j, p], and all of them for row -1, which reaches m; once
     # mu_infinity has swept its rows to m, neither mu nor mu_infinity
-    # inserts a column, and no multiplicity runs the rank grid
+    # inserts a column, nor does persistent_betti at birth j once one
+    # query has swept rank_g's row, and no point query runs the rank grid
     levels = 8
     text = random_filtration_document(60, levels, seed=11).serialize()
     inserted = count_inserts(monkeypatch)
 
     def no_grid(*args, **kwargs):
-        raise AssertionError("a multiplicity ran the rank grid")
+        raise AssertionError("a point query ran the rank grid")
 
     monkeypatch.setattr(persistence, "_betti_grid", no_grid)
     rng = random.Random(23)
@@ -396,10 +421,13 @@ def test_first_mu_sweeps_only_rows_j_minus_1_and_j_and_a_warm_one_nothing(monkey
                 mu(f, n, j, q)
             assert inserted == [], (n, j, p)
             mu_infinity(f, n, j)
+            persistent_betti(f, n, j, m)
             inserted.clear()
             mu_infinity(f, n, j)
             for q in range(j + 1, m + 1):
                 mu(f, n, j, q)
+            for q in range(j, m + 1):
+                persistent_betti(f, n, j, q)
             assert inserted == [], (n, j)
 
 
