@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations, groupby
+from operator import index
 
 from ._value import Value
 
@@ -65,7 +66,16 @@ class Simplex(Value, order=True):
         return "(" + ",".join(str(v) for v in self.vertices) + ")"
 
 
+def _require_integer(name: str, value: int) -> None:
+    """Refuse a dimension or level that is no integer, as indexing does."""
+    try:
+        index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _require_dim(n: int) -> None:
+    _require_integer("dimension n", n)
     if n < 0:
         raise ValueError(f"dimension must be >= 0, got {n}")
 

@@ -38,12 +38,12 @@ class _ClosureBound:
     A k-vertex facet closes to 2**k - 1 simplices, so the sum over the
     distinct facets bounds the closure.  The facet that takes the sum
     past MAX_CLOSURE_SIZE is rejected at its location.  ``parsed`` maps
-    each raw vertex tuple read so far to its admitted facet, so a facet
-    listed at many levels is built and checked once.
+    each raw vertex tuple read so far, and each facet's canonical tuple,
+    to its admitted facet, so a facet listed at many levels is built and
+    checked once, and counted once however its vertices are ordered.
     """
 
     def __init__(self) -> None:
-        self.seen: set[tuple[int, ...]] = set()
         self.total = 0
         self.parsed: dict[tuple[int, ...], Simplex] = {}
 
@@ -56,8 +56,7 @@ class _ClosureBound:
             facet = Simplex(raw)
         except ValueError as exc:
             raise ParseError(where, str(exc)) from None
-        if facet.vertices not in self.seen:
-            self.seen.add(facet.vertices)
+        if self.parsed.setdefault(facet.vertices, facet) is facet:  # a new canonical tuple
             self.total += (1 << len(facet)) - 1
             if self.total > MAX_CLOSURE_SIZE:
                 raise ParseError(

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import groupby
-from operator import attrgetter, index
+from operator import attrgetter
 
 from ._value import Value
 from .complexes import (
-    Simplex, SimplicialComplex, _boundary_bits, _missing_face, _require_dim, subsets
+    Simplex, SimplicialComplex, _boundary_bits, _missing_face, _require_dim,
+    _require_integer, subsets
 )
 
 TYPE_CHECKING = False  # no `typing` import at run time: type checkers read it as True
@@ -16,14 +17,6 @@ if TYPE_CHECKING:
     from .gf2 import Gf2Matrix
 
 _vertices = attrgetter("vertices")
-
-
-def _require_level(name: str, level: int) -> None:
-    """Refuse a level that is no integer, as indexing a filtration does."""
-    try:
-        index(level)
-    except TypeError:
-        raise TypeError(f"level {name} must be an integer, got {level!r}") from None
 
 
 class FiltrationViolation(Value):
@@ -181,8 +174,8 @@ class Filtration:
         return f"Filtration({len(self._levels)} levels, dim {self.dim})"
 
     def check_level_pair(self, j: int, p: int) -> None:
-        _require_level("j", j)
-        _require_level("p", p)
+        _require_integer("level j", j)
+        _require_integer("level p", p)
         if not 0 <= j <= p <= self.m:
             raise ValueError(
                 f"need 0 <= j <= p <= {self.m}, got j={j}, p={p}"

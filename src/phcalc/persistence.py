@@ -52,8 +52,8 @@ from collections.abc import Container, Iterator
 from itertools import combinations, compress
 
 from ._value import Value
-from .complexes import _require_dim
-from .filtration import Filtration, _require_level
+from .complexes import _require_dim, _require_integer
+from .filtration import Filtration
 
 INFINITE_DEATH = math.inf
 
@@ -241,8 +241,8 @@ def mu(f: Filtration, n: int, j: int, p: int) -> int:
     violations on the grid rows, through `_multiplicity`.
     """
     _require_dim(n)
-    _require_level("j", j)
-    _require_level("p", p)
+    _require_integer("level j", j)
+    _require_integer("level p", p)
     if not 0 <= j < p <= f.m:
         raise ValueError(f"need 0 <= j < p <= {f.m}, got j={j}, p={p}")
     return _raised(f, n, j - 1, p, p) - _raised(f, n, j, p, p)
@@ -258,7 +258,7 @@ def mu_infinity(f: Filtration, n: int, j: int) -> int:
     which reach m, so each is its length.
     """
     _require_dim(n)
-    _require_level("j", j)
+    _require_integer("level j", j)
     if not 0 <= j <= f.m:
         raise ValueError(f"need 0 <= j <= {f.m}, got j={j}")
     cells, m = f._birth_columns(n)[0], f.m

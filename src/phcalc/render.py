@@ -30,17 +30,9 @@ def ascii_bars(barcode: Barcode, last_level: int) -> str:
         default=0,
     )
     for pair in _expanded(barcode):
-        cells = [" "] * (last_level + 2)
-        cells[pair.birth] = "*"
-        if pair.is_infinite:
-            for level in range(pair.birth + 1, last_level + 1):
-                cells[level] = "-"
-            cells[last_level + 1] = ">"
-        else:
-            for level in range(pair.birth + 1, pair.death):
-                cells[level] = "-"
-            cells[pair.death] = "o"
-        rows.append(f"{str(pair):<{width}}  " + "".join(cells).rstrip())
+        end, mark = (last_level + 1, ">") if pair.is_infinite else (pair.death, "o")
+        bar = " " * pair.birth + "*" + "-" * (end - pair.birth - 1) + mark
+        rows.append(f"{str(pair):<{width}}  {bar}")
     return "\n".join(rows) + "\n"
 
 

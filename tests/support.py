@@ -13,7 +13,7 @@ import inspect
 import random
 from collections import Counter
 
-from phcalc import Filtration, Simplex, SimplicialComplex, closure_of_facets
+from phcalc import Barcode, Filtration, Simplex, SimplicialComplex, closure_of_facets
 from phcalc import complexes, filtration, persistence
 from phcalc.gf2 import Gf2Matrix
 
@@ -68,6 +68,22 @@ def perturb_rank_rows(monkeypatch, deltas: dict, dim: int | None = None) -> None
             yield j, row
 
     monkeypatch.setattr(persistence, "_betti_grid", perturbed)
+
+
+def naive_ascii_bars(barcode: Barcode, last_level: int) -> str:
+    """`render.ascii_bars` drawn a cell per level, then stripped of blanks."""
+    rows = [f"# dim {barcode.dimension}, levels 0..{last_level}"]
+    width = max((len(str(p)) for p in barcode.pairs), default=0)
+    for pair in barcode.pairs:
+        for _ in range(pair.multiplicity):
+            cells = [" "] * (last_level + 2)
+            cells[pair.birth] = "*"
+            end = last_level + 1 if pair.is_infinite else pair.death
+            for level in range(pair.birth + 1, end):
+                cells[level] = "-"
+            cells[end] = ">" if pair.is_infinite else "o"
+            rows.append(f"{str(pair):<{width}}  " + "".join(cells).rstrip())
+    return "\n".join(rows) + "\n"
 
 
 def naive_rank(rows: list[list[int]]) -> int:

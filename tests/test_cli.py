@@ -49,10 +49,34 @@ def test_betti_empty_file(tmp_path, capsys):
     assert capsys.readouterr().out == "0\n"
 
 
+def _stdin(data: bytes) -> io.TextIOWrapper:
+    """A stand-in for sys.stdin that, like it, has bytes under its text.
+
+    Its text side escapes bytes that are not UTF-8, as sys.stdin does under
+    the C locale or in UTF-8 mode, so only a read of the bytes refuses them.
+    """
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
 def test_betti_from_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(DIABOLO_FACETS_TEXT))
+    monkeypatch.setattr("sys.stdin", _stdin(DIABOLO_FACETS_TEXT.encode()))
     assert main(["betti", "-", "-n", "1"]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("betti", b"\xff\xfe",
+     "-: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ("barcode", b'{"name": "caf\xe9", "levels": [[[0]]]}',
+     "-: 'utf-8' codec can't decode byte 0xe9 in position 13: invalid continuation byte"),
+])
+def test_stdin_that_is_not_utf8_is_refused_at_dash(monkeypatch, capsys, command, data, message):
+    # read as a file is: strict UTF-8, whatever the locale's error handler
+    monkeypatch.setattr("sys.stdin", _stdin(data))
+    assert main([command, "-", "-n", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"phcalc: error: {message}\n"
 
 
 def test_pbetti_command(filtration_file, capsys):
@@ -518,6 +542,11 @@ def test_bench_table_layout(capsys):
     assert header.split() == ["2", "3"]
     rows = {line.split()[0] for line in lines if line and line[0].isalpha()}
     assert "Betti" in rows and "Persistent" in rows
+
+
+def test_bench_rejects_a_triangle_count_that_is_no_integer(capsys):
+    assert main(["bench", "-t", "1,x"]) == 1
+    assert "expected comma-separated integers, got '1,x'" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):

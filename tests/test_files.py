@@ -316,6 +316,17 @@ def test_parse_barcodes_located_errors():
         )
 
 
+@pytest.mark.parametrize("interval, expected", [
+    ([0, 1], "each interval must be an object"),
+    ({"birth": 0, "death": None, "multiplicity": 1, "x": 1}, "unknown fields ['x']"),
+])
+def test_parse_barcodes_rejects_a_malformed_interval(interval, expected):
+    text = json.dumps({"barcodes": [{"dimension": 0, "intervals": [interval]}]})
+    with pytest.raises(ParseError) as info:
+        parse_barcodes(text)
+    assert str(info.value) == f"barcodes[0].intervals[0]: {expected}"
+
+
 def test_parse_barcodes_rejects_an_interval_with_no_death():
     # null is a bar that never dies; a missing death is an error, as a
     # missing birth or multiplicity is

@@ -10,6 +10,7 @@ from phcalc import (
     ChainSet,
     EnumerationLimitError,
     Simplex,
+    SimplicialComplex,
     closure_of_facets,
     enumerate_image,
     enumerate_kernel,
@@ -127,6 +128,19 @@ def test_oracle_betti_examples(diabolo):
     assert oracle_betti(point, 0) == 1
     two = closure_of_facets([Simplex((0, 1, 2)), Simplex((3, 4, 5))])
     assert oracle_betti(two, 0) == 2
+
+
+def test_oracle_betti_refuses_boundaries_that_are_not_cycles(monkeypatch):
+    # the filled triangle's boundary D_2 made to send it to one edge, no cycle
+    original = SimplicialComplex.boundary_matrix
+
+    def broken(self, n):
+        return matrix_from_lists([[1], [0], [0]]) if n == 2 else original(self, n)
+
+    monkeypatch.setattr(SimplicialComplex, "boundary_matrix", broken)
+    triangle = closure_of_facets([Simplex((0, 1, 2))])
+    with pytest.raises(ValueError, match="^boundaries of degree 1 are not all cycles; "):
+        oracle_betti(triangle, 1)
 
 
 def test_oracle_betti_differential():

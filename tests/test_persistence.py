@@ -118,6 +118,22 @@ def test_dimension_error_comes_before_level_error(diabolo_filtration):
             query()
 
 
+@pytest.mark.parametrize("query, dim", [
+    (lambda f: persistent_betti(f, 1.5, 0, 2), "1.5"),
+    (lambda f: mu(f, 1.0, 0, 2), "1.0"),
+    (lambda f: mu_infinity(f, 0.5, 1), "0.5"),
+    (lambda f: barcode(f, 1.5), "1.5"),
+    (lambda f: persistent_betti(f, 1.5, 0.5, 2.5), "1.5"),
+], ids=["persistent_betti", "mu", "mu_infinity", "barcode", "dimension-before-levels"])
+def test_a_non_integer_dimension_is_refused_by_name(diabolo_filtration, query, dim):
+    # a named error before anything is swept, reduced or kept, and before the levels
+    f = diabolo_filtration
+    kept = set(f._later), set(f._pivots), set(f._columns)
+    with pytest.raises(TypeError, match=f"^dimension n must be an integer, got {dim}$"):
+        query(f)
+    assert (set(f._later), set(f._pivots), set(f._columns)) == kept
+
+
 def test_persistent_betti_refuses_a_non_integer_level(diabolo_filtration):
     # as f[3.5] does, and before it keeps a row under a key that is no level
     f = diabolo_filtration

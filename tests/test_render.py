@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
+
 from phcalc import Barcode, PersistencePair, barcode
 from phcalc.render import ascii_bars, svg_document
 
-from .support import random_filtration
+from .support import naive_ascii_bars, random_filtration
 
 
 def _bar_rows(text: str) -> list[str]:
@@ -54,6 +56,26 @@ def test_ascii_row_count_random():
         for n in range(3):
             bars = barcode(f, n)
             assert len(_bar_rows(ascii_bars(bars, f.m))) == bars.total_bars()
+
+
+def _many_level_barcode(rng: random.Random, m: int) -> Barcode:
+    """Seeded bars over levels 0..m, with a bar of multiplicity 3, a death
+    at birth + 1 and a never-dying bar born at the last level among them."""
+    counts = {}
+    for _ in range(rng.randint(20, 60)):
+        birth = rng.randrange(m + 1)
+        death = math.inf if birth == m or rng.random() < 0.2 else rng.randint(birth + 1, m)
+        counts[birth, death] = rng.randint(1, 3)
+    counts.update({(7, 20): 3, (3, 4): 1, (m, math.inf): 1})
+    return Barcode(1, tuple(PersistencePair(b, d, k) for (b, d), k in sorted(counts.items())))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ascii_bars_match_a_cell_per_level_reference(seed):
+    rng = random.Random(seed)
+    m = rng.randint(500, 1000)
+    for bars in (_many_level_barcode(rng, m), Barcode(2, ())):
+        assert ascii_bars(bars, m) == naive_ascii_bars(bars, m)
 
 
 def test_svg_structure(diabolo_filtration):
