@@ -69,8 +69,8 @@ def _triangle_list(text: str) -> list[int]:
 def _read_text(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.buffer.read().decode("utf-8")
-        with open(path, encoding="utf-8") as fh:
+            return sys.stdin.buffer.read().decode("utf-8-sig")
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(path, exc.strerror or str(exc)) from None

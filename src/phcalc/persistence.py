@@ -19,9 +19,12 @@ pairing lemma), swept from the first column born after j.  A rank is
 one bisect in a row.  The row of birth -1 is the rank of D_d at every
 level; it is swept once per dimension and kept on the filtration.
 `betti_table` and `check_fundamental_lemma` read the helper's rows.
-The point queries read no grid.  `persistent_betti` takes its one
-number off three swept rows, by one bisect each: the rows of birth -1
-of dimensions n - 1 and n, for the cycle count and rank_g, and row j.
+The cycle count z(j) is read in one place, `_cycles`: the n-cells born
+by j less the raises of D_n's row of birth -1 up to j.  The helper
+reads it once per birth row, and the point queries read no grid.
+`persistent_betti` takes its one number off three swept rows, by one
+bisect each: D_n's row -1 through `_cycles`, D_{n+1}'s row -1 for
+rank_g, and row j.
 Interval multiplicities are a finite difference of four persistent
 Betti numbers (Zomorodian-Carlsson), in which the cycle count and
 rank_g cancel, so `mu` and `mu_infinity` count the raises of two
@@ -142,6 +145,17 @@ def _later_raises(f: Filtration, n: int, j: int, p: int, keep: bool = False) -> 
     return raised
 
 
+def _cycles(f: Filtration, n: int, j: int) -> int:
+    """z(j), the dimension of the degree-n cycles of K^j; 0 at j = -1.
+
+    The n-cells born by j less rank D_n(K^j), the raises of D_n's row of
+    birth -1 up to j.  The one place z is read, for the grid and the
+    point query alike.
+    """
+    raised_n = _later_raises(f, n - 1, -1, f.m)
+    return bisect_right(f._birth_columns(n)[0], j) - bisect_right(raised_n, j)
+
+
 def _betti_grid(f: Filtration, n: int) -> Iterator[tuple[int, dict[int, int]]]:
     """persistent_betti by birth row: (j, {p: beta(j, p) for p >= j}), j ascending.
 
@@ -157,16 +171,15 @@ def _betti_grid(f: Filtration, n: int) -> Iterator[tuple[int, dict[int, int]]]:
     first column born after j, as every earlier one is 0 on those rows.
     The cycles of K^j stacked with the boundaries of K^p have rank z +
     rank_later, so this is the paper's z - (rank_g + z - rank_stacked).
-    rank D_n and rank_g are the rows of birth -1 of dimensions n - 1
-    and n, kept once swept.  Every rank is one bisect in a row of
+    z is `_cycles`'s, once per row, and rank_g is the row of birth -1 of
+    dimension n, kept once swept.  Every rank is one bisect in a row of
     raises, rank_g's once per level.  Each birth row reaches m and is
     not kept, so the grid's memory stays linear in m.
     """
-    m, cells = f.m, f._birth_columns(n)[0]
-    raised_n, raised_g = _later_raises(f, n - 1, -1, m), _later_raises(f, n, -1, m)
+    m, raised_g = f.m, _later_raises(f, n, -1, f.m)
     rank_g = [bisect_right(raised_g, p) for p in range(m + 1)]
     for j in range(m + 1):
-        z = bisect_right(cells, j) - bisect_right(raised_n, j)
+        z = _cycles(f, n, j)
         raised = _later_raises(f, n, j, m)
         yield j, {p: z - rank_g[p] + bisect_right(raised, p) for p in range(j, m + 1)}
 
@@ -185,16 +198,13 @@ def persistent_betti(f: Filtration, n: int, j: int, p: int) -> int:
     """Number of degree-n classes of K^j still alive at K^p.
 
     z(j) - rank_g(p) + rank_later(j, p), the form `_betti_grid` derives,
-    read off three swept rows: D_n's row -1 at j for the cycles, D_{n+1}'s
-    row -1 at p for rank_g, and row j, kept, at p.
+    read off three swept rows: D_n's row -1 at j for the cycles, through
+    `_cycles`, D_{n+1}'s row -1 at p for rank_g, and row j, kept, at p.
     """
     _require_dim(n)
     f.check_level_pair(j, p)
-    cells, m = f._birth_columns(n)[0], f.m
-    raised_n, raised_g = _later_raises(f, n - 1, -1, m), _later_raises(f, n, -1, m)
-    z = bisect_right(cells, j) - bisect_right(raised_n, j)
-    raised = _later_raises(f, n, j, p, keep=True)
-    return z - bisect_right(raised_g, p) + bisect_right(raised, p)
+    z, rank_g = _cycles(f, n, j), bisect_right(_later_raises(f, n, -1, f.m), p)
+    return z - rank_g + bisect_right(_later_raises(f, n, j, p, keep=True), p)
 
 
 def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
@@ -219,14 +229,14 @@ def betti_table(f: Filtration, n: int) -> dict[tuple[int, int], int]:
     return {(j, p): beta for j, row in _betti_grid(f, n) for p, beta in row.items()}
 
 
-def _raised(f: Filtration, n: int, j: int, lo: int, p: int) -> int:
-    """How many D_{n+1} columns born in [lo, p] raise row j of degree n.
+def _raised(f: Filtration, n: int, j: int, p: int) -> int:
+    """How many D_{n+1} columns born at p raise row j of degree n.
 
-    That is rank_later(j, p) - rank_later(j, lo - 1).  Row j is kept,
+    That is rank_later(j, p) - rank_later(j, p - 1).  Row j is kept,
     reaching p; row -1, whose raises are rank_g's, reaches m.
     """
     raised = _later_raises(f, n, j, p if j >= 0 else f.m, keep=True)
-    return bisect_right(raised, p) - bisect_left(raised, lo)
+    return bisect_right(raised, p) - bisect_left(raised, p)
 
 
 def mu(f: Filtration, n: int, j: int, p: int) -> int:
@@ -245,7 +255,7 @@ def mu(f: Filtration, n: int, j: int, p: int) -> int:
     _require_integer("level p", p)
     if not 0 <= j < p <= f.m:
         raise ValueError(f"need 0 <= j < p <= {f.m}, got j={j}, p={p}")
-    return _raised(f, n, j - 1, p, p) - _raised(f, n, j, p, p)
+    return _raised(f, n, j - 1, p) - _raised(f, n, j, p)
 
 
 def mu_infinity(f: Filtration, n: int, j: int) -> int:
@@ -254,8 +264,9 @@ def mu_infinity(f: Filtration, n: int, j: int) -> int:
     beta(j, m) - beta(j-1, m): the classes of K^j alive at the final
     level, minus those already present one level earlier.  rank_g
     cancels, z(j) - z(j-1) is the n-cells born at j less the raises of
-    D_n's row -1 at j, and the rank_later terms are rows j and j-1,
-    which reach m, so each is its length.
+    D_n's row -1 at j (telescoped, not two `_cycles` reads), and the
+    rank_later terms are rows j and j-1, which reach m, so each is its
+    length.
     """
     _require_dim(n)
     _require_integer("level j", j)
@@ -265,7 +276,7 @@ def mu_infinity(f: Filtration, n: int, j: int) -> int:
     born = bisect_right(cells, j) - bisect_left(cells, j)
     later = len(_later_raises(f, n, j, m, keep=True))
     later -= len(_later_raises(f, n, j - 1, m, keep=True))
-    return born - _raised(f, n - 1, -1, j, j) + later
+    return born - _raised(f, n - 1, -1, j) + later
 
 
 def _boundary_columns(

@@ -79,6 +79,25 @@ def test_stdin_that_is_not_utf8_is_refused_at_dash(monkeypatch, capsys, command,
     assert captured.err == f"phcalc: error: {message}\n"
 
 
+@pytest.mark.parametrize("source", ["facet file", "filtration file", "stdin"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, monkeypatch, capsys, diabolo_json, source):
+    # as RFC 8259 section 8.1 allows for JSON; a facet list is read the same way
+    command, text = ("barcode", diabolo_json) if source == "filtration file" else (
+        "betti", DIABOLO_FACETS_TEXT)
+    outputs = []
+    for data in (text.encode(), b"\xef\xbb\xbf" + text.encode()):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", _stdin(data))
+            path = "-"
+        assert main([command, str(path), "-n", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1] != ""
+
+
 def test_pbetti_command(filtration_file, capsys):
     assert main(["pbetti", filtration_file, "-n", "0", "-j", "0", "-p", "4"]) == 0
     assert main(["pbetti", filtration_file, "-n", "0", "-j", "0", "-p", "0"]) == 0

@@ -175,6 +175,14 @@ def test_equality_and_hash():
     assert a != closure_of_facets([Simplex((0, 2))])
 
 
+def test_a_complex_equals_no_other_type_and_reads_as_its_size():
+    c = closure_of_facets([Simplex((0, 1, 2))])
+    assert c != c.simplices
+    assert c.__eq__(c.simplices) is NotImplemented
+    assert repr(c) == "SimplicialComplex(7 simplices, dim 2)"
+    assert repr(SimplicialComplex([])) == "SimplicialComplex(0 simplices, dim -1)"
+
+
 def test_closure_matches_powerset():
     rng = random.Random(43)
     for _ in range(25):

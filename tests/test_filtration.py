@@ -151,6 +151,12 @@ def test_equality_and_iteration(diabolo_filtration):
     assert rebuilt == diabolo_filtration
 
 
+def test_a_filtration_equals_no_other_type_and_reads_as_its_size(diabolo_filtration):
+    assert diabolo_filtration != diabolo_filtration.levels
+    assert diabolo_filtration.__eq__(diabolo_filtration.levels) is NotImplemented
+    assert repr(diabolo_filtration) == "Filtration(6 levels, dim 2)"
+
+
 def test_validate_of_no_levels():
     assert validate([]) is None
 

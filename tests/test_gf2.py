@@ -34,6 +34,14 @@ def test_from_rows_infers_and_validates():
     assert Gf2Matrix.from_rows([], cols=5).rows == 0
 
 
+def test_from_rows_needs_cols_without_rows_and_the_row_length_with_them():
+    with pytest.raises(ValueError, match="^cols is required for a matrix with no rows$"):
+        Gf2Matrix.from_rows([])
+    with pytest.raises(ValueError, match="^cols=2 does not match row length 3$"):
+        Gf2Matrix.from_rows([[1, 0, 1]], cols=2)
+    assert Gf2Matrix.from_rows([[1, 0, 1]], cols=3) == Gf2Matrix.from_rows([[1, 0, 1]])
+
+
 def test_construction_rejects_stray_bits():
     with pytest.raises(ValueError):
         Gf2Matrix(1, 2, (0b100,))

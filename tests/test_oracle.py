@@ -52,6 +52,12 @@ def test_chainset_set_operations():
     assert not ChainSet(3, (0, 1, 2, 4)).is_xor_closed()
 
 
+def test_a_chainset_is_no_subset_across_ambient_dimensions():
+    # the same members, in spaces of different dimension
+    assert not ChainSet(2, (0, 1)).is_subset_of(ChainSet(3, (0, 1)))
+    assert ChainSet(3, (0, 1)).is_subset_of(ChainSet(3, (0, 1)))
+
+
 def test_enumerate_kernel_examples():
     assert enumerate_kernel(Gf2Matrix.identity(3)).members == (0,)
     full = enumerate_kernel(Gf2Matrix.zero(2, 3))

@@ -851,6 +851,11 @@ def test_lemma_check_catches_a_wrong_rank_grid(diabolo_filtration, monkeypatch):
     ]
 
 
+def test_a_lemma_violation_reads_as_its_kind_point_and_counts():
+    violation = LemmaViolation("barcode-span", 3, 4, 3, 2)
+    assert str(violation) == "barcode-span at (k=3, l=4): expected 3, got 2"
+
+
 def test_lemma_check_orders_finite_negative_counts_before_never_dying(
     diabolo_filtration, monkeypatch
 ):
