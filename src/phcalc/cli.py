@@ -67,11 +67,16 @@ def _triangle_list(text: str) -> list[int]:
 
 
 def _read_text(path: str) -> str:
+    """The file, or stdin at "-", as strict UTF-8 less one leading byte-order mark.
+
+    The mark is dropped after decoding, so a decode error's position is
+    the byte offset in the input, the mark's 3 bytes included.
+    """
     try:
         if path == "-":
-            return sys.stdin.buffer.read().decode("utf-8-sig")
-        with open(path, encoding="utf-8-sig") as fh:
-            return fh.read()
+            return sys.stdin.buffer.read().decode("utf-8").removeprefix("\ufeff")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().removeprefix("\ufeff")
     except OSError as exc:
         raise ParseError(path, exc.strerror or str(exc)) from None
     except UnicodeDecodeError as exc:

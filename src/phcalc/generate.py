@@ -6,7 +6,10 @@ import math
 import random
 
 from .complexes import Simplex
-from .files import FiltrationDocument
+from .files import MAX_CLOSURE_SIZE, FiltrationDocument
+
+# A triangle closes to 7 simplices, so this many always parse back
+MAX_TRIANGLES = MAX_CLOSURE_SIZE // 7
 
 
 def default_vertices(triangles: int) -> int:
@@ -28,10 +31,17 @@ def random_filtration_document(
     (duplicates allowed; the closure absorbs them) with a uniform level
     in 0..L-1.  Level j lists every facet drawn at level <= j, so the
     result is nested by construction.  The same seed reproduces the
-    same document.
+    same document.  More than MAX_TRIANGLES facets are refused before
+    any is drawn: their file could close past MAX_CLOSURE_SIZE, which
+    every reader refuses.
     """
     if triangles < 1:
         raise ValueError(f"need at least 1 triangle, got {triangles}")
+    if triangles > MAX_TRIANGLES:
+        raise ValueError(
+            f"need at most {MAX_TRIANGLES} triangles, got {triangles}: each closes to"
+            f" 7 simplices, and a file may close to at most {MAX_CLOSURE_SIZE}"
+        )
     if levels < 1:
         raise ValueError(f"need at least 1 level, got {levels}")
     if vertices is None:

@@ -32,8 +32,10 @@ adjacent swept rows.  The point queries keep each birth row they
 sweep, up to the furthest death asked for that birth, so a later
 query inside it sweeps nothing; `betti_table` and
 `check_fundamental_lemma` keep no row of a birth >= 0, so their memory
-stays linear in m.  `check_fundamental_lemma` takes the finite
-difference as written, on two grid rows at a time.
+stays linear in m.  The helper's rows are lists indexed by death
+level, 0 below the birth and at m+1, past the last level, and
+`check_fundamental_lemma` takes the finite difference as written, on
+two of them at a time, from a row of zeros for birth -1.
 `persistent_betti_simplified` keeps the per-pair matrix form on the
 two levels: a kernel basis, the inclusion matrix, its product, `rank`.
 
@@ -156,8 +158,11 @@ def _cycles(f: Filtration, n: int, j: int) -> int:
     return bisect_right(f._birth_columns(n)[0], j) - bisect_right(raised_n, j)
 
 
-def _betti_grid(f: Filtration, n: int) -> Iterator[tuple[int, dict[int, int]]]:
-    """persistent_betti by birth row: (j, {p: beta(j, p) for p >= j}), j ascending.
+def _betti_grid(f: Filtration, n: int) -> Iterator[tuple[int, list[int]]]:
+    """persistent_betti by birth row: (j, row), j ascending, row[p] = beta(j, p).
+
+    Each row is a list of m+2 entries: beta(j, p) for j <= p <= m, and 0
+    below j and at m+1, where no class lives past the last level.
 
     The filtration keeps D_n(K^m) and D_{n+1}(K^m) with rows and columns
     in (birth, vertices) order, in which every level is a prefix of K^m.
@@ -181,17 +186,7 @@ def _betti_grid(f: Filtration, n: int) -> Iterator[tuple[int, dict[int, int]]]:
     for j in range(m + 1):
         z = _cycles(f, n, j)
         raised = _later_raises(f, n, j, m)
-        yield j, {p: z - rank_g[p] + bisect_right(raised, p) for p in range(j, m + 1)}
-
-
-def _multiplicity(before: dict[int, int], row: dict[int, int], p: int) -> int:
-    """(beta(j, p-1) - beta(j, p)) - (beta(j-1, p-1) - beta(j-1, p)).
-
-    ``before`` and ``row`` are the rows of births j-1 and j.  Row -1 is
-    empty, and beta is 0 at death m+1, past every row, where the same
-    expression counts the classes born at j that never die.
-    """
-    return (row[p - 1] - row.get(p, 0)) - (before.get(p - 1, 0) - before.get(p, 0))
+        yield j, [0] * j + [z - rank_g[p] + bisect_right(raised, p) for p in range(j, m + 1)] + [0]
 
 
 def persistent_betti(f: Filtration, n: int, j: int, p: int) -> int:
@@ -226,7 +221,7 @@ def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
 def betti_table(f: Filtration, n: int) -> dict[tuple[int, int], int]:
     """persistent_betti over the whole (j, p) grid, j <= p."""
     _require_dim(n)
-    return {(j, p): beta for j, row in _betti_grid(f, n) for p, beta in row.items()}
+    return {(j, p): row[p] for j, row in _betti_grid(f, n) for p in range(j, f.m + 1)}
 
 
 def _raised(f: Filtration, n: int, j: int, p: int) -> int:
@@ -248,7 +243,7 @@ def mu(f: Filtration, n: int, j: int, p: int) -> int:
     row j at p; row -1 is rank_g's, so the beta terms at birth level -1
     are 0.  Only a wrong row could make it negative, and nothing here
     checks it: `check_fundamental_lemma` finds "negative-count"
-    violations on the grid rows, through `_multiplicity`.
+    violations on the grid rows, where it takes the same difference.
     """
     _require_dim(n)
     _require_integer("level j", j)
@@ -402,14 +397,18 @@ def check_fundamental_lemma(f: Filtration, n: int) -> LemmaReport:
     """Check the rank grid of degree n against the reduction's barcode.
 
     Walks the rank rows in birth order and holds two of them, k-1 and k,
-    with one running row of the bars born <= k alive at each level.
+    with one running row of the bars born <= k alive at each level.  The
+    multiplicity mu(k, p) is written once, as the paper's difference
+    (beta(k, p-1) - beta(k, p)) - (beta(k-1, p-1) - beta(k-1, p)): the
+    row before birth 0 is all zeros, and at p = m+1, where beta is 0, it
+    counts the classes born at k that never die.
     """
     m, bars, i = f.m, barcode(f, n).pairs, 0  # the bars by birth
-    finite, never_dying, spans, before = [], [], [], {}
+    finite, never_dying, spans, before = [], [], [], [0] * (m + 2)
     spanning = [0] * (m + 1)
     for k, row in _betti_grid(f, n):
         for p in range(k + 1, m + 2):
-            count = _multiplicity(before, row, p)
+            count = (row[p - 1] - row[p]) - (before[p - 1] - before[p])
             if count < 0:
                 violation = LemmaViolation("negative-count", k, p, 0, count)
                 (finite if p <= m else never_dying).append(violation)

@@ -53,7 +53,7 @@ def perturb_rank_rows(monkeypatch, deltas: dict, dim: int | None = None) -> None
     """Add deltas[(j, p)] to beta(j, p) in every rank row read from now on.
 
     Only the rows of degree ``dim`` change, or those of every degree when
-    it is None; an entry a row does not hold is left out.  A later call
+    it is None; an entry outside j <= p <= m is left out.  A later call
     replaces the perturbation rather than adding to it.
     """
     original = inspect.unwrap(persistence._betti_grid)
@@ -63,7 +63,7 @@ def perturb_rank_rows(monkeypatch, deltas: dict, dim: int | None = None) -> None
         for j, row in original(f, n):
             if dim is None or n == dim:
                 for (birth, p), delta in deltas.items():
-                    if birth == j and p in row:
+                    if birth == j and j <= p <= f.m:
                         row[p] += delta
             yield j, row
 

@@ -98,6 +98,22 @@ def test_a_leading_byte_order_mark_is_skipped(tmp_path, monkeypatch, capsys, dia
     assert outputs[0] == outputs[1] != ""
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_a_decode_error_after_a_byte_order_mark_counts_the_mark(tmp_path, monkeypatch, capsys,
+                                                                source):
+    # the 0xff is the input's eighth byte: offset 7, the mark's 3 bytes included
+    data, path = b"\xef\xbb\xbf0 1\n\xff\n", tmp_path / "input.txt"
+    path.write_bytes(data)
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", _stdin(data))
+        path = "-"
+    assert main(["betti", str(path), "-n", "0"]) == 1
+    assert capsys.readouterr().err == (
+        f"phcalc: error: {path}: 'utf-8' codec can't decode byte 0xff"
+        " in position 7: invalid start byte\n"
+    )
+
+
 def test_pbetti_command(filtration_file, capsys):
     assert main(["pbetti", filtration_file, "-n", "0", "-j", "0", "-p", "4"]) == 0
     assert main(["pbetti", filtration_file, "-n", "0", "-j", "0", "-p", "0"]) == 0
@@ -552,6 +568,19 @@ def test_gen_rejects_bad_arguments(capsys):
     assert main(["gen", "-t", "0", "-l", "1"]) == 1
     assert main(["gen", "-t", "1", "-l", "1", "-v", "2"]) == 1
     capsys.readouterr()
+
+
+def test_gen_refuses_more_triangles_than_a_file_may_close_to(tmp_path, capsys):
+    # 149,797 triangles could close past MAX_CLOSURE_SIZE, which every reader refuses
+    path = tmp_path / "big.json"
+    assert main(["gen", "-t", "149797", "-l", "1", "-o", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "phcalc: error: need at most 149796 triangles, got 149797: each closes to"
+        " 7 simplices, and a file may close to at most 1048576\n"
+    )
+    assert not path.exists()
 
 
 def test_bench_table_layout(capsys):

@@ -41,7 +41,7 @@ from phcalc.cli import main
 from phcalc.files import parse_filtration
 from phcalc.generate import random_filtration_document
 from phcalc.gf2 import Gf2Matrix
-from phcalc.persistence import _betti_grid, _multiplicity
+from phcalc.persistence import _betti_grid
 
 from .support import (
     count_boundary_builds,
@@ -305,7 +305,9 @@ def test_betti_grid_matches_the_stacked_rank_grid():
         for n in range(4):
             rows = list(_betti_grid(f, n))
             assert [j for j, _ in rows] == list(levels)
-            assert {(j, p): b for j, row in rows for p, b in row.items()} == (
+            # 0 below the birth and at m + 1, past the last level
+            assert all(row[:j] + row[len(f):] == [0] * (j + 1) for j, row in rows)
+            assert {(j, p): row[p] for j, row in rows for p in levels if p >= j} == (
                 stacked_rank_grid(f, n, levels, levels)
             )
 
@@ -395,12 +397,13 @@ def test_mu_and_mu_infinity_equal_the_finite_difference_of_two_grid_rows(
         for n in range(4):
             rows = dict(_betti_grid(grid, n))
             for j in range(m + 1):
-                before = rows.get(j - 1, {})
+                row, before = rows[j], rows.get(j - 1, [0] * (m + 2))
                 for p in range(j, m + 1):
-                    assert persistent_betti(f, n, j, p) == rows[j][p], (n, j, p)
-                for p in range(j + 1, m + 1):
-                    assert mu(f, n, j, p) == _multiplicity(before, rows[j], p), (n, j, p)
-                assert mu_infinity(f, n, j) == _multiplicity(before, rows[j], m + 1), (n, j)
+                    assert persistent_betti(f, n, j, p) == row[p], (n, j, p)
+                for p in range(j + 1, m + 2):
+                    count = (row[p - 1] - row[p]) - (before[p - 1] - before[p])
+                    query = mu(f, n, j, p) if p <= m else mu_infinity(f, n, j)
+                    assert query == count, (n, j, p)
     assert 3 in tops
 
 
