@@ -9,6 +9,7 @@ standard input.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -69,13 +70,17 @@ def _triangle_list(text: str) -> list[int]:
 def _read_text(path: str) -> str:
     """The file, or stdin at "-", as strict UTF-8 less one leading byte-order mark.
 
-    The mark is dropped after decoding, so a decode error's position is
-    the byte offset in the input, the mark's 3 bytes included.
+    Stdin's bytes go through the same text-mode reader as a file's, so
+    the two are read exactly alike: CR LF and CR become LF, as universal
+    newlines translate them, and a decode error names the same position.
+    The whole input is decoded in one read, and the mark is dropped
+    after decoding, so that position is the byte offset in the input,
+    the mark's 3 bytes included.  The reader owns only a buffer over the
+    bytes read from stdin, so closing it leaves stdin open.
     """
     try:
-        if path == "-":
-            return sys.stdin.buffer.read().decode("utf-8").removeprefix("\ufeff")
-        with open(path, encoding="utf-8") as fh:
+        with (io.TextIOWrapper(io.BytesIO(sys.stdin.buffer.read()), encoding="utf-8")
+              if path == "-" else open(path, encoding="utf-8")) as fh:
             return fh.read().removeprefix("\ufeff")
     except OSError as exc:
         raise ParseError(path, exc.strerror or str(exc)) from None
@@ -122,7 +127,14 @@ def cmd_mu(args: argparse.Namespace) -> int:
 
 
 def _top_down(run, f: Filtration, dims) -> list:
-    """[run(f, n) for n in dims], run top down: each reduction is cleared by the one above."""
+    """[run(f, n) for n in dims], run top down: each reduction is cleared by the one above.
+
+    The order is the caller's, not `_pivots`'s: a `_pivots(f, d)` that
+    reduced D_{d+1} first would reduce every dimension above d, though
+    one barcode reads only D_n and D_{n+1}.  Tried, it made `barcode -n
+    0` on `gen -t 3000 -l 10 -s 1` go from 16.4-17.0 to 20.4-24.1 ms,
+    and from 69-79 to 100-101 ms at T = 10,000 (Python 3.11.7).
+    """
     return [run(f, n) for n in reversed(dims)][::-1]
 
 

@@ -75,12 +75,15 @@ _VERTEX = re.compile(r"-?[0-9]+")
 def parse_facets(text: str) -> tuple[Simplex, ...]:
     """Parse a facet list: one facet per line, vertices space-separated.
 
+    A line ends at LF, CR LF or CR, as universal newlines end it, so the
+    line numbers are those a text-mode read counts; any other
+    whitespace, a form feed, NEL or U+2028 included, separates vertices.
     `#` starts a comment; blank lines are skipped.  An empty result is
     legal and denotes the empty complex.
     """
     facets = []
     bound = _ClosureBound()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -116,7 +119,7 @@ def _facet_at(obj: object, where: str, bound: _ClosureBound) -> Simplex:
     if not isinstance(obj, list) or not obj:
         raise ParseError(where, "each facet must be a non-empty list of vertices")
     for k, v in enumerate(obj):
-        if isinstance(v, bool) or not isinstance(v, int):
+        if type(v) is not int:
             raise ParseError(f"{where}[{k}]", f"vertex must be an integer, got {v!r}")
     # keyed only after the type check: True == 1 would alias the two
     return bound.facet(tuple(obj), where)
@@ -235,11 +238,11 @@ def _pair_at(obj: object, where: str) -> PersistencePair:
     birth = obj.get("birth")
     death = obj.get("death")
     count = obj.get("multiplicity")
-    if isinstance(birth, bool) or not isinstance(birth, int):
+    if type(birth) is not int:
         raise ParseError(where, f"birth must be an integer, got {birth!r}")
-    if death is not None and (isinstance(death, bool) or not isinstance(death, int)):
+    if death is not None and type(death) is not int:
         raise ParseError(where, f"death must be an integer or null, got {death!r}")
-    if isinstance(count, bool) or not isinstance(count, int):
+    if type(count) is not int:
         raise ParseError(where, f"multiplicity must be an integer, got {count!r}")
     try:
         return PersistencePair(birth, math.inf if death is None else death, count)
@@ -265,7 +268,7 @@ def parse_barcodes(text: str) -> tuple[Barcode, ...]:
         if not isinstance(raw, dict) or set(raw) != {"dimension", "intervals"}:
             raise ParseError(where, "must have exactly 'dimension' and 'intervals'")
         dim = raw["dimension"]
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+        if type(dim) is not int or dim < 0:
             raise ParseError(f"{where}.dimension", f"must be a count, got {dim!r}")
         if any(b.dimension == dim for b in out):
             raise ParseError(f"{where}.dimension", f"dimension {dim} listed twice")

@@ -6,6 +6,7 @@ import io
 import json
 from bisect import insort
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -59,9 +60,11 @@ def _stdin(data: bytes) -> io.TextIOWrapper:
 
 
 def test_betti_from_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", _stdin(DIABOLO_FACETS_TEXT.encode()))
+    stdin = _stdin(DIABOLO_FACETS_TEXT.encode())
+    monkeypatch.setattr("sys.stdin", stdin)
     assert main(["betti", "-", "-n", "1"]) == 0
     assert capsys.readouterr().out == "1\n"
+    assert not stdin.closed  # read, not closed: stdin belongs to the process
 
 
 @pytest.mark.parametrize("command, data, message", [
@@ -112,6 +115,57 @@ def test_a_decode_error_after_a_byte_order_mark_counts_the_mark(tmp_path, monkey
         f"phcalc: error: {path}: 'utf-8' codec can't decode byte 0xff"
         " in position 7: invalid start byte\n"
     )
+
+
+# bytes read alike from a path and from stdin, by command
+SAME_FROM_PATH_AND_STDIN = {
+    "CR-only JSON with an error": ("barcode", b'{"levels":\r[[[0, 1]],\r [[0, x]]]}\r'),
+    "CRLF facet file": ("betti", DIABOLO_FACETS_TEXT.replace("\n", "\r\n").encode()),
+    "CR-only facet file": ("betti", DIABOLO_FACETS_TEXT.replace("\n", "\r").encode()),
+    "byte-order mark": ("betti", b"\xef\xbb\xbf" + DIABOLO_FACETS_TEXT.encode()),
+    "byte-order mark then 0xff": ("betti", b"\xef\xbb\xbf0 1\n\xff\n"),
+    "not UTF-8": ("betti", b"\xff\xfe"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, data", SAME_FROM_PATH_AND_STDIN.values(), ids=SAME_FROM_PATH_AND_STDIN
+)
+def test_a_path_and_stdin_give_the_same_answer_for_the_same_bytes(tmp_path, monkeypatch, capsys,
+                                                                   command, data):
+    # stdin is read through the same text-mode reader as a file, newlines
+    # included; only the location of an unreadable input names its source
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    results = []
+    for source in (str(path), "-"):
+        monkeypatch.setattr("sys.stdin", _stdin(data))
+        status = main([command, source, "-n", "1"])
+        captured = capsys.readouterr()
+        results.append((status, captured.out, captured.err.replace(str(path), "-")))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("command, data, out, err", [
+    # a line ends at LF, CR LF or CR: a form feed, NEL or U+2028 is
+    # whitespace inside a line, so it neither counts a line nor splits one
+    ("betti", b"0 1\n\x0c\n0 x\n", "", "line 3: vertices must be integers, got '0 x'"),
+    ("betti", "0 1\x852 3\n".encode(), "1\n", ""),
+    ("betti", "0 1\u20282\n".encode(), "1\n", ""),
+    ("barcode", b'{"levels":\r[[[0, 1]],\r [[0, x]]]}\r', "", "line 3 column 7: Expecting value"),
+], ids=["form feed", "NEL", "U+2028", "CR-only JSON"])
+def test_a_line_ends_only_at_a_universal_newline(tmp_path, monkeypatch, capsys, source, command,
+                                                  data, out, err):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", _stdin(data))
+        path = "-"
+    assert main([command, str(path), "-n", "0"]) == (1 if err else 0)
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == (f"phcalc: error: {err}\n" if err else "")
 
 
 def test_pbetti_command(filtration_file, capsys):
@@ -336,7 +390,7 @@ def test_all_barcodes_build_and_reduce_each_boundary_matrix_once(
     # the filtration keeps each dimension's pivots: D_d is built and
     # reduced once for every barcode and check that needs it, top down
     # where all are needed, so that each is cleared by the pivots above
-    f = parse_filtration(open(filtration_file).read()).to_filtration()
+    f = parse_filtration(Path(filtration_file).read_text()).to_filtration()
     for n in range(3):
         barcode(f, n)
     columns = [len(f.births(d)) for d in range(4)]
