@@ -2,8 +2,9 @@
 
 Subcommands: betti, pbetti, mu, barcode, check, gen, bench.  Exit
 codes: 0 success, 1 usage or parse error, 2 validation failure,
-3 mathematical-invariant violation.  File arguments accept `-` for
-standard input.
+3 mathematical-invariant violation, 4 out of memory.  File arguments
+accept `-` for standard input; a closed standard input or output is
+an error at `-`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_MATH = 3
+EXIT_MEMORY = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,6 +80,8 @@ def _read_text(path: str) -> str:
     the mark's 3 bytes included.  The reader owns only a buffer over the
     bytes read from stdin, so closing it leaves stdin open.
     """
+    if path == "-" and sys.stdin is None:
+        raise ParseError("-", "standard input is closed")
     try:
         with (io.TextIOWrapper(io.BytesIO(sys.stdin.buffer.read()), encoding="utf-8")
               if path == "-" else open(path, encoding="utf-8")) as fh:
@@ -387,7 +391,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if sys.stdout is None and getattr(args, "output", None) in (None, "-"):
+            raise OSError("-: standard output is closed")  # as an unwritable -o path is
         return args.func(args)
+    except MemoryError:
+        print(f"phcalc: error: out of memory in {args.command}", file=sys.stderr)
+        return EXIT_MEMORY
     except FiltrationError as exc:
         print(f"phcalc: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

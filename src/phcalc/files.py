@@ -1,14 +1,13 @@
 """On-disk formats: facet lists, filtration documents, barcode documents.
 
-Complexes travel as plain text (one facet per line); filtrations and
-barcodes travel as JSON.  Parsing reports a location with every error,
-and each serializer round-trips with its parser on canonical inputs.
+Facet lists (plain text, one facet per line) and filtration documents
+(JSON) are read; filtration documents and barcodes (JSON) are written.
+Parsing reports a location with every error.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from itertools import chain, compress, count, repeat
 from operator import is_
@@ -97,10 +96,6 @@ def parse_facets(text: str) -> tuple[Simplex, ...]:
             raise ParseError(f"line {lineno}", str(exc)) from None
         facets.append(_facet_at(vertices, f"line {lineno}", bound))
     return tuple(facets)
-
-
-def serialize_facets(facets: tuple[Simplex, ...] | list[Simplex]) -> str:
-    return "".join(" ".join(str(v) for v in f) + "\n" for f in facets)
 
 
 def _load_json(text: str) -> object:
@@ -225,67 +220,3 @@ def serialize_barcodes(barcodes: list[Barcode] | tuple[Barcode, ...]) -> str:
         ]
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def _pair_at(obj: object, where: str) -> PersistencePair:
-    if not isinstance(obj, dict):
-        raise ParseError(where, "each interval must be an object")
-    unknown = set(obj) - {"birth", "death", "multiplicity"}
-    if unknown:
-        raise ParseError(where, f"unknown fields {sorted(unknown)}")
-    if "death" not in obj:  # only null is a death that never comes
-        raise ParseError(where, "missing field 'death'")
-    birth = obj.get("birth")
-    death = obj.get("death")
-    count = obj.get("multiplicity")
-    if type(birth) is not int:
-        raise ParseError(where, f"birth must be an integer, got {birth!r}")
-    if death is not None and type(death) is not int:
-        raise ParseError(where, f"death must be an integer or null, got {death!r}")
-    if type(count) is not int:
-        raise ParseError(where, f"multiplicity must be an integer, got {count!r}")
-    try:
-        return PersistencePair(birth, math.inf if death is None else death, count)
-    except ValueError as exc:
-        raise ParseError(where, str(exc)) from None
-
-
-def parse_barcodes(text: str) -> tuple[Barcode, ...]:
-    """The barcodes of a document as `serialize_barcodes` writes it.
-
-    Each dimension is listed once, and each interval once, in (birth,
-    death) order, so one barcode has one document.
-    """
-    doc = _load_json(text)
-    if not isinstance(doc, dict) or set(doc) != {"barcodes"}:
-        raise ParseError("document", "top level must be an object with 'barcodes'")
-    raw_barcodes = doc["barcodes"]
-    if not isinstance(raw_barcodes, list):
-        raise ParseError("barcodes", "must be a list")
-    out = []
-    for i, raw in enumerate(raw_barcodes):
-        where = f"barcodes[{i}]"
-        if not isinstance(raw, dict) or set(raw) != {"dimension", "intervals"}:
-            raise ParseError(where, "must have exactly 'dimension' and 'intervals'")
-        dim = raw["dimension"]
-        if type(dim) is not int or dim < 0:
-            raise ParseError(f"{where}.dimension", f"must be a count, got {dim!r}")
-        if any(b.dimension == dim for b in out):
-            raise ParseError(f"{where}.dimension", f"dimension {dim} listed twice")
-        intervals = raw["intervals"]
-        if not isinstance(intervals, list):
-            raise ParseError(f"{where}.intervals", "must be a list")
-        pairs = tuple(
-            _pair_at(p, f"{where}.intervals[{k}]") for k, p in enumerate(intervals)
-        )
-        for k in range(1, len(pairs)):
-            before, pair = pairs[k - 1], pairs[k]
-            if (before.birth, before.death) == (pair.birth, pair.death):
-                raise ParseError(f"{where}.intervals[{k}]", f"interval {pair} listed twice")
-            if (before.birth, before.death) > (pair.birth, pair.death):
-                raise ParseError(
-                    f"{where}.intervals[{k}]",
-                    f"interval {pair} listed after {before}, out of (birth, death) order",
-                )
-        out.append(Barcode(dim, pairs))
-    return tuple(out)

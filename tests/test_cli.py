@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 from bisect import insort
 from collections import Counter
 from pathlib import Path
@@ -14,7 +18,7 @@ from phcalc import cli, persistence
 from phcalc.cli import main
 from phcalc.complexes import SimplicialComplex
 from phcalc.filtration import Filtration
-from phcalc.files import parse_barcodes, parse_filtration
+from phcalc.files import parse_filtration
 from phcalc.generate import random_filtration_document
 from phcalc.persistence import LemmaReport, LemmaViolation, barcode, persistent_betti
 
@@ -195,9 +199,9 @@ def test_barcode_text(filtration_file, capsys):
 
 def test_barcode_json_all_dims(filtration_file, capsys):
     assert main(["barcode", filtration_file, "--all-dims", "--format", "json"]) == 0
-    codes = parse_barcodes(capsys.readouterr().out)
-    assert [b.dimension for b in codes] == [0, 1, 2]
-    assert codes[1].total_bars() == 2
+    codes = json.loads(capsys.readouterr().out)["barcodes"]
+    assert [b["dimension"] for b in codes] == [0, 1, 2]
+    assert sum(bar["multiplicity"] for bar in codes[1]["intervals"]) == 2
 
 
 def test_barcode_svg_to_file(filtration_file, tmp_path, capsys):
@@ -597,6 +601,82 @@ def test_an_unwritable_output_is_an_error_at_its_path(filtration_file, tmp_path,
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"phcalc: error: {path}: No such file or directory\n"
+
+
+SRC = str(Path(cli.__file__).resolve().parent.parent)
+
+
+def _run(argv: list[str], closed: tuple[int, ...] = (), address_space: int | None = None):
+    """phcalc ``argv`` in a fresh process: (exit code, stderr).
+
+    The child closes the descriptors in ``closed`` and caps its own
+    address space at ``address_space`` bytes, so the test process is
+    left as it was.
+    """
+    def setup():
+        for fd in closed:
+            os.close(fd)
+        if address_space is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "phcalc.cli", *argv], preexec_fn=setup, env=env,
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, timeout=120,
+    )
+    return run.returncode, run.stderr
+
+
+def test_a_closed_stdin_is_an_error_at_dash():
+    assert _run(["betti", "-", "-n", "0"], closed=(0,)) == (
+        1, "phcalc: error: -: standard input is closed\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti", "FACETS", "-n", "0"],
+    ["pbetti", "FILE", "-n", "0", "-j", "0", "-p", "1"],
+    ["mu", "FILE", "-n", "0", "-j", "0", "-p", "inf"],
+    ["barcode", "FILE", "-n", "0"],
+    ["barcode", "FILE", "-n", "0", "-o", "-"],
+    ["check", "FILE"],
+    ["gen", "-t", "5", "-l", "2"],
+    ["bench", "-t", "10"],
+], ids=lambda argv: " ".join(argv))
+def test_a_closed_stdout_is_an_error_at_dash(argv, filtration_file, tmp_path):
+    # an answer printed to no stdout would be dropped with exit 0
+    facets = tmp_path / "facets.txt"
+    facets.write_text("0 1 2\n")
+    files = {"FILE": filtration_file, "FACETS": str(facets)}
+    assert _run([files.get(a, a) for a in argv], closed=(1,)) == (
+        1, "phcalc: error: -: standard output is closed\n"
+    )
+
+
+def test_an_output_file_is_written_with_stdout_closed(filtration_file, tmp_path, capsys):
+    for argv in (["barcode", filtration_file, "--all-dims", "--format", "json"],
+                 ["gen", "-t", "5", "-l", "2", "-s", "3"]):
+        path = tmp_path / "out"
+        assert _run(argv + ["-o", str(path)], closed=(1,)) == (0, "")
+        assert main(argv) == 0
+        assert path.read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, text, options", [
+    ("betti", " ".join(map(str, range(20))) + "\n", ["-n", "10"]),
+    ("barcode", json.dumps({"levels": [[list(range(20))]]}), ["--all-dims"]),
+])
+def test_out_of_memory_is_its_own_exit_code(command, text, options, tmp_path):
+    # one 20-vertex facet closes to 2**20 - 1 simplices, within the closure
+    # bound; the process starts in under 30 MB of address space and needs
+    # far more than 100 MB for this closure
+    path = tmp_path / "big"
+    path.write_text(text)
+    assert _run([command, str(path), *options], address_space=100 << 20) == (
+        4, f"phcalc: error: out of memory in {command}\n"
+    )
 
 
 def test_gen_writes_deterministic_file(tmp_path, capsys):

@@ -1,0 +1,139 @@
+"""Run the tier-1 suite against a fixed list of single-site mutants of src.
+
+Each mutant replaces one text that occurs exactly once in one file.  A
+copy of src and tests is made in a temporary directory; each mutant is
+patched into the copy, tier-1 runs there with -x, and the file is put
+back.  The working tree is never written.  A mutant the suite passes on
+survives; the script exits 1 if a survivor is not listed as equivalent,
+with its reason, or if the unmutated copy fails.
+
+    python3 tools/mutants.py
+
+Mutation testing is surveyed in Jia and Harman, "An Analysis and Survey
+of the Development of Mutation Testing", IEEE TSE 37(5), 2011.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    equivalent: str | None = None  # why the suite cannot kill it, if it cannot
+
+
+P, C, FT, FI, CX = (f"src/phcalc/{m}.py" for m in
+                    ("persistence", "cli", "filtration", "files", "complexes"))
+
+MUTANTS = [
+    # the reduction adds no earlier column, and only clears the pivot bit
+    Mutant(P, "col ^= reduced[low]", "col ^= 1 << low"),
+    # bisect_left for bisect_right: rank_g in the grid and in a point query
+    Mutant(P, "rank_g = [bisect_right(raised_g, p)", "rank_g = [bisect_left(raised_g, p)"),
+    Mutant(P, "bisect_right(_later_raises(f, n, -1, f.m), p)",
+           "bisect_left(_later_raises(f, n, -1, f.m), p)"),
+    # ... the row shift, and both counts of z(j)
+    Mutant(P, "shift = bisect_right(", "shift = bisect_left("),
+    Mutant(P, "return bisect_right(f._birth_columns(n)[0], j) - bisect_right(raised_n, j)",
+           "return bisect_left(f._birth_columns(n)[0], j) - bisect_right(raised_n, j)"),
+    Mutant(P, "return bisect_right(f._birth_columns(n)[0], j) - bisect_right(raised_n, j)",
+           "return bisect_right(f._birth_columns(n)[0], j) - bisect_left(raised_n, j)"),
+    # mu_infinity drops the raises of D_n's row -1 at j
+    Mutant(P, "return born - _raised(f, n - 1, -1, j) + later", "return born + later"),
+    # off by one: the negative-count, span, inclusion and nilpotency checks
+    Mutant(P, "for p in range(k + 1, m + 2):", "for p in range(k + 1, m + 1):"),
+    Mutant(P, "for l in range(k, m + 1)", "for l in range(k + 1, m + 1)"),
+    Mutant(C, "if born > birth:", "if born > birth + 1:"),
+    Mutant(C, "if j >= birth", "if j > birth"),
+    # point queries keep no birth row
+    Mutant(P, "if keep or j < 0:", "if j < 0:"),
+    # a simplex takes the birth of the last level that adds it, not the first
+    Mutant(FT, "births.setdefault(verts, j)", "births[verts] = j"),
+    # the nesting check is off at level 1
+    Mutant(FT, "if not previous <= facets:", "if j != 1 and not previous <= facets:"),
+    # the closure bound admits one simplex more
+    Mutant(FI, "if self.total > MAX_CLOSURE_SIZE:", "if self.total > MAX_CLOSURE_SIZE + 1:"),
+    # a level with an empty facet passes as plain
+    Mutant(FI, "        and all(raw_level)\n", ""),
+    # the barcode keeps a bar born and killed at one level
+    Mutant(P, "if birth < death:", "if birth <= death:"),
+    # clamps at 0, which change nothing unless a row or a rank is already wrong
+    Mutant(P, "return _raised(f, n, j - 1, p) - _raised(f, n, j, p)",
+           "return max(0, _raised(f, n, j - 1, p) - _raised(f, n, j, p))",
+           equivalent="mu reads two rows that are right on every input, so the"
+           " difference is never negative; the test that perturbs rank rows"
+           " wraps _betti_grid, which mu does not read"),
+    Mutant(CX, "return ns - self.boundary_matrix(n).rank() - self.boundary_matrix(n + 1).rank()",
+           "return max(0, ns - self.boundary_matrix(n).rank()"
+           " - self.boundary_matrix(n + 1).rank())",
+           equivalent="|S_n| - rank D_n - rank D_{n+1} is the dimension of a"
+           " homology space, never negative while the ranks are right"),
+]
+
+
+def _tier1(copy: Path) -> tuple[bool, float]:
+    """Whether tier-1 passes in ``copy``, stopping at the first failure, and its wall time."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=600,
+        )
+    except subprocess.TimeoutExpired:  # a mutant that hangs the suite is caught
+        return False, time.perf_counter() - start
+    return run.returncode == 0, time.perf_counter() - start
+
+
+def main() -> int:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="phcalc-mutants-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        passed, seconds = _tier1(copy)
+        print(f"{'unmutated':<10}{'passes' if passed else 'FAILS':<12}{seconds:6.1f} s")
+        if not passed:
+            return 1
+        unexplained = []
+        for k, mutant in enumerate(MUTANTS, 1):
+            path = copy / mutant.file
+            source = path.read_text(encoding="utf-8")
+            if source.count(mutant.old) != 1:
+                print(f"mutant {k}: {mutant.old!r} occurs {source.count(mutant.old)}"
+                      f" times in {mutant.file}, not once")
+                return 1
+            path.write_text(source.replace(mutant.old, mutant.new), encoding="utf-8")
+            try:
+                survived, seconds = _tier1(copy)
+            finally:
+                path.write_text(source, encoding="utf-8")
+            verdict = "killed"
+            if survived:
+                verdict = "equivalent" if mutant.equivalent else "SURVIVED"
+                if not mutant.equivalent:
+                    unexplained.append(k)
+            print(f"{k:<10}{verdict:<12}{seconds:6.1f} s  {mutant.file}:"
+                  f" {mutant.old.strip()!r} -> {mutant.new.strip()!r}")
+    print(f"{len(MUTANTS)} mutants, {len(unexplained)} unexplained survivors,"
+          f" {time.perf_counter() - start:.0f} s in all")
+    return 1 if unexplained else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
