@@ -3,8 +3,10 @@
 Subcommands: betti, pbetti, mu, barcode, check, gen, bench.  Exit
 codes: 0 success, 1 usage or parse error, 2 validation failure,
 3 mathematical-invariant violation, 4 out of memory.  File arguments
-accept `-` for standard input; a closed standard input or output is
-an error at `-`.
+accept `-` for standard input; a closed standard input or output, or
+a stdout whose reader has gone (`-: Broken pipe`), is an error at `-`.
+Each subcommand returns its whole answer and `main` writes it once, so
+stdout holds the whole answer or nothing.
 """
 
 from __future__ import annotations
@@ -36,25 +38,18 @@ EXIT_MATH = 3
 EXIT_MEMORY = 4
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse, but usage errors exit 1 instead of 2."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
+def _nonneg_int(text: str, expected: str = "an integer >= 0") -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # refused below, as a negative integer is
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return value
 
 
 def _level_or_inf(text: str) -> int | None:
-    if text == "inf":
-        return None
-    return _nonneg_int(text)
+    return None if text == "inf" else _nonneg_int(text, "an integer >= 0 or inf")
 
 
 def _triangle_list(text: str) -> list[int]:
@@ -93,14 +88,22 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
+    """Write the file, or stdout at None or "-"; an error names the path, or "-".
+
+    Stdout is flushed here, so that a reader gone from its pipe is an
+    error at "-" now, and not once more when the interpreter exits.
+    """
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if path is None or path == "-":
+            if sys.stdout is None:
+                raise OSError("standard output is closed")
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise OSError(f"{path}: {exc.strerror or exc}") from None
+        raise OSError(f"{path or '-'}: {exc.strerror or exc}") from None
 
 
 def _load_filtration(args: argparse.Namespace) -> Filtration:
@@ -108,26 +111,24 @@ def _load_filtration(args: argparse.Namespace) -> Filtration:
     return doc.to_filtration()
 
 
-def cmd_betti(args: argparse.Namespace) -> int:
-    facets = parse_facets(_read_text(args.file))
-    complex_ = closure_of_facets(facets)
-    print(complex_.betti(args.dim))
-    return EXIT_OK
+# Each cmd_* returns (exit code, its whole answer); main writes the answer.
 
 
-def cmd_pbetti(args: argparse.Namespace) -> int:
+def cmd_betti(args: argparse.Namespace) -> tuple[int, str]:
+    complex_ = closure_of_facets(parse_facets(_read_text(args.file)))
+    return EXIT_OK, f"{complex_.betti(args.dim)}\n"
+
+
+def cmd_pbetti(args: argparse.Namespace) -> tuple[int, str]:
     f = _load_filtration(args)
-    print(persistent_betti(f, args.dim, args.birth, args.death))
-    return EXIT_OK
+    return EXIT_OK, f"{persistent_betti(f, args.dim, args.birth, args.death)}\n"
 
 
-def cmd_mu(args: argparse.Namespace) -> int:
+def cmd_mu(args: argparse.Namespace) -> tuple[int, str]:
     f = _load_filtration(args)
     if args.death is None:
-        print(mu_infinity(f, args.dim, args.birth))
-    else:
-        print(mu(f, args.dim, args.birth, args.death))
-    return EXIT_OK
+        return EXIT_OK, f"{mu_infinity(f, args.dim, args.birth)}\n"
+    return EXIT_OK, f"{mu(f, args.dim, args.birth, args.death)}\n"
 
 
 def _top_down(run, f: Filtration, dims) -> list:
@@ -142,7 +143,7 @@ def _top_down(run, f: Filtration, dims) -> list:
     return [run(f, n) for n in reversed(dims)][::-1]
 
 
-def cmd_barcode(args: argparse.Namespace) -> int:
+def cmd_barcode(args: argparse.Namespace) -> tuple[int, str]:
     f = _load_filtration(args)
     dims = range(max(f.dim, 0) + 1) if args.all_dims else [args.dim]
     codes = _top_down(barcode, f, dims)
@@ -156,8 +157,7 @@ def cmd_barcode(args: argparse.Namespace) -> int:
         from .render import svg_document
 
         text = svg_document(codes, f.m)
-    _write_text(args.output, text)
-    return EXIT_OK
+    return EXIT_OK, text
 
 
 # A `check` section maps (f, max_dim) to its violations, or to None if skipped.
@@ -247,7 +247,7 @@ def _check_oracle(f: Filtration, max_dim: int) -> list[dict] | None:
     return violations
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> tuple[int, str]:
     f = _load_filtration(args)
     top = max(f.dim, 0)  # every check above the top dimension is empty
     max_dim = top if args.max_dim is None else min(args.max_dim, top)
@@ -255,33 +255,28 @@ def cmd_check(args: argparse.Namespace) -> int:
                 ("fundamental-lemma", _check_lemma)]
     if args.oracle:
         sections.append(("oracle", _check_oracle))
-    violations = []
+    lines, violations = [], []
     for name, section in sections:
         found = section(f, max_dim)
         if found is None:
-            print(f"{name}: skipped (enumeration bound)")
+            lines.append(f"{name}: skipped (enumeration bound)")
         else:
-            print(f"{name}: {'FAIL' if found else 'ok'}")
+            lines.append(f"{name}: {'FAIL' if found else 'ok'}")
             violations += found
-
-    if violations:
-        print(json.dumps(violations, indent=2))
-        return EXIT_MATH
-    print("all checks passed")
-    return EXIT_OK
+    lines.append(json.dumps(violations, indent=2) if violations else "all checks passed")
+    return EXIT_MATH if violations else EXIT_OK, "\n".join(lines) + "\n"
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> tuple[int, str]:
     from .generate import random_filtration_document
 
     doc = random_filtration_document(
         args.triangles, args.levels, args.vertices, args.seed
     )
-    _write_text(args.output, doc.serialize())
-    return EXIT_OK
+    return EXIT_OK, doc.serialize()
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: argparse.Namespace) -> tuple[int, str]:
     from .generate import random_filtration_document
 
     betti_times = []
@@ -301,14 +296,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         barcode(f, 1)
         pbetti_times.append(time.perf_counter() - start)
 
-    label_width = len("Persistent Betti")
-    print("# wall-clock seconds per triangle count")
-    print(" " * label_width + "".join(f"{t:>10}" for t in args.triangles))
-    print(f"{'Betti':<{label_width}}"
-          + "".join(f"{s:>10.3f}" for s in betti_times))
-    print(f"{'Persistent Betti':<{label_width}}"
-          + "".join(f"{s:>10.3f}" for s in pbetti_times))
-    return EXIT_OK
+    width = len("Persistent Betti")
+    rows = [" " * width + "".join(f"{t:>10}" for t in args.triangles)]
+    for label, times in (("Betti", betti_times), ("Persistent Betti", pbetti_times)):
+        rows.append(f"{label:<{width}}" + "".join(f"{s:>10.3f}" for s in times))
+    return EXIT_OK, "# wall-clock seconds per triangle count\n" + "\n".join(rows) + "\n"
 
 
 def _add_filtration_arguments(sub: argparse.ArgumentParser) -> None:
@@ -320,8 +312,8 @@ def _add_filtration_arguments(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="phcalc", description=__doc__.splitlines()[0])
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="phcalc", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     sub = subparsers.add_parser("betti", help="Betti number of a facet-list complex")
@@ -385,24 +377,22 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        if sys.stdout is None and getattr(args, "output", None) in (None, "-"):
-            raise OSError("-: standard output is closed")  # as an unwritable -o path is
-        return args.func(args)
+        code, text = args.func(args)
+        _write_text(getattr(args, "output", None), text)
+        return code
     except MemoryError:
-        print(f"phcalc: error: out of memory in {args.command}", file=sys.stderr)
-        return EXIT_MEMORY
+        error, code = f"out of memory in {args.command}", EXIT_MEMORY
     except FiltrationError as exc:
-        print(f"phcalc: error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        error, code = exc, EXIT_VALIDATION
     except (ValueError, OSError) as exc:  # ParseError is a ValueError
-        print(f"phcalc: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        error, code = exc, EXIT_USAGE
+    sys.stderr.write(f"phcalc: error: {error}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -86,8 +86,18 @@ def is_complex(simplices: Iterable[Simplex]) -> bool:
 
 
 def _missing_face(simplices: frozenset[Simplex]) -> Simplex | None:
-    """A witness subset absent from the set, or None if face-closed."""
+    """A witness subset absent from the set, or None if face-closed.
+
+    Face-closure is transitive, so a set that holds each member's
+    codimension-1 faces is closed: that check reads sum |s| faces, where
+    the subset scan reads sum 2^|s|.  Only a set that fails it is
+    scanned, so the witness is the same: the first subset missing from
+    the first member that has one.
+    """
     present = {s.vertices for s in simplices}
+    if all(face in present for verts in present if len(verts) > 1
+           for face in combinations(verts, len(verts) - 1)):
+        return None
     for s in simplices:
         for verts in subsets(s.vertices):
             if verts not in present:

@@ -253,6 +253,23 @@ def random_level_facets(
     return per_level
 
 
+def naive_missing_face(simplices: frozenset[Simplex]) -> Simplex | None:
+    """The least subset, by size then vertices, absent from the first member lacking one.
+
+    "First" is in the set's own iteration order.  Every subset of every
+    member is enumerated by bitmask, with no shortcut through the faces.
+    """
+    present = {s.vertices for s in simplices}
+    for s in simplices:
+        verts = s.vertices
+        subsets = (tuple(v for i, v in enumerate(verts) if mask >> i & 1)
+                   for mask in range(1, 1 << len(verts)))
+        missing = [sub for sub in subsets if sub not in present]
+        if missing:
+            return Simplex(min(missing, key=lambda sub: (len(sub), sub)))
+    return None
+
+
 def naive_nesting_violation(
     level_facets: list[list[tuple[int, ...]]],
 ) -> tuple[int, tuple[int, ...]] | None:

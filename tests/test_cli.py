@@ -606,8 +606,9 @@ def test_an_unwritable_output_is_an_error_at_its_path(filtration_file, tmp_path,
 SRC = str(Path(cli.__file__).resolve().parent.parent)
 
 
-def _run(argv: list[str], closed: tuple[int, ...] = (), address_space: int | None = None):
-    """phcalc ``argv`` in a fresh process: (exit code, stderr).
+def _run(argv: list[str], closed: tuple[int, ...] = (), address_space: int | None = None,
+         stdout=subprocess.DEVNULL):
+    """phcalc ``argv`` in a fresh process, writing to ``stdout``: (exit code, stderr).
 
     The child closes the descriptors in ``closed`` and caps its own
     address space at ``address_space`` bytes, so the test process is
@@ -623,7 +624,7 @@ def _run(argv: list[str], closed: tuple[int, ...] = (), address_space: int | Non
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-m", "phcalc.cli", *argv], preexec_fn=setup, env=env,
-        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE,
         text=True, timeout=120,
     )
     return run.returncode, run.stderr
@@ -635,7 +636,8 @@ def test_a_closed_stdin_is_an_error_at_dash():
     )
 
 
-@pytest.mark.parametrize("argv", [
+# every subcommand, and barcode's -o - too, with FILE a filtration and FACETS a facet list
+writes_to_stdout = pytest.mark.parametrize("argv", [
     ["betti", "FACETS", "-n", "0"],
     ["pbetti", "FILE", "-n", "0", "-j", "0", "-p", "1"],
     ["mu", "FILE", "-n", "0", "-j", "0", "-p", "inf"],
@@ -645,14 +647,35 @@ def test_a_closed_stdin_is_an_error_at_dash():
     ["gen", "-t", "5", "-l", "2"],
     ["bench", "-t", "10"],
 ], ids=lambda argv: " ".join(argv))
-def test_a_closed_stdout_is_an_error_at_dash(argv, filtration_file, tmp_path):
-    # an answer printed to no stdout would be dropped with exit 0
+
+
+def _with_files(argv: list[str], filtration_file: str, tmp_path) -> list[str]:
     facets = tmp_path / "facets.txt"
     facets.write_text("0 1 2\n")
     files = {"FILE": filtration_file, "FACETS": str(facets)}
-    assert _run([files.get(a, a) for a in argv], closed=(1,)) == (
+    return [files.get(a, a) for a in argv]
+
+
+@writes_to_stdout
+def test_a_closed_stdout_is_an_error_at_dash(argv, filtration_file, tmp_path):
+    # an answer printed to no stdout would be dropped with exit 0
+    assert _run(_with_files(argv, filtration_file, tmp_path), closed=(1,)) == (
         1, "phcalc: error: -: standard output is closed\n"
     )
+
+
+@writes_to_stdout
+def test_a_stdout_whose_reader_has_gone_is_an_error_at_dash(argv, filtration_file, tmp_path):
+    # the pipe's read end is closed before the child starts, so every write
+    # fails; nothing else on stderr: no traceback, and no second failure
+    # when the interpreter flushes stdout on its way out
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        got = _run(_with_files(argv, filtration_file, tmp_path), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert got == (1, "phcalc: error: -: Broken pipe\n")
 
 
 def test_an_output_file_is_written_with_stdout_closed(filtration_file, tmp_path, capsys):
@@ -677,6 +700,16 @@ def test_out_of_memory_is_its_own_exit_code(command, text, options, tmp_path):
     assert _run([command, str(path), *options], address_space=100 << 20) == (
         4, f"phcalc: error: out of memory in {command}\n"
     )
+
+
+def test_stdout_holds_the_whole_answer_or_nothing(filtration_file, capsys, monkeypatch):
+    # nilpotency and inclusions pass before the lemma section runs out of memory
+    def out_of_memory(f, n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "check_fundamental_lemma", out_of_memory)
+    assert main(["check", filtration_file]) == 4
+    assert capsys.readouterr() == ("", "phcalc: error: out of memory in check\n")
 
 
 def test_gen_writes_deterministic_file(tmp_path, capsys):
@@ -738,6 +771,21 @@ def test_usage_errors_exit_one(capsys):
     assert main(["betti", "x.txt", "-n", "-3"]) == 1
     assert main(["bench", "-t", "0"]) == 1
     capsys.readouterr()
+    # a bad value is named by what was expected, not by the function that read it
+    for argv, message in [
+        (["betti", "x.txt", "-n", "-3"], "argument -n/--dim: expected an integer >= 0, got '-3'"),
+        (["pbetti", "f.json", "-n", "x", "-j", "0", "-p", "0"],
+         "argument -n/--dim: expected an integer >= 0, got 'x'"),
+        (["mu", "f.json", "-n", "0", "-j", "0", "-p", "foo"],
+         "argument -p/--death: expected an integer >= 0 or inf, got 'foo'"),
+        (["check", "f.json", "--max-dim", "1.5"],
+         "argument --max-dim: expected an integer >= 0, got '1.5'"),
+    ]:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: phcalc {argv[0]} ")
+        assert captured.err.endswith(f"\nphcalc {argv[0]}: error: {message}\n")
 
 
 def test_missing_file_exits_one(capsys):

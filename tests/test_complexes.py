@@ -7,9 +7,9 @@ import random
 import pytest
 
 from phcalc import Simplex, SimplicialComplex, closure_of_facets, is_complex
-from phcalc.complexes import _boundary_bits
+from phcalc.complexes import _boundary_bits, _missing_face
 
-from .support import component_count, random_complex, random_facets
+from .support import component_count, naive_missing_face, random_complex, random_facets
 
 
 def test_simplex_canonical_form():
@@ -51,6 +51,22 @@ def test_is_complex():
     assert is_complex(closed)
     assert not is_complex((Simplex((0, 1)),))
     assert is_complex(())
+
+
+def test_missing_face_matches_a_full_subset_scan():
+    # the witness too: the quick codimension-1 check must not change which one
+    rng = random.Random(44)
+    found = 0
+    for _ in range(40):
+        closed = random_complex(rng, vertices=7, count=4, max_size=5).simplices
+        members = sorted(closed, key=lambda s: s.vertices)
+        vertex = rng.choice([s for s in members if len(s.vertices) == 1])
+        assert _missing_face(closed) is None is naive_missing_face(closed)
+        for simplices in (closed - {vertex}, closed - set(rng.sample(members, 3))):
+            want = naive_missing_face(simplices)
+            assert _missing_face(simplices) == want
+            found += want is not None
+    assert found > 40
 
 
 def test_complex_requires_closure():

@@ -67,6 +67,8 @@ MUTANTS = [
     Mutant(FI, "if self.total > MAX_CLOSURE_SIZE:", "if self.total > MAX_CLOSURE_SIZE + 1:"),
     # a level with an empty facet passes as plain
     Mutant(FI, "        and all(raw_level)\n", ""),
+    # the face-closure check skips the vertices of each edge
+    Mutant(CX, "if len(verts) > 1", "if len(verts) > 2"),
     # the barcode keeps a bar born and killed at one level
     Mutant(P, "if birth < death:", "if birth <= death:"),
     # clamps at 0, which change nothing unless a row or a rank is already wrong
