@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 import time
 
@@ -91,14 +92,22 @@ def _write_text(path: str | None, text: str) -> None:
     """Write the file, or stdout at None or "-"; an error names the path, or "-".
 
     Stdout is flushed here, so that a reader gone from its pipe is an
-    error at "-" now, and not once more when the interpreter exits.
+    error at "-" now.  A failed flush leaves its bytes in stdout's
+    buffer, so stdout is then pointed at the null device: the flush at
+    interpreter exit writes them there, and does not fail once more.
     """
     try:
         if path is None or path == "-":
             if sys.stdout is None:
                 raise OSError("standard output is closed")
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            except OSError:
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, sys.stdout.fileno())
+                os.close(null)
+                raise
         else:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -391,7 +400,8 @@ def main(argv: list[str] | None = None) -> int:
         error, code = exc, EXIT_VALIDATION
     except (ValueError, OSError) as exc:  # ParseError is a ValueError
         error, code = exc, EXIT_USAGE
-    sys.stderr.write(f"phcalc: error: {error}\n")
+    if sys.stderr is not None:  # a closed stderr leaves the exit code to report
+        sys.stderr.write(f"phcalc: error: {error}\n")
     return code
 
 

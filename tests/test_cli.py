@@ -612,7 +612,8 @@ def _run(argv: list[str], closed: tuple[int, ...] = (), address_space: int | Non
 
     The child closes the descriptors in ``closed`` and caps its own
     address space at ``address_space`` bytes, so the test process is
-    left as it was.
+    left as it was.  Its stdout is block-buffered, as it is by default,
+    whatever PYTHONUNBUFFERED says here.
     """
     def setup():
         for fd in closed:
@@ -621,6 +622,7 @@ def _run(argv: list[str], closed: tuple[int, ...] = (), address_space: int | Non
             resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-m", "phcalc.cli", *argv], preexec_fn=setup, env=env,
@@ -676,6 +678,24 @@ def test_a_stdout_whose_reader_has_gone_is_an_error_at_dash(argv, filtration_fil
     finally:
         os.close(write_end)
     assert got == (1, "phcalc: error: -: Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_is_an_error_at_dash(tmp_path):
+    # the answer stays in stdout's buffer until it is flushed, and the
+    # flush at interpreter exit must not fail a second time
+    facets = tmp_path / "facets.txt"
+    facets.write_text("0 1 2\n")
+    with open("/dev/full", "w") as full:
+        got = _run(["betti", str(facets), "-n", "0"], stdout=full)
+    assert got == (1, "phcalc: error: -: No space left on device\n")
+
+
+def test_a_closed_stderr_keeps_the_exit_code(tmp_path):
+    # with nowhere to write the error line, the exit code still says what failed
+    path = tmp_path / "bad.json"
+    path.write_text('{"levels": [[[0,1]], [[2,3]]]}')
+    assert _run(["check", str(path)], closed=(2,)) == (2, "")
 
 
 def test_an_output_file_is_written_with_stdout_closed(filtration_file, tmp_path, capsys):
