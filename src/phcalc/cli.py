@@ -6,7 +6,10 @@ codes: 0 success, 1 usage or parse error, 2 validation failure,
 accept `-` for standard input; a closed standard input or output, or
 a stdout whose reader has gone (`-: Broken pipe`), is an error at `-`.
 Each subcommand returns its whole answer and `main` writes it once, so
-stdout holds the whole answer or nothing.
+stdout holds the whole answer or nothing.  Every integer option is read
+by `_integer` and written as a facet-line vertex is, in ASCII digits
+after an optional `-`: `0_0`, `+1`, ` 1` and non-ASCII digits are usage
+errors.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ import json
 import os
 import sys
 import time
+from contextlib import suppress
 
 from .complexes import Simplex, closure_of_facets
 from .filtration import Filtration, FiltrationError
-from .files import ParseError, parse_facets, parse_filtration, serialize_barcodes
+from .files import _VERTEX, ParseError, parse_facets, parse_filtration, serialize_barcodes
 from .persistence import (
     barcode,
     check_fundamental_lemma,
@@ -39,27 +43,32 @@ EXIT_MATH = 3
 EXIT_MEMORY = 4
 
 
-def _nonneg_int(text: str, expected: str = "an integer >= 0") -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1  # refused below, as a negative integer is
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-    return value
+def _integer(text: str, least: float = 0, expected: str = "an integer >= 0") -> int:
+    """``text`` as an integer >= ``least``, written as a facet-line vertex is.
+
+    That is ASCII digits after an optional `-` (`files._VERTEX`); `int()`
+    alone would also take `+1`, `1_0`, ` 1` and non-ASCII digits.
+    """
+    with suppress(ValueError):  # int() past the interpreter's digit limit
+        if _VERTEX.fullmatch(text) and (value := int(text)) >= least:
+            return value
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
 
 
 def _level_or_inf(text: str) -> int | None:
-    return None if text == "inf" else _nonneg_int(text, "an integer >= 0 or inf")
+    return None if text == "inf" else _integer(text, 0, "an integer >= 0 or inf")
+
+
+def _signed(text: str) -> int:  # gen and bench leave their range checks to generate
+    return _integer(text, float("-inf"), "an integer")
 
 
 def _triangle_list(text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part]
-    except ValueError:
+        values = [_signed(part) for part in text.split(",") if part]
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+            f"expected comma-separated integers, got {text!r}") from None
     if not values or any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("each triangle count must be >= 1")
     return values
@@ -279,9 +288,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_gen(args: argparse.Namespace) -> tuple[int, str]:
     from .generate import random_filtration_document
 
-    doc = random_filtration_document(
-        args.triangles, args.levels, args.vertices, args.seed
-    )
+    doc = random_filtration_document(args.triangles, args.levels, args.vertices, args.seed)
     return EXIT_OK, doc.serialize()
 
 
@@ -327,20 +334,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("betti", help="Betti number of a facet-list complex")
     sub.add_argument("file", help="facet list file, or - for stdin")
-    sub.add_argument("-n", "--dim", type=_nonneg_int, required=True)
+    sub.add_argument("-n", "--dim", type=_integer, required=True)
     sub.set_defaults(func=cmd_betti)
 
     sub = subparsers.add_parser("pbetti", help="persistent Betti number")
     _add_filtration_arguments(sub)
-    sub.add_argument("-n", "--dim", type=_nonneg_int, required=True)
-    sub.add_argument("-j", "--birth", type=_nonneg_int, required=True)
-    sub.add_argument("-p", "--death", type=_nonneg_int, required=True)
+    sub.add_argument("-n", "--dim", type=_integer, required=True)
+    sub.add_argument("-j", "--birth", type=_integer, required=True)
+    sub.add_argument("-p", "--death", type=_integer, required=True)
     sub.set_defaults(func=cmd_pbetti)
 
     sub = subparsers.add_parser("mu", help="interval multiplicity")
     _add_filtration_arguments(sub)
-    sub.add_argument("-n", "--dim", type=_nonneg_int, required=True)
-    sub.add_argument("-j", "--birth", type=_nonneg_int, required=True)
+    sub.add_argument("-n", "--dim", type=_integer, required=True)
+    sub.add_argument("-j", "--birth", type=_integer, required=True)
     sub.add_argument(
         "-p", "--death", type=_level_or_inf, required=True,
         help="death level, or inf for classes that never die",
@@ -350,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("barcode", help="barcode of a filtration")
     _add_filtration_arguments(sub)
     group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("-n", "--dim", type=_nonneg_int)
+    group.add_argument("-n", "--dim", type=_integer)
     group.add_argument("--all-dims", action="store_true")
     sub.add_argument("--format", choices=("text", "json", "svg"), default="text")
     sub.add_argument("-o", "--output", help="output file (default stdout)")
@@ -358,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("check", help="verify structural invariants")
     _add_filtration_arguments(sub)
-    sub.add_argument("--max-dim", type=_nonneg_int, default=None)
+    sub.add_argument("--max-dim", type=_integer, default=None)
     sub.add_argument(
         "--oracle", action="store_true",
         help="also compare against brute-force enumeration",
@@ -366,10 +373,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_check)
 
     sub = subparsers.add_parser("gen", help="generate a random filtration")
-    sub.add_argument("--triangles", "-t", type=int, required=True)
-    sub.add_argument("--levels", "-l", type=int, required=True)
-    sub.add_argument("--vertices", "-v", type=int, default=None)
-    sub.add_argument("--seed", "-s", type=int, default=0)
+    sub.add_argument("--triangles", "-t", type=_signed, required=True)
+    sub.add_argument("--levels", "-l", type=_signed, required=True)
+    sub.add_argument("--vertices", "-v", type=_signed, default=None)
+    sub.add_argument("--seed", "-s", type=_signed, default=0)
     sub.add_argument("-o", "--output", help="output file (default stdout)")
     sub.set_defaults(func=cmd_gen)
 
@@ -378,8 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--triangles", "-t", type=_triangle_list, default=[10, 50, 100, 200, 500],
         help="comma-separated triangle counts",
     )
-    sub.add_argument("--levels", "-l", type=int, default=5)
-    sub.add_argument("--seed", "-s", type=int, default=0)
+    sub.add_argument("--levels", "-l", type=_signed, default=5)
+    sub.add_argument("--seed", "-s", type=_signed, default=0)
     sub.set_defaults(func=cmd_bench)
 
     return parser

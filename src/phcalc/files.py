@@ -91,10 +91,10 @@ def parse_facets(text: str) -> tuple[Simplex, ...]:
             shown = f"{line[:80]!r}{'...' if len(line) > 80 else ''}"  # cut a long line
             raise ParseError(f"line {lineno}", f"vertices must be integers, got {shown}")
         try:
-            vertices = [int(f) for f in tokens]
+            vertices = tuple(map(int, tokens))  # non-empty, and ints: the regex says so
         except ValueError as exc:  # past the interpreter's digit limit
             raise ParseError(f"line {lineno}", str(exc)) from None
-        facets.append(_facet_at(vertices, f"line {lineno}", bound))
+        facets.append(bound.facet(vertices, f"line {lineno}"))
     return tuple(facets)
 
 
@@ -131,14 +131,6 @@ def _plain(raw_level: list) -> bool:
         and all(raw_level)
         and set(map(type, chain.from_iterable(raw_level))) <= {int}
     )
-
-
-def _plain_facets(raw_level: list, j: int, bound: _ClosureBound) -> tuple[Simplex, ...]:
-    """The facets of a plain level; only raw tuples not read before are built, in order."""
-    facets = list(map(bound.parsed.get, map(tuple, raw_level)))
-    for k in compress(count(), map(is_, facets, repeat(None))):  # the entries not read before
-        facets[k] = bound.facet(tuple(raw_level[k]), f"levels[{j}][{k}]")
-    return tuple(facets)
 
 
 class FiltrationDocument(Value):
@@ -190,12 +182,13 @@ def parse_filtration(text: str, incremental: bool = False) -> FiltrationDocument
     for j, raw_level in enumerate(raw_levels):
         if not isinstance(raw_level, list):
             raise ParseError(f"levels[{j}]", "each level must be a list of facets")
-        if _plain(raw_level):
-            parsed = _plain_facets(raw_level, j, bound)
-        else:
-            parsed = tuple(
-                _facet_at(raw, f"levels[{j}][{k}]", bound) for k, raw in enumerate(raw_level)
-            )
+        if not _plain(raw_level):  # read entry by entry, to raise at the first bad one
+            for k, raw in enumerate(raw_level):
+                _facet_at(raw, f"levels[{j}][{k}]", bound)
+        facets = list(map(bound.parsed.get, map(tuple, raw_level)))
+        for k in compress(count(), map(is_, facets, repeat(None))):  # the entries not read before
+            facets[k] = bound.facet(tuple(raw_level[k]), f"levels[{j}][{k}]")
+        parsed = tuple(facets)
         if incremental and levels:
             parsed = levels[-1] + parsed
         levels.append(parsed)

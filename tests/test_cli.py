@@ -808,6 +808,65 @@ def test_usage_errors_exit_one(capsys):
         assert captured.err.endswith(f"\nphcalc {argv[0]}: error: {message}\n")
 
 
+# every integer option: (argv with X for its value, argparse's name for it, what it expects)
+INTEGER_OPTIONS = [
+    (["betti", "FACETS", "-n", "X"], "-n/--dim", "an integer >= 0"),
+    (["pbetti", "FILE", "-n", "X", "-j", "0", "-p", "1"], "-n/--dim", "an integer >= 0"),
+    (["pbetti", "FILE", "-n", "0", "-j", "X", "-p", "1"], "-j/--birth", "an integer >= 0"),
+    (["pbetti", "FILE", "-n", "0", "-j", "0", "-p", "X"], "-p/--death", "an integer >= 0"),
+    (["mu", "FILE", "-n", "X", "-j", "0", "-p", "1"], "-n/--dim", "an integer >= 0"),
+    (["mu", "FILE", "-n", "0", "-j", "X", "-p", "1"], "-j/--birth", "an integer >= 0"),
+    (["mu", "FILE", "-n", "0", "-j", "0", "-p", "X"], "-p/--death", "an integer >= 0 or inf"),
+    (["barcode", "FILE", "-n", "X"], "-n/--dim", "an integer >= 0"),
+    (["check", "FILE", "--max-dim", "X"], "--max-dim", "an integer >= 0"),
+    (["gen", "-t", "X", "-l", "2"], "--triangles/-t", "an integer"),
+    (["gen", "-t", "5", "-l", "X"], "--levels/-l", "an integer"),
+    (["gen", "-t", "5", "-l", "2", "-v", "X"], "--vertices/-v", "an integer"),
+    (["gen", "-t", "5", "-l", "2", "-s", "X"], "--seed/-s", "an integer"),
+    (["bench", "-t", "X"], "--triangles/-t", "comma-separated integers"),
+    (["bench", "-t", "2", "-l", "X"], "--levels/-l", "an integer"),
+    (["bench", "-t", "2", "-s", "X"], "--seed/-s", "an integer"),
+]
+
+
+@pytest.mark.parametrize("argv, name, expected", INTEGER_OPTIONS,
+                         ids=[f"{a[0]} {a[a.index('X') - 1]}" for a, _, _ in INTEGER_OPTIONS])
+@pytest.mark.parametrize("value", ["0_0", "+1", "\uff11", " 1", "9" * 5000],
+                         ids=["underscore", "plus", "fullwidth", "space", "5000-digits"])
+def test_an_integer_option_is_written_as_a_facet_line_vertex(
+        argv, name, expected, value, filtration_file, tmp_path, capsys):
+    # int() takes each of these values, or fails past its digit limit; a
+    # facet line refuses them all, and so does every integer option
+    argv = [value if a == "X" else a for a in _with_files(argv, filtration_file, tmp_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1] == (
+        f"phcalc {argv[0]}: error: argument {name}: expected {expected}, got {value!r}"
+    )
+
+
+def test_a_birth_with_an_underscore_is_a_usage_error_in_a_fresh_process(filtration_file):
+    code, err = _run(["pbetti", filtration_file, "-n", "0", "-j", "0_0", "-p", "\uff11"])
+    assert code == 1 and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "phcalc pbetti: error: argument -j/--birth: expected an integer >= 0, got '0_0'"
+    )
+
+
+def test_an_integer_option_keeps_leading_zeros_minus_zero_and_signed_seeds(
+        filtration_file, capsys):
+    for n in ("0", "1"):
+        assert main(["pbetti", filtration_file, "-n", n, "-j", "3", "-p", "4"]) == 0
+    plain = capsys.readouterr().out
+    for n in ("-0", "001"):
+        assert main(["pbetti", filtration_file, "-n", n, "-j", "003", "-p", "004"]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(["gen", "-t", "3", "-l", "2", "-s", "-3"]) == 0
+    assert capsys.readouterr().out == random_filtration_document(3, 2, seed=-3).serialize()
+
+
 def test_missing_file_exits_one(capsys):
     assert main(["betti", "/nonexistent/path.txt", "-n", "0"]) == 1
     assert "path.txt" in capsys.readouterr().err

@@ -65,6 +65,8 @@ MUTANTS = [
     Mutant(FT, "if not previous <= facets:", "if j != 1 and not previous <= facets:"),
     # the closure bound admits one simplex more
     Mutant(FI, "if self.total > MAX_CLOSURE_SIZE:", "if self.total > MAX_CLOSURE_SIZE + 1:"),
+    # a CLI integer option takes whatever int() takes, less surrounding space
+    Mutant(C, "if _VERTEX.fullmatch(text) and", "if text.strip() and"),
     # a level with an empty facet passes as plain
     Mutant(FI, "        and all(raw_level)\n", ""),
     # the face-closure check skips the vertices of each edge
