@@ -234,32 +234,36 @@ def _check_lemma(f: Filtration, max_dim: int) -> list[dict]:
 def _check_oracle(f: Filtration, max_dim: int) -> list[dict] | None:
     """Differential test against the brute-force oracle.
 
-    Past the enumeration bound the section stops: it fails if it found a
-    violation before, and is skipped (None) otherwise.
+    An oracle answer that differs from the rank method's is a violation,
+    and so is an oracle that refuses its input as inconsistent (boundaries
+    that are not cycles, an inclusion that is not injective).  Past the
+    enumeration bound the section stops: it fails if it found a violation
+    before, and is skipped (None) otherwise.
     """
     from .oracle import EnumerationLimitError, oracle_betti, oracle_persistent_betti
 
     violations = []
+
+    def compare(record: dict, fast: int, oracle, *args) -> None:
+        try:
+            slow = oracle(*args)
+        except EnumerationLimitError:
+            raise
+        except ValueError as error:  # the oracle's own consistency check failed
+            slow = f"refused: {error}"
+        if fast != slow:
+            violations.append({**record, "detail": f"rank method {fast}, oracle {slow}"})
+
     try:
         for j in range(len(f)):
             for n in range(max_dim + 1):
-                fast = f[j].betti(n)
-                slow = oracle_betti(f[j], n)
-                if fast != slow:
-                    violations.append(
-                        {"check": "oracle-betti", "level": j, "dim": n,
-                         "detail": f"rank method {fast}, oracle {slow}"}
-                    )
+                compare({"check": "oracle-betti", "level": j, "dim": n},
+                        f[j].betti(n), oracle_betti, f[j], n)
         for n in range(max_dim + 1):
             for j in range(len(f)):
                 for p in range(j, len(f)):
-                    fast = persistent_betti(f, n, j, p)
-                    slow = oracle_persistent_betti(f, n, j, p)
-                    if fast != slow:
-                        violations.append(
-                            {"check": "oracle-pbetti", "dim": n, "j": j, "p": p,
-                             "detail": f"rank method {fast}, oracle {slow}"}
-                        )
+                    compare({"check": "oracle-pbetti", "dim": n, "j": j, "p": p},
+                            persistent_betti(f, n, j, p), oracle_persistent_betti, f, n, j, p)
     except EnumerationLimitError:
         return violations or None
     return violations

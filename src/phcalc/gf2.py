@@ -193,10 +193,7 @@ class Gf2Matrix(Value):
     # Rendering
 
     def __str__(self) -> str:
-        return "\n".join(
-            "".join("1" if (bits >> j) & 1 else "0" for j in range(self.cols))
-            for bits in self.row_bits
-        )
+        return "\n".join("".join(map(str, row)) for row in self.to_rows())
 
     def __repr__(self) -> str:
         return f"Gf2Matrix({self.rows}x{self.cols})"

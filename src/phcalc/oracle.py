@@ -34,11 +34,11 @@ class EnumerationLimitError(ValueError):
 class ChainSet(Value):
     """A GF(2) subspace given by its full element list.
 
-    Vectors are bitmasks of length ambient_dim, kept sorted so that
-    intersections are linear-time merges.  The member count of a
-    subspace is a power of two and its log2 is the dimension; the
-    power-of-two invariant is what certifies that an intersection of
-    two XOR-closed sets produced an integral dimension.
+    Vectors are bitmasks of length ambient_dim, kept sorted so that a
+    membership test is a bisection and validation is one pass.  The
+    member count of a subspace is a power of two and its log2 is the
+    dimension; the power-of-two invariant is what certifies that an
+    intersection of two XOR-closed sets produced an integral dimension.
     """
 
     ambient_dim: int
@@ -82,25 +82,13 @@ class ChainSet(Value):
         return all(v in other for v in self.members)
 
     def intersect(self, other: ChainSet) -> ChainSet:
-        """Sorted-merge intersection of two subspaces."""
+        """The meet of two subspaces: their common members."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError(
                 f"ambient dimensions differ: {self.ambient_dim} vs "
                 f"{other.ambient_dim}"
             )
-        a, b = self.members, other.members
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            if a[i] == b[j]:
-                out.append(a[i])
-                i += 1
-                j += 1
-            elif a[i] < b[j]:
-                i += 1
-            else:
-                j += 1
-        return ChainSet(self.ambient_dim, tuple(out))
+        return ChainSet(self.ambient_dim, tuple(sorted(set(self.members) & set(other.members))))
 
 
 def _check_limit(cols: int) -> None:

@@ -20,6 +20,7 @@ from phcalc.complexes import SimplicialComplex
 from phcalc.filtration import Filtration
 from phcalc.files import parse_filtration
 from phcalc.generate import random_filtration_document
+from phcalc.gf2 import Gf2Matrix
 from phcalc.persistence import LemmaReport, LemmaViolation, barcode, persistent_betti
 
 from .support import count_boundary_builds, perturb_rank_rows
@@ -590,6 +591,55 @@ def test_check_oracle_fails_on_a_wrong_betti_number(
     assert _oracle_violations(filtration_file, capsys) == [
         {"check": "oracle-betti", "level": 3, "dim": 1,
          "detail": "rank method 3, oracle 2"}
+    ]
+
+
+def _gen_file(tmp_path) -> str:
+    """The file `phcalc gen -t 8 -l 4 -s 1` writes, which CI checks with --oracle."""
+    path = tmp_path / "gen.json"
+    path.write_text(random_filtration_document(8, 4, seed=1).serialize())
+    return str(path)
+
+
+def test_check_oracle_fails_on_boundaries_that_are_not_cycles(
+    tmp_path, capsys, monkeypatch
+):
+    # one entry of every level's D_2 flipped, so D_1 D_2 != 0: the oracle's own
+    # check refuses the level, which fails the section instead of ending check
+    original = SimplicialComplex.boundary_matrix
+
+    def flipped(self, n):
+        d = original(self, n)
+        if n != 2 or not d.cols:
+            return d
+        return Gf2Matrix(d.rows, d.cols, (d.row_bits[0] ^ 1,) + d.row_bits[1:])
+
+    monkeypatch.setattr(SimplicialComplex, "boundary_matrix", flipped)
+    violations = _oracle_violations(_gen_file(tmp_path), capsys)
+    assert [v for v in violations if v["check"] == "oracle-betti"] == [
+        {"check": "oracle-betti", "level": j, "dim": 1,
+         "detail": f"rank method {fast}, oracle refused: boundaries of degree 1"
+                   " are not all cycles; boundary matrices are inconsistent"}
+        for j, fast in enumerate((0, 3, 3, 4))
+    ]
+
+
+def test_check_oracle_fails_on_an_inclusion_that_is_not_injective(
+    tmp_path, capsys, monkeypatch
+):
+    # K^1's three independent 1-cycles all sent to 0 in K^3
+    original = Filtration.inclusion_matrix
+
+    def collapsed(self, n, j, p):
+        inclusion = original(self, n, j, p)
+        if (n, j, p) != (1, 1, 3):
+            return inclusion
+        return Gf2Matrix.zero(inclusion.rows, inclusion.cols)
+
+    monkeypatch.setattr(Filtration, "inclusion_matrix", collapsed)
+    assert _oracle_violations(_gen_file(tmp_path), capsys) == [
+        {"check": "oracle-pbetti", "dim": 1, "j": 1, "p": 3,
+         "detail": "rank method 3, oracle refused: members must be strictly increasing"}
     ]
 
 

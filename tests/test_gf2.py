@@ -209,3 +209,14 @@ def test_kernel_members_are_exactly_the_kernel():
 def test_str_rendering():
     m = matrix_from_lists([[1, 1, 0], [0, 0, 1]])
     assert str(m) == "110\n001"
+
+
+def test_str_rendering_of_empty_and_random_shapes():
+    assert str(Gf2Matrix.zero(0, 4)) == ""
+    assert str(Gf2Matrix.zero(3, 0)) == "\n\n"  # three empty rows
+    rng = random.Random(109)
+    for _ in range(50):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 9)
+        lists = random_lists(rng, rows, cols)
+        text = "\n".join("".join("01"[x] for x in row) for row in lists)
+        assert str(matrix_from_lists(lists, cols=cols)) == text

@@ -58,6 +58,39 @@ def test_a_chainset_is_no_subset_across_ambient_dimensions():
     assert ChainSet(3, (0, 1)).is_subset_of(ChainSet(3, (0, 1)))
 
 
+def _span(vectors: list[int]) -> set[int]:
+    span = {0}
+    for vec in vectors:
+        span |= {s ^ vec for s in span}
+    return span
+
+
+def test_meet_and_subset_are_set_intersection_and_inclusion():
+    rng = random.Random(107)
+    for _ in range(300):
+        dim = rng.randint(1, 8)
+        gens = [rng.randrange(1 << dim) for _ in range(rng.randint(0, dim))]
+        # b shares some of a's generators, so meets and inclusions are not all trivial
+        shared = [g for g in gens if rng.random() < 0.5]
+        more = [rng.randrange(1 << dim) for _ in range(rng.randint(0, dim))]
+        a_set, b_set = _span(gens), _span(shared + more)
+        a = ChainSet(dim, tuple(sorted(a_set)))
+        b = ChainSet(dim, tuple(sorted(b_set)))
+        assert set(a.intersect(b).members) == a_set & b_set
+        assert a.is_subset_of(b) == (a_set <= b_set)
+        assert b.is_subset_of(a) == (b_set <= a_set)
+        # the zero space of another ambient dimension: a subset as sets, not as spaces
+        other = rng.choice([d for d in range(1, 10) if d != dim])
+        zero = ChainSet(other, (0,))
+        for x, y in ((a, zero), (zero, a)):
+            with pytest.raises(ValueError) as excinfo:
+                x.intersect(y)
+            assert str(excinfo.value) == (
+                f"ambient dimensions differ: {x.ambient_dim} vs {y.ambient_dim}"
+            )
+            assert not x.is_subset_of(y)
+
+
 def test_enumerate_kernel_examples():
     assert enumerate_kernel(Gf2Matrix.identity(3)).members == (0,)
     full = enumerate_kernel(Gf2Matrix.zero(2, 3))

@@ -34,8 +34,8 @@ class Mutant(NamedTuple):
     equivalent: str | None = None  # why the suite cannot kill it, if it cannot
 
 
-P, C, FT, FI, CX = (f"src/phcalc/{m}.py" for m in
-                    ("persistence", "cli", "filtration", "files", "complexes"))
+P, C, FT, FI, CX, O = (f"src/phcalc/{m}.py" for m in
+                       ("persistence", "cli", "filtration", "files", "complexes", "oracle"))
 
 MUTANTS = [
     # the reduction adds no earlier column, and only clears the pivot bit
@@ -73,6 +73,8 @@ MUTANTS = [
     Mutant(CX, "if len(verts) > 1", "if len(verts) > 2"),
     # the barcode keeps a bar born and killed at one level
     Mutant(P, "if birth < death:", "if birth <= death:"),
+    # the oracle's meet of two subspaces takes their union
+    Mutant(O, "set(self.members) & set(other.members)", "set(self.members) | set(other.members)"),
     # clamps at 0, which change nothing unless a row or a rank is already wrong
     Mutant(P, "return _raised(f, n, j - 1, p) - _raised(f, n, j, p)",
            "return max(0, _raised(f, n, j - 1, p) - _raised(f, n, j, p))",
