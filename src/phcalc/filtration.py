@@ -97,7 +97,9 @@ class Filtration:
     D_d(K^m) with rows and columns in that order; and each level asked
     for, through the public constructor and its face-closure check.
     `persistence` keeps what it reads off those columns in ``_later``,
-    the swept rank rows, and ``_pivots``, described where it fills them.
+    the swept rank rows; ``_z`` and ``_rank_g``, per dimension the
+    cycle count and boundary rank at each level, built from the rows of
+    birth -1; and ``_pivots``, each described where it is filled.
     """
 
     def __init__(self, levels: Iterable[Iterable[Simplex]]):
@@ -111,6 +113,8 @@ class Filtration:
         self._by_dim: list[list[tuple[tuple[int, ...], int]]] | None = None
         self._columns: dict[int, tuple[list[int], list[int]]] = {}
         self._later: dict[tuple[int, int], tuple[int, list[int]]] = {}
+        self._z: dict[int, list[int]] = {}
+        self._rank_g: dict[int, list[int]] = {}
         self._pivots: dict[int, dict[int, int]] = {}
 
     @classmethod

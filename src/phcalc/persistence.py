@@ -18,18 +18,18 @@ rows born after j (the lower-left submatrices of Edelsbrunner-Harer's
 pairing lemma), swept from the first column born after j.  A rank is
 one bisect in a row.  The row of birth -1 is the rank of D_d at every
 level; it is swept once per dimension and kept on the filtration.
-`betti_table` and `check_fundamental_lemma` read the helper's rows.
-The cycle count z(j) is read by `_cycles`: the n-cells born by j less
-the raises of D_n's row of birth -1 up to j.  The helper reads it once
-per birth row, the point queries read no grid, and `mu_infinity`
-telescopes z(j) - z(j-1) on its own.
-`persistent_betti` takes its one number off three swept rows, by one
-bisect each: D_n's row -1 through `_cycles`, D_{n+1}'s row -1 for
-rank_g, and row j.
+From those rows the filtration also keeps, per dimension n and built
+on first use, two lists by level: z[j], the cycle count of K^j (the
+n-cells born by j less rank D_n(K^j)), padded with z[m+1] = 0, and
+rank_g[p], the rank of the boundaries of K^p (rank D_{n+1}(K^p)).
+`betti_table` and `check_fundamental_lemma` read the helper's rows,
+and the point queries read no grid: `persistent_betti` takes its one
+number as z[j] - rank_g[p] plus one bisect in the swept row j.
 Interval multiplicities are a finite difference of four persistent
-Betti numbers (Zomorodian-Carlsson), in which the cycle count and
-rank_g cancel, so `mu` and `mu_infinity` count the raises of two
-adjacent swept rows.  The point queries keep each birth row they
+Betti numbers (Zomorodian-Carlsson), in which rank_g cancels, and so
+does z at a finite death: `mu` counts the raises of two adjacent swept
+rows at p, and `mu_infinity` takes z[j] - z[j-1] plus the lengths of
+rows j and j-1.  The point queries keep each birth row they
 sweep, up to the furthest death asked for that birth, so a later
 query inside it sweeps nothing; `betti_table` and
 `check_fundamental_lemma` keep no row of a birth >= 0, so their memory
@@ -148,18 +148,32 @@ def _later_raises(f: Filtration, n: int, j: int, p: int, keep: bool = False) -> 
     return raised
 
 
-def _cycles(f: Filtration, n: int, j: int) -> int:
-    """z(j), the dimension of the degree-n cycles of K^j; 0 at j = -1.
+def _z(f: Filtration, n: int) -> list[int]:
+    """z[j], the dimension of the degree-n cycles of K^j, for j in 0..m, and 0 at m+1.
 
     The n-cells born by j less rank D_n(K^j), the raises of D_n's row of
-    birth -1 up to j.  The grid and `persistent_betti` read z here;
-    `mu_infinity` telescopes z(j) - z(j-1) into one count of the cells
-    born at j and one of the raises at j, because two reads through here
-    made a warm `mu_infinity` go from 1.93-1.99 to 2.30-2.32 us on the
-    benchmark's `queries` input (in process, Python 3.11.7).
+    birth -1 up to j.  Built on first use from that row and kept on the
+    filtration; the 0 at m+1 is z[j - 1] at j = 0, before any level.
     """
-    raised_n = _later_raises(f, n - 1, -1, f.m)
-    return bisect_right(f._birth_columns(n)[0], j) - bisect_right(raised_n, j)
+    z = f._z.get(n)
+    if z is None:
+        cells, raised = f._birth_columns(n)[0], _later_raises(f, n - 1, -1, f.m)
+        z = [bisect_right(cells, j) - bisect_right(raised, j) for j in range(f.m + 1)] + [0]
+        f._z[n] = z
+    return z
+
+
+def _rank_g(f: Filtration, n: int) -> list[int]:
+    """rank_g[p], the rank of D_{n+1}(K^p), the boundaries of K^p, for p in 0..m.
+
+    The raises of D_{n+1}'s row of birth -1 up to p, built on first use
+    from that row and kept on the filtration.
+    """
+    rank_g = f._rank_g.get(n)
+    if rank_g is None:
+        raised = _later_raises(f, n, -1, f.m)
+        rank_g = f._rank_g[n] = [bisect_right(raised, p) for p in range(f.m + 1)]
+    return rank_g
 
 
 def _betti_grid(f: Filtration, n: int) -> Iterator[tuple[int, list[int]]]:
@@ -180,30 +194,27 @@ def _betti_grid(f: Filtration, n: int) -> Iterator[tuple[int, list[int]]]:
     first column born after j, as every earlier one is 0 on those rows.
     The cycles of K^j stacked with the boundaries of K^p have rank z +
     rank_later, so this is the paper's z - (rank_g + z - rank_stacked).
-    z is `_cycles`'s, once per row, and rank_g is the row of birth -1 of
-    dimension n, kept once swept.  Every rank is one bisect in a row of
-    raises, rank_g's once per level.  Each birth row reaches m and is
-    not kept, so the grid's memory stays linear in m.
+    z and rank_g are the lists kept per dimension on the filtration, and
+    rank_later is one bisect in the row of raises.  Each birth row
+    reaches m and is not kept, so the grid's memory stays linear in m.
     """
-    m, raised_g = f.m, _later_raises(f, n, -1, f.m)
-    rank_g = [bisect_right(raised_g, p) for p in range(m + 1)]
+    m, z, rank_g = f.m, _z(f, n), _rank_g(f, n)
     for j in range(m + 1):
-        z = _cycles(f, n, j)
         raised = _later_raises(f, n, j, m)
-        yield j, [0] * j + [z - rank_g[p] + bisect_right(raised, p) for p in range(j, m + 1)] + [0]
+        yield j, [0] * j + [z[j] - rank_g[p] + bisect_right(raised, p) for p in range(j, m + 1)] + [0]
 
 
 def persistent_betti(f: Filtration, n: int, j: int, p: int) -> int:
     """Number of degree-n classes of K^j still alive at K^p.
 
-    z(j) - rank_g(p) + rank_later(j, p), the form `_betti_grid` derives,
-    read off three swept rows: D_n's row -1 at j for the cycles, through
-    `_cycles`, D_{n+1}'s row -1 at p for rank_g, and row j, kept, at p.
+    z(j) - rank_g(p) + rank_later(j, p), the form `_betti_grid` derives:
+    z and rank_g from the lists kept per dimension, and rank_later by one
+    bisect in row j, kept, at p.
     """
     _require_dim(n)
     f.check_level_pair(j, p)
-    z, rank_g = _cycles(f, n, j), bisect_right(_later_raises(f, n, -1, f.m), p)
-    return z - rank_g + bisect_right(_later_raises(f, n, j, p, keep=True), p)
+    z, rank_g = _z(f, n), _rank_g(f, n)
+    return z[j] - rank_g[p] + bisect_right(_later_raises(f, n, j, p, keep=True), p)
 
 
 def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
@@ -262,20 +273,18 @@ def mu_infinity(f: Filtration, n: int, j: int) -> int:
 
     beta(j, m) - beta(j-1, m): the classes of K^j alive at the final
     level, minus those already present one level earlier.  rank_g
-    cancels, z(j) - z(j-1) is the n-cells born at j less the raises of
-    D_n's row -1 at j (telescoped, not two `_cycles` reads), and the
-    rank_later terms are rows j and j-1, which reach m, so each is its
-    length.
+    cancels, z(j) - z(j-1) is read off the kept list, whose pad at m+1
+    is z(-1) = 0, and the rank_later terms are rows j and j-1, which
+    reach m, so each is its length.
     """
     _require_dim(n)
     _require_integer("level j", j)
     if not 0 <= j <= f.m:
         raise ValueError(f"need 0 <= j <= {f.m}, got j={j}")
-    cells, m = f._birth_columns(n)[0], f.m
-    born = bisect_right(cells, j) - bisect_left(cells, j)
+    z, m = _z(f, n), f.m
     later = len(_later_raises(f, n, j, m, keep=True))
     later -= len(_later_raises(f, n, j - 1, m, keep=True))
-    return born - _raised(f, n - 1, -1, j) + later
+    return z[j] - z[j - 1] + later
 
 
 def _boundary_columns(

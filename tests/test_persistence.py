@@ -118,6 +118,11 @@ def test_dimension_error_comes_before_level_error(diabolo_filtration):
             query()
 
 
+def _kept(f: Filtration) -> tuple[set, ...]:
+    """The keys of everything the filtration keeps for the rank and reduction paths."""
+    return set(f._later), set(f._z), set(f._rank_g), set(f._pivots), set(f._columns)
+
+
 @pytest.mark.parametrize("query, dim", [
     (lambda f: persistent_betti(f, 1.5, 0, 2), "1.5"),
     (lambda f: mu(f, 1.0, 0, 2), "1.0"),
@@ -128,39 +133,39 @@ def test_dimension_error_comes_before_level_error(diabolo_filtration):
 def test_a_non_integer_dimension_is_refused_by_name(diabolo_filtration, query, dim):
     # a named error before anything is swept, reduced or kept, and before the levels
     f = diabolo_filtration
-    kept = set(f._later), set(f._pivots), set(f._columns)
+    kept = _kept(f)
     with pytest.raises(TypeError, match=f"^dimension n must be an integer, got {dim}$"):
         query(f)
-    assert (set(f._later), set(f._pivots), set(f._columns)) == kept
+    assert _kept(f) == kept
 
 
 def test_persistent_betti_refuses_a_non_integer_level(diabolo_filtration):
     # as f[3.5] does, and before it keeps a row under a key that is no level
     f = diabolo_filtration
-    kept = set(f._later)
+    kept = _kept(f)
     with pytest.raises(TypeError, match="level j must be an integer, got 3.5"):
         persistent_betti(f, 1, 3.5, 4)
     with pytest.raises(TypeError, match="level p must be an integer, got 4.5"):
         persistent_betti(f, 1, 3, 4.5)
-    assert set(f._later) == kept
+    assert _kept(f) == kept
 
 
 def test_mu_refuses_a_non_integer_level(diabolo_filtration):
     f = diabolo_filtration
-    kept = set(f._later)
+    kept = _kept(f)
     with pytest.raises(TypeError, match="level j must be an integer, got 2.5"):
         mu(f, 1, 2.5, 4)
     with pytest.raises(TypeError, match="level p must be an integer, got 4.5"):
         mu(f, 1, 2, 4.5)
-    assert set(f._later) == kept
+    assert _kept(f) == kept
 
 
 def test_mu_infinity_refuses_a_non_integer_level(diabolo_filtration):
     f = diabolo_filtration
-    kept = set(f._later)
+    kept = _kept(f)
     with pytest.raises(TypeError, match="level j must be an integer, got 2.5"):
         mu_infinity(f, 1, 2.5)
-    assert set(f._later) == kept
+    assert _kept(f) == kept
 
 
 def test_matrices_built_once_per_query(diabolo_filtration, monkeypatch):
@@ -383,7 +388,7 @@ def test_mu_and_mu_infinity_equal_the_finite_difference_of_two_grid_rows(
     # mu counts the raises of rows j - 1 and j at p, where z and rank_g
     # cancel; the grid's rows of births j - 1 and j give the difference as
     # the paper writes it, on a filtration of its own, and persistent_betti,
-    # read off three swept rows, equals the grid's entry
+    # read off the kept z and rank_g lists and row j, equals the grid's entry
     rng = random.Random(59)
     filtrations = [diabolo_filtration, _two_spheres(rng)]
     filtrations += [random_filtration(rng, vertices=7, count=6, levels=5, max_size=4)
@@ -555,6 +560,66 @@ def test_kept_ranks_match_each_levels_boundary_matrix():
                 level.boundary_matrix(d).rank() for level in f
             ]
     assert 3 in tops
+
+
+def test_kept_cycle_counts_and_boundary_ranks_match_each_levels_matrices():
+    # z[j] is |S_n(K^j)| - rank D_n(K^j) and rank_g[p] is rank D_{n+1}(K^p),
+    # held to the matrix form, which shares no code with the sweeps; the
+    # boundary of the 4-simplex, grown one facet per level, reaches dimension 3
+    rng = random.Random(31)
+    sphere = list(combinations(range(5), 4))
+    filtrations = [random_filtration(rng, vertices=7, count=6, levels=4, max_size=4)
+                   for _ in range(20)]
+    filtrations.append(Filtration.from_level_facets(
+        [[Simplex(s) for s in sphere[: k + 1]] for k in range(len(sphere))]
+    ))
+    tops = set()
+    for f in filtrations:
+        tops.add(f.dim)
+        for n in range(f.dim + 2):
+            z, rank_g = persistence._z(f, n), persistence._rank_g(f, n)
+            assert z == [
+                len(level.n_simplices(n)) - level.boundary_matrix(n).rank() for level in f
+            ] + [0]
+            assert rank_g == [level.boundary_matrix(n + 1).rank() for level in f]
+    assert 3 in tops
+
+
+def test_warm_persistent_betti_and_mu_infinity_read_the_kept_lists(monkeypatch):
+    # the first query in a dimension keeps z and rank_g; after it a round of
+    # persistent_betti and mu_infinity keeps no list and no row of birth -1,
+    # and the same round again, warm, keeps no key, sweeps no column and
+    # reads no row of birth -1 but mu_infinity's row j - 1 at j = 0, its
+    # rank_later(-1, m) term
+    f = random_filtration_document(40, 6, seed=3).to_filtration()
+    m, rng, rows = f.m, random.Random(37), []
+    inserted, original = count_inserts(monkeypatch), persistence._later_raises
+
+    def recording(f, n, j, p, keep=False):
+        rows.append((n, j))
+        return original(f, n, j, p, keep)
+
+    monkeypatch.setattr(persistence, "_later_raises", recording)
+    for n in range(3):
+        queries = [(persistent_betti, (j, p)) for j in range(m + 1) for p in range(j, m + 1)]
+        queries += [(mu_infinity, (j,)) for j in range(m + 1)]
+        persistent_betti(f, n, 0, 0)
+        assert n in f._z and n in f._rank_g
+        kept = _kept(f)
+        births = {(d, j) for d, j in f._later if j < 0}
+        rng.shuffle(queries)
+        for query, args in queries:
+            query(f, n, *args)
+        assert _kept(f)[1:] == kept[1:]
+        assert {(d, j) for d, j in f._later if j < 0} == births
+        kept = _kept(f)
+        rng.shuffle(queries)
+        rows.clear()
+        inserted.clear()
+        for query, args in queries:
+            query(f, n, *args)
+        assert _kept(f) == kept and inserted == []
+        assert [(d, j) for d, j in rows if j < 0] == [(n, -1)]
 
 
 def test_rank_grid_uses_no_reduction(diabolo_filtration, monkeypatch):

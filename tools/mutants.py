@@ -40,18 +40,20 @@ P, C, FT, FI, CX, O = (f"src/phcalc/{m}.py" for m in
 MUTANTS = [
     # the reduction adds no earlier column, and only clears the pivot bit
     Mutant(P, "col ^= reduced[low]", "col ^= 1 << low"),
-    # bisect_left for bisect_right: rank_g in the grid and in a point query
-    Mutant(P, "rank_g = [bisect_right(raised_g, p)", "rank_g = [bisect_left(raised_g, p)"),
-    Mutant(P, "bisect_right(_later_raises(f, n, -1, f.m), p)",
-           "bisect_left(_later_raises(f, n, -1, f.m), p)"),
-    # ... the row shift, and both counts of z(j)
+    # bisect_left for bisect_right in the kept rank_g list; a point query reads rank_g at p - 1
+    Mutant(P, "rank_g = f._rank_g[n] = [bisect_right(raised, p)",
+           "rank_g = f._rank_g[n] = [bisect_left(raised, p)"),
+    Mutant(P, "z[j] - rank_g[p] + bisect_right(_later_raises",
+           "z[j] - rank_g[p - 1] + bisect_right(_later_raises"),
+    # ... the row shift, both counts of the kept z list, and its pad at m + 1
     Mutant(P, "shift = bisect_right(", "shift = bisect_left("),
-    Mutant(P, "return bisect_right(f._birth_columns(n)[0], j) - bisect_right(raised_n, j)",
-           "return bisect_left(f._birth_columns(n)[0], j) - bisect_right(raised_n, j)"),
-    Mutant(P, "return bisect_right(f._birth_columns(n)[0], j) - bisect_right(raised_n, j)",
-           "return bisect_right(f._birth_columns(n)[0], j) - bisect_left(raised_n, j)"),
-    # mu_infinity drops the raises of D_n's row -1 at j
-    Mutant(P, "return born - _raised(f, n - 1, -1, j) + later", "return born + later"),
+    Mutant(P, "z = [bisect_right(cells, j) - bisect_right(raised, j)",
+           "z = [bisect_left(cells, j) - bisect_right(raised, j)"),
+    Mutant(P, "z = [bisect_right(cells, j) - bisect_right(raised, j)",
+           "z = [bisect_right(cells, j) - bisect_left(raised, j)"),
+    Mutant(P, "for j in range(f.m + 1)] + [0]", "for j in range(f.m + 1)] + [1]"),
+    # mu_infinity drops z(j - 1)
+    Mutant(P, "return z[j] - z[j - 1] + later", "return z[j] + later"),
     # off by one: the negative-count, span, inclusion and nilpotency checks
     Mutant(P, "for p in range(k + 1, m + 2):", "for p in range(k + 1, m + 1):"),
     Mutant(P, "for l in range(k, m + 1)", "for l in range(k + 1, m + 1)"),
