@@ -24,19 +24,23 @@ n-cells born by j less rank D_n(K^j)), padded with z[m+1] = 0, and
 rank_g[p], the rank of the boundaries of K^p (rank D_{n+1}(K^p)).
 `betti_table` and `check_fundamental_lemma` read the helper's rows,
 and the point queries read no grid: `persistent_betti` takes its one
-number as z[j] - rank_g[p] plus one bisect in the swept row j.
-Interval multiplicities are a finite difference of four persistent
-Betti numbers (Zomorodian-Carlsson), in which rank_g cancels, and so
-does z at a finite death: `mu` counts the raises of two adjacent swept
-rows at p, and `mu_infinity` takes z[j] - z[j-1] plus the lengths of
-rows j and j-1.  The point queries keep each birth row they
-sweep, up to the furthest death asked for that birth, so a later
-query inside it sweeps nothing; `betti_table` and
-`check_fundamental_lemma` keep no row of a birth >= 0, so their memory
-stays linear in m.  The helper's rows are lists indexed by death
-level, 0 below the birth and at m+1, past the last level, and
-`check_fundamental_lemma` takes the finite difference as written, on
-two of them at a time, from a row of zeros for birth -1.
+number as z[j] - rank_g[p] plus one bisect in row j.  Interval
+multiplicities are a finite difference of four persistent Betti
+numbers (Zomorodian-Carlsson), in which rank_g cancels, and so does z
+at a finite death: `mu` counts the raises of two adjacent rows at p,
+and `mu_infinity` takes z[j] - z[j-1] plus the lengths of rows j and
+j-1.  The point queries keep each birth row they sweep, up to the
+furthest death asked for that birth, so a later query inside it sweeps
+nothing; `betti_table` and `check_fundamental_lemma` keep no row of a
+birth >= 0, so their memory stays linear in m.  A warm point query is
+one inline test and kept reads: plain ints in range pass the test, and
+any other argument meets the full checks, which raise or accept it as
+they would alone; the lists are read off the filtration, and each row
+through `_row`, which sweeps only a row not kept that far.  The
+helper's rows are lists indexed by death level, 0 below the birth and
+at m+1, past the last level, and `check_fundamental_lemma` takes the
+finite difference as written, on two of them at a time, from a row of
+zeros for birth -1.
 `persistent_betti_simplified` keeps the per-pair matrix form on the
 two levels: a kernel basis, the inclusion matrix, its product, `rank`.
 
@@ -148,6 +152,15 @@ def _later_raises(f: Filtration, n: int, j: int, p: int, keep: bool = False) -> 
     return raised
 
 
+def _row(f: Filtration, n: int, j: int, p: int) -> list[int]:
+    """Row j of degree n reaching p: the kept row read, or else swept and kept.
+
+    Row -1, whose raises are rank_g's, is swept to m.
+    """
+    reach, raised = f._later.get((n, j), (-1, None))
+    return raised if reach >= p else _later_raises(f, n, j, p if j >= 0 else f.m, keep=True)
+
+
 def _z(f: Filtration, n: int) -> list[int]:
     """z[j], the dimension of the degree-n cycles of K^j, for j in 0..m, and 0 at m+1.
 
@@ -211,10 +224,12 @@ def persistent_betti(f: Filtration, n: int, j: int, p: int) -> int:
     z and rank_g from the lists kept per dimension, and rank_later by one
     bisect in row j, kept, at p.
     """
-    _require_dim(n)
-    f.check_level_pair(j, p)
-    z, rank_g = _z(f, n), _rank_g(f, n)
-    return z[j] - rank_g[p] + bisect_right(_later_raises(f, n, j, p, keep=True), p)
+    if not (type(n) is int is type(j) is type(p)
+            and 0 <= n and 0 <= j <= p < len(f._levels)):
+        _require_dim(n)
+        f.check_level_pair(j, p)
+    z, rank_g = f._z.get(n) or _z(f, n), f._rank_g.get(n) or _rank_g(f, n)
+    return z[j] - rank_g[p] + bisect_right(_row(f, n, j, p), p)
 
 
 def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
@@ -239,16 +254,6 @@ def betti_table(f: Filtration, n: int) -> dict[tuple[int, int], int]:
     return {(j, p): row[p] for j, row in _betti_grid(f, n) for p in range(j, f.m + 1)}
 
 
-def _raised(f: Filtration, n: int, j: int, p: int) -> int:
-    """How many D_{n+1} columns born at p raise row j of degree n.
-
-    That is rank_later(j, p) - rank_later(j, p - 1).  Row j is kept,
-    reaching p; row -1, whose raises are rank_g's, reaches m.
-    """
-    raised = _later_raises(f, n, j, p if j >= 0 else f.m, keep=True)
-    return bisect_right(raised, p) - bisect_left(raised, p)
-
-
 def mu(f: Filtration, n: int, j: int, p: int) -> int:
     """Count of degree-n classes born exactly at K^j that die entering K^p.
 
@@ -260,12 +265,16 @@ def mu(f: Filtration, n: int, j: int, p: int) -> int:
     checks it: `check_fundamental_lemma` finds "negative-count"
     violations on the grid rows, where it takes the same difference.
     """
-    _require_dim(n)
-    _require_integer("level j", j)
-    _require_integer("level p", p)
-    if not 0 <= j < p <= f.m:
-        raise ValueError(f"need 0 <= j < p <= {f.m}, got j={j}, p={p}")
-    return _raised(f, n, j - 1, p) - _raised(f, n, j, p)
+    if not (type(n) is int is type(j) is type(p)
+            and 0 <= n and 0 <= j < p < len(f._levels)):
+        _require_dim(n)
+        _require_integer("level j", j)
+        _require_integer("level p", p)
+        if not 0 <= j < p <= f.m:
+            raise ValueError(f"need 0 <= j < p <= {f.m}, got j={j}, p={p}")
+    before, row = _row(f, n, j - 1, p), _row(f, n, j, p)
+    return (bisect_right(before, p) - bisect_left(before, p)
+            - (bisect_right(row, p) - bisect_left(row, p)))
 
 
 def mu_infinity(f: Filtration, n: int, j: int) -> int:
@@ -277,14 +286,13 @@ def mu_infinity(f: Filtration, n: int, j: int) -> int:
     is z(-1) = 0, and the rank_later terms are rows j and j-1, which
     reach m, so each is its length.
     """
-    _require_dim(n)
-    _require_integer("level j", j)
-    if not 0 <= j <= f.m:
-        raise ValueError(f"need 0 <= j <= {f.m}, got j={j}")
-    z, m = _z(f, n), f.m
-    later = len(_later_raises(f, n, j, m, keep=True))
-    later -= len(_later_raises(f, n, j - 1, m, keep=True))
-    return z[j] - z[j - 1] + later
+    if not (type(n) is int is type(j) and 0 <= n and 0 <= j < len(f._levels)):
+        _require_dim(n)
+        _require_integer("level j", j)
+        if not 0 <= j <= f.m:
+            raise ValueError(f"need 0 <= j <= {f.m}, got j={j}")
+    z, m = f._z.get(n) or _z(f, n), len(f._levels) - 1
+    return z[j] - z[j - 1] + len(_row(f, n, j, m)) - len(_row(f, n, j - 1, m))
 
 
 def _boundary_columns(

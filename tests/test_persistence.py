@@ -13,6 +13,7 @@ import random
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
+from enum import IntEnum
 from itertools import combinations
 
 import pytest
@@ -166,6 +167,92 @@ def test_mu_infinity_refuses_a_non_integer_level(diabolo_filtration):
     with pytest.raises(TypeError, match="level j must be an integer, got 2.5"):
         mu_infinity(f, 1, 2.5)
     assert _kept(f) == kept
+
+
+_QUERIES = {"persistent_betti": persistent_betti, "mu": mu, "mu_infinity": mu_infinity}
+_PAIR = "need 0 <= j <= p <= 5, got "
+_MU_PAIR = "need 0 <= j < p <= 5, got "
+_BIRTH = "need 0 <= j <= 5, got "
+# (query, (n, j[, p]), the error, its exact text) on the diabolo filtration, m = 5
+_REFUSED = [
+    (name, args, TypeError, f"dimension n must be an integer, got {bad!r}")
+    for bad in (1.0, "1", None)
+    for name, args in (("persistent_betti", (bad, 2, 4)), ("mu", (bad, 2, 4)),
+                       ("mu_infinity", (bad, 2)))
+] + [
+    (name, args, TypeError, f"level {level} must be an integer, got {bad!r}")
+    for bad in (2.0, "2", None)
+    for name, args, level in (
+        ("persistent_betti", (1, bad, 4), "j"), ("persistent_betti", (1, 2, bad), "p"),
+        ("mu", (1, bad, 4), "j"), ("mu", (1, 2, bad), "p"), ("mu_infinity", (1, bad), "j"),
+    )
+] + [
+    (name, (-1, *levels), ValueError, "dimension must be >= 0, got -1")
+    for name, levels in (("persistent_betti", (2, 4)), ("mu", (2, 4)), ("mu_infinity", (2,)))
+] + [
+    ("persistent_betti", (1, j, p), ValueError, f"{_PAIR}j={j}, p={p}")
+    for j, p in ((-1, 4), (6, 6), (2, -1), (2, 6), (4, 2))
+] + [
+    ("mu", (1, j, p), ValueError, f"{_MU_PAIR}j={j}, p={p}")
+    for j, p in ((-1, 4), (6, 7), (2, -1), (2, 6), (4, 2), (3, 3))
+] + [
+    ("mu_infinity", (1, j), ValueError, f"{_BIRTH}j={j}") for j in (-1, 6)
+] + [  # the first failing check speaks: the dimension, then j, then p, then the range
+    ("persistent_betti", (-1, 4, 2), ValueError, "dimension must be >= 0, got -1"),
+    ("mu", (-1, 3, 3), ValueError, "dimension must be >= 0, got -1"),
+    ("mu_infinity", (-1, 6), ValueError, "dimension must be >= 0, got -1"),
+    ("persistent_betti", (1.0, None, 9), TypeError, "dimension n must be an integer, got 1.0"),
+    ("mu", (-1, 2.0, "x"), ValueError, "dimension must be >= 0, got -1"),
+    ("mu", (1, 2.0, "x"), TypeError, "level j must be an integer, got 2.0"),
+    ("persistent_betti", (1, 9, None), TypeError, "level p must be an integer, got None"),
+]
+
+
+@pytest.mark.parametrize("name, args, error, message", _REFUSED)
+def test_the_inline_check_refuses_what_the_full_checks_refuse(
+    diabolo_filtration, name, args, error, message
+):
+    # a plain int in range passes one inline test; anything else meets the
+    # full checks, with their errors and texts, in their order, and no
+    # refused query keeps anything, on a fresh filtration or a warm one
+    f = diabolo_filtration
+    for warm in (False, True):
+        if warm:
+            for n in range(3):
+                persistent_betti(f, n, 0, 5)
+                mu(f, n, 2, 5)
+                mu_infinity(f, n, 5)
+        kept = _kept(f)
+        with pytest.raises(error) as refused:
+            _QUERIES[name](f, *args)
+        assert type(refused.value) is error and str(refused.value) == message
+        assert _kept(f) == kept
+
+
+class _Level(IntEnum):
+    ZERO, ONE, TWO, THREE, FOUR, FIVE = range(6)
+
+
+@pytest.mark.parametrize("name, args, answer", [
+    ("persistent_betti", (0, 0, 1), 1), ("persistent_betti", (1, 3, 4), 2),
+    ("mu", (1, 1, 5), 1), ("mu", (0, 2, 3), 2), ("mu_infinity", (0, 0), 1),
+    ("mu_infinity", (1, 3), 1),
+])
+def test_bools_and_int_enums_get_the_plain_ints_answer(diabolo_filtration, name, args, answer):
+    # bool and IntEnum are ints that the inline test leaves to the full
+    # checks, which accept them: the same answer, kept under equal keys
+    plain = Filtration(diabolo_filtration.levels)
+    assert _QUERIES[name](plain, *args) == answer
+
+    def like(value):
+        return bool(value) if value in (0, 1) else _Level(value)
+
+    variants = [args[:k] + (like(args[k]),) + args[k + 1:] for k in range(len(args))]
+    variants += [tuple(map(like, args)), tuple(map(_Level, args))]
+    for variant in variants:
+        f = Filtration(diabolo_filtration.levels)
+        assert _QUERIES[name](f, *variant) == answer, variant
+        assert _kept(f) == _kept(plain), variant
 
 
 def test_matrices_built_once_per_query(diabolo_filtration, monkeypatch):
@@ -589,17 +676,17 @@ def test_warm_persistent_betti_and_mu_infinity_read_the_kept_lists(monkeypatch):
     # the first query in a dimension keeps z and rank_g; after it a round of
     # persistent_betti and mu_infinity keeps no list and no row of birth -1,
     # and the same round again, warm, keeps no key, sweeps no column and
-    # reads no row of birth -1 but mu_infinity's row j - 1 at j = 0, its
-    # rank_later(-1, m) term
+    # reads no row of birth -1 through _row but mu_infinity's row j - 1 at
+    # j = 0, its rank_later(-1, m) term
     f = random_filtration_document(40, 6, seed=3).to_filtration()
     m, rng, rows = f.m, random.Random(37), []
-    inserted, original = count_inserts(monkeypatch), persistence._later_raises
+    inserted, original = count_inserts(monkeypatch), persistence._row
 
-    def recording(f, n, j, p, keep=False):
+    def recording(f, n, j, p):
         rows.append((n, j))
-        return original(f, n, j, p, keep)
+        return original(f, n, j, p)
 
-    monkeypatch.setattr(persistence, "_later_raises", recording)
+    monkeypatch.setattr(persistence, "_row", recording)
     for n in range(3):
         queries = [(persistent_betti, (j, p)) for j in range(m + 1) for p in range(j, m + 1)]
         queries += [(mu_infinity, (j,)) for j in range(m + 1)]

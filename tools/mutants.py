@@ -43,8 +43,10 @@ MUTANTS = [
     # bisect_left for bisect_right in the kept rank_g list; a point query reads rank_g at p - 1
     Mutant(P, "rank_g = f._rank_g[n] = [bisect_right(raised, p)",
            "rank_g = f._rank_g[n] = [bisect_left(raised, p)"),
-    Mutant(P, "z[j] - rank_g[p] + bisect_right(_later_raises",
-           "z[j] - rank_g[p - 1] + bisect_right(_later_raises"),
+    Mutant(P, "z[j] - rank_g[p] + bisect_right(_row",
+           "z[j] - rank_g[p - 1] + bisect_right(_row"),
+    # persistent_betti's inline test admits p = m + 1
+    Mutant(P, "0 <= j <= p < len(f._levels)", "0 <= j <= p <= len(f._levels)"),
     # ... the row shift, both counts of the kept z list, and its pad at m + 1
     Mutant(P, "shift = bisect_right(", "shift = bisect_left("),
     Mutant(P, "z = [bisect_right(cells, j) - bisect_right(raised, j)",
@@ -53,7 +55,7 @@ MUTANTS = [
            "z = [bisect_right(cells, j) - bisect_left(raised, j)"),
     Mutant(P, "for j in range(f.m + 1)] + [0]", "for j in range(f.m + 1)] + [1]"),
     # mu_infinity drops z(j - 1)
-    Mutant(P, "return z[j] - z[j - 1] + later", "return z[j] + later"),
+    Mutant(P, "return z[j] - z[j - 1] + len(", "return z[j] + len("),
     # off by one: the negative-count, span, inclusion and nilpotency checks
     Mutant(P, "for p in range(k + 1, m + 2):", "for p in range(k + 1, m + 1):"),
     Mutant(P, "for l in range(k, m + 1)", "for l in range(k + 1, m + 1)"),
@@ -78,8 +80,8 @@ MUTANTS = [
     # the oracle's meet of two subspaces takes their union
     Mutant(O, "set(self.members) & set(other.members)", "set(self.members) | set(other.members)"),
     # clamps at 0, which change nothing unless a row or a rank is already wrong
-    Mutant(P, "return _raised(f, n, j - 1, p) - _raised(f, n, j, p)",
-           "return max(0, _raised(f, n, j - 1, p) - _raised(f, n, j, p))",
+    Mutant(P, "return (bisect_right(before, p) - bisect_left(before, p)",
+           "return max(0, bisect_right(before, p) - bisect_left(before, p)",
            equivalent="mu reads two rows that are right on every input, so the"
            " difference is never negative; the test that perturbs rank rows"
            " wraps _betti_grid, which mu does not read"),
