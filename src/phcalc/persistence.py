@@ -33,14 +33,14 @@ j-1.  The point queries keep each birth row they sweep, up to the
 furthest death asked for that birth, so a later query inside it sweeps
 nothing; `betti_table` and `check_fundamental_lemma` keep no row of a
 birth >= 0, so their memory stays linear in m.  A warm point query is
-one inline test and kept reads: plain ints in range pass the test, and
-any other argument meets the full checks, which raise or accept it as
-they would alone; the lists are read off the filtration, and each row
-through `_row`, which sweeps only a row not kept that far.  The
-helper's rows are lists indexed by death level, 0 below the birth and
-at m+1, past the last level, and `check_fundamental_lemma` takes the
-finite difference as written, on two of them at a time, from a row of
-zeros for birth -1.
+one inline test and kept reads: plain ints pass the test, and any
+other argument meets the full checks, which raise or accept it as they
+would alone; the lists are read off the filtration, and each row
+through `_later_raises`, which reads a kept row and leaves a row not
+kept that far to `_sweep_row`.  The helper's rows are lists indexed by
+death level, 0 below the birth and at m+1, past the last level, and
+`check_fundamental_lemma` takes the finite difference as written, on
+two of them at a time, from a row of zeros for birth -1.
 `persistent_betti_simplified` keeps the per-pair matrix form on the
 two levels: a kernel basis, the inclusion matrix, its product, `rank`.
 
@@ -139,8 +139,14 @@ def _later_raises(f: Filtration, n: int, j: int, p: int, keep: bool = False) -> 
     is true or j is -1, whose row is rank D_{n+1} at every level.
     """
     reach, raised = f._later.get((n, j), (-1, None))
-    if reach >= p:
-        return raised
+    return raised if reach >= p else _sweep_row(f, n, j, p, keep)
+
+
+def _sweep_row(f: Filtration, n: int, j: int, p: int, keep: bool) -> list[int]:
+    """Sweep `_later_raises`'s row j up to p, and keep it if ``keep`` or j is -1.
+
+    Apart from the read of a kept row, so that the read starts a small frame.
+    """
     born, columns = f._birth_columns(n + 1)
     start, end = bisect_right(born, j), bisect_right(born, p)
     shift = bisect_right(f._birth_columns(n)[0], j) if j >= 0 else 0
@@ -150,15 +156,6 @@ def _later_raises(f: Filtration, n: int, j: int, p: int, keep: bool = False) -> 
     if keep or j < 0:
         f._later[(n, j)] = (p, raised)
     return raised
-
-
-def _row(f: Filtration, n: int, j: int, p: int) -> list[int]:
-    """Row j of degree n reaching p: the kept row read, or else swept and kept.
-
-    Row -1, whose raises are rank_g's, is swept to m.
-    """
-    reach, raised = f._later.get((n, j), (-1, None))
-    return raised if reach >= p else _later_raises(f, n, j, p if j >= 0 else f.m, keep=True)
 
 
 def _z(f: Filtration, n: int) -> list[int]:
@@ -229,7 +226,7 @@ def persistent_betti(f: Filtration, n: int, j: int, p: int) -> int:
         _require_dim(n)
         f.check_level_pair(j, p)
     z, rank_g = f._z.get(n) or _z(f, n), f._rank_g.get(n) or _rank_g(f, n)
-    return z[j] - rank_g[p] + bisect_right(_row(f, n, j, p), p)
+    return z[j] - rank_g[p] + bisect_right(_later_raises(f, n, j, p, True), p)
 
 
 def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
@@ -265,14 +262,14 @@ def mu(f: Filtration, n: int, j: int, p: int) -> int:
     checks it: `check_fundamental_lemma` finds "negative-count"
     violations on the grid rows, where it takes the same difference.
     """
-    if not (type(n) is int is type(j) is type(p)
-            and 0 <= n and 0 <= j < p < len(f._levels)):
+    if not (type(n) is int is type(j) is type(p) and 0 <= n):
         _require_dim(n)
         _require_integer("level j", j)
         _require_integer("level p", p)
-        if not 0 <= j < p <= f.m:
-            raise ValueError(f"need 0 <= j < p <= {f.m}, got j={j}, p={p}")
-    before, row = _row(f, n, j - 1, p), _row(f, n, j, p)
+    if not 0 <= j < p < len(f._levels):
+        raise ValueError(f"need 0 <= j < p <= {f.m}, got j={j}, p={p}")
+    before = _later_raises(f, n, j - 1, p if j else f.m, True)
+    row = _later_raises(f, n, j, p, True)
     return (bisect_right(before, p) - bisect_left(before, p)
             - (bisect_right(row, p) - bisect_left(row, p)))
 
@@ -286,13 +283,14 @@ def mu_infinity(f: Filtration, n: int, j: int) -> int:
     is z(-1) = 0, and the rank_later terms are rows j and j-1, which
     reach m, so each is its length.
     """
-    if not (type(n) is int is type(j) and 0 <= n and 0 <= j < len(f._levels)):
+    if not (type(n) is int is type(j) and 0 <= n):
         _require_dim(n)
         _require_integer("level j", j)
-        if not 0 <= j <= f.m:
-            raise ValueError(f"need 0 <= j <= {f.m}, got j={j}")
+    if not 0 <= j < len(f._levels):
+        raise ValueError(f"need 0 <= j <= {f.m}, got j={j}")
     z, m = f._z.get(n) or _z(f, n), len(f._levels) - 1
-    return z[j] - z[j - 1] + len(_row(f, n, j, m)) - len(_row(f, n, j - 1, m))
+    later = len(_later_raises(f, n, j, m, True)) - len(_later_raises(f, n, j - 1, m, True))
+    return z[j] - z[j - 1] + later
 
 
 def _boundary_columns(

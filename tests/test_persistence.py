@@ -676,17 +676,17 @@ def test_warm_persistent_betti_and_mu_infinity_read_the_kept_lists(monkeypatch):
     # the first query in a dimension keeps z and rank_g; after it a round of
     # persistent_betti and mu_infinity keeps no list and no row of birth -1,
     # and the same round again, warm, keeps no key, sweeps no column and
-    # reads no row of birth -1 through _row but mu_infinity's row j - 1 at
-    # j = 0, its rank_later(-1, m) term
+    # reads no row of birth -1 but mu_infinity's row j - 1 at j = 0, its
+    # rank_later(-1, m) term
     f = random_filtration_document(40, 6, seed=3).to_filtration()
     m, rng, rows = f.m, random.Random(37), []
-    inserted, original = count_inserts(monkeypatch), persistence._row
+    inserted, original = count_inserts(monkeypatch), persistence._later_raises
 
-    def recording(f, n, j, p):
+    def recording(f, n, j, p, keep=False):
         rows.append((n, j))
-        return original(f, n, j, p)
+        return original(f, n, j, p, keep)
 
-    monkeypatch.setattr(persistence, "_row", recording)
+    monkeypatch.setattr(persistence, "_later_raises", recording)
     for n in range(3):
         queries = [(persistent_betti, (j, p)) for j in range(m + 1) for p in range(j, m + 1)]
         queries += [(mu_infinity, (j,)) for j in range(m + 1)]

@@ -43,10 +43,12 @@ MUTANTS = [
     # bisect_left for bisect_right in the kept rank_g list; a point query reads rank_g at p - 1
     Mutant(P, "rank_g = f._rank_g[n] = [bisect_right(raised, p)",
            "rank_g = f._rank_g[n] = [bisect_left(raised, p)"),
-    Mutant(P, "z[j] - rank_g[p] + bisect_right(_row",
-           "z[j] - rank_g[p - 1] + bisect_right(_row"),
-    # persistent_betti's inline test admits p = m + 1
+    Mutant(P, "z[j] - rank_g[p] + bisect_right(_later_raises",
+           "z[j] - rank_g[p - 1] + bisect_right(_later_raises"),
+    # persistent_betti's inline test, and mu's and mu_infinity's one range check, admit m + 1
     Mutant(P, "0 <= j <= p < len(f._levels)", "0 <= j <= p <= len(f._levels)"),
+    Mutant(P, "0 <= j < p < len(f._levels)", "0 <= j < p <= len(f._levels)"),
+    Mutant(P, "0 <= j < len(f._levels)", "0 <= j <= len(f._levels)"),
     # ... the row shift, both counts of the kept z list, and its pad at m + 1
     Mutant(P, "shift = bisect_right(", "shift = bisect_left("),
     Mutant(P, "z = [bisect_right(cells, j) - bisect_right(raised, j)",
@@ -55,7 +57,7 @@ MUTANTS = [
            "z = [bisect_right(cells, j) - bisect_left(raised, j)"),
     Mutant(P, "for j in range(f.m + 1)] + [0]", "for j in range(f.m + 1)] + [1]"),
     # mu_infinity drops z(j - 1)
-    Mutant(P, "return z[j] - z[j - 1] + len(", "return z[j] + len("),
+    Mutant(P, "return z[j] - z[j - 1] + later", "return z[j] + later"),
     # off by one: the negative-count, span, inclusion and nilpotency checks
     Mutant(P, "for p in range(k + 1, m + 2):", "for p in range(k + 1, m + 1):"),
     Mutant(P, "for l in range(k, m + 1)", "for l in range(k + 1, m + 1)"),
