@@ -133,7 +133,7 @@ def _load_filtration(args: argparse.Namespace) -> Filtration:
 
 
 def cmd_betti(args: argparse.Namespace) -> tuple[int, str]:
-    complex_ = closure_of_facets(parse_facets(_read_text(args.file)))
+    complex_ = closure_of_facets(map(Simplex, parse_facets(_read_text(args.file))))
     return EXIT_OK, f"{complex_.betti(args.dim)}\n"
 
 

@@ -31,14 +31,7 @@ class Simplex(Value, order=True):
         for v in verts:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"vertex {v!r} is not a non-negative integer")
-        verts = tuple(sorted(verts))
-        if not verts:
-            raise ValueError("a simplex needs at least one vertex")
-        if verts[0] < 0:
-            raise ValueError(f"vertex {verts[0]!r} is not a non-negative integer")
-        if len(set(verts)) != len(verts):
-            raise ValueError(f"duplicate vertices in {verts}")
-        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "vertices", _canonical(verts))
 
     @property
     def dim(self) -> int:
@@ -64,6 +57,21 @@ class Simplex(Value, order=True):
 
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for v in self.vertices) + ")"
+
+
+def _canonical(vertices: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted form of a tuple of ints; refuses one that names no simplex.
+
+    `Simplex` checks the types first; the file readers admit only ints.
+    """
+    verts = tuple(sorted(vertices))
+    if not verts:
+        raise ValueError("a simplex needs at least one vertex")
+    if verts[0] < 0:
+        raise ValueError(f"vertex {verts[0]!r} is not a non-negative integer")
+    if len(set(verts)) != len(verts):
+        raise ValueError(f"duplicate vertices in {verts}")
+    return verts
 
 
 def _require_integer(name: str, value: int) -> None:

@@ -13,7 +13,7 @@ from itertools import chain, compress, count, repeat
 from operator import is_
 
 from ._value import Value
-from .complexes import Simplex
+from .complexes import _canonical
 from .filtration import Filtration
 from .persistence import Barcode, PersistencePair
 
@@ -37,25 +37,27 @@ class _ClosureBound:
     A k-vertex facet closes to 2**k - 1 simplices, so the sum over the
     distinct facets bounds the closure.  The facet that takes the sum
     past MAX_CLOSURE_SIZE is rejected at its location.  ``parsed`` maps
-    each raw vertex tuple read so far, and each facet's canonical tuple,
-    to its admitted facet, so a facet listed at many levels is built and
-    checked once, and counted once however its vertices are ordered.
+    each raw vertex tuple read so far, and each canonical tuple, to its
+    canonical tuple, so a facet listed at many levels is checked once,
+    and counted once however its vertices are ordered.  The check is
+    the one `Simplex` runs after its type check, so a reader refuses
+    what `Simplex` refuses, with the same message.
     """
 
     def __init__(self) -> None:
         self.total = 0
-        self.parsed: dict[tuple[int, ...], Simplex] = {}
+        self.parsed: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def facet(self, raw: tuple[int, ...], where: str) -> Simplex:
-        """The facet ``raw`` names; built, checked and bounded the first time it is read."""
+    def facet(self, raw: tuple[int, ...], where: str) -> tuple[int, ...]:
+        """The canonical tuple of the ints ``raw``; checked and bounded when first read."""
         facet = self.parsed.get(raw)
         if facet is not None:
             return facet
         try:
-            facet = Simplex(raw)
+            facet = _canonical(raw)
         except ValueError as exc:
             raise ParseError(where, str(exc)) from None
-        if self.parsed.setdefault(facet.vertices, facet) is facet:  # a new canonical tuple
+        if self.parsed.setdefault(facet, facet) is facet:  # a new canonical tuple
             self.total += (1 << len(facet)) - 1
             if self.total > MAX_CLOSURE_SIZE:
                 raise ParseError(
@@ -71,14 +73,14 @@ class _ClosureBound:
 _VERTEX = re.compile(r"-?[0-9]+")
 
 
-def parse_facets(text: str) -> tuple[Simplex, ...]:
-    """Parse a facet list: one facet per line, vertices space-separated.
+def parse_facets(text: str) -> tuple[tuple[int, ...], ...]:
+    """Parse a facet list, one facet per line, into canonical vertex tuples.
 
-    A line ends at LF, CR LF or CR, as universal newlines end it, so the
-    line numbers are those a text-mode read counts; any other
-    whitespace, a form feed, NEL or U+2028 included, separates vertices.
-    `#` starts a comment; blank lines are skipped.  An empty result is
-    legal and denotes the empty complex.
+    Vertices are space-separated.  A line ends at LF, CR LF or CR, as
+    universal newlines end it, so the line numbers are those a text-mode
+    read counts; any other whitespace, a form feed, NEL or U+2028
+    included, separates vertices.  `#` starts a comment; blank lines are
+    skipped.  An empty result is legal and denotes the empty complex.
     """
     facets = []
     bound = _ClosureBound()
@@ -109,8 +111,8 @@ def _load_json(text: str) -> object:
         raise ParseError("document", str(exc)) from None
 
 
-def _facet_at(obj: object, where: str, bound: _ClosureBound) -> Simplex:
-    """The facet a list of vertices read at ``where`` names, built and bounded once."""
+def _facet_at(obj: object, where: str, bound: _ClosureBound) -> tuple[int, ...]:
+    """The facet a list of vertices read at ``where`` names, checked and bounded once."""
     if not isinstance(obj, list) or not obj:
         raise ParseError(where, "each facet must be a non-empty list of vertices")
     for k, v in enumerate(obj):
@@ -134,16 +136,22 @@ def _plain(raw_level: list) -> bool:
 
 
 class FiltrationDocument(Value):
-    """A filtration as written to disk: cumulative facet lists per level."""
+    """A filtration as written to disk: the facets of each level, as canonical vertex tuples.
 
-    levels: tuple[tuple[Simplex, ...], ...]
+    A parsed document keeps the levels its file lists, and carries the
+    filtration its mode built: an `--incremental` file's levels hold
+    only their new facets.  Any other is built on first use from levels
+    read as cumulative, as `gen` draws them.
+    """
+
+    levels: tuple[tuple[tuple[int, ...], ...], ...]
     name: str | None = None
     _filtration = None  # built on first use; not annotated, so not a compared field
 
     def to_filtration(self) -> Filtration:
         """The filtration of these levels, built once; parsed documents carry it."""
         if self._filtration is None:
-            object.__setattr__(self, "_filtration", Filtration(self.levels))
+            object.__setattr__(self, "_filtration", Filtration._of_tuples(self.levels, False))
         return self._filtration
 
     def serialize(self) -> str:
@@ -151,7 +159,7 @@ class FiltrationDocument(Value):
         if self.name is not None:
             doc["name"] = self.name
         doc["levels"] = [
-            [list(f.vertices) for f in level] for level in self.levels
+            [list(f) for f in level] for level in self.levels
         ]
         return json.dumps(doc, indent=2) + "\n"
 
@@ -160,9 +168,12 @@ def parse_filtration(text: str, incremental: bool = False) -> FiltrationDocument
     """Parse a filtration document; validate it by building its filtration.
 
     With incremental=True each level lists only the facets new at that
-    level; they are accumulated into cumulative lists, so nesting holds
-    by construction.  In the default cumulative mode a non-nested file
-    raises FiltrationError; the document carries the validated filtration.
+    level, and the document keeps those lists; the filtration inserts
+    each level's facets into its birth table as it sweeps, so nesting
+    holds by construction and no level is made cumulative.  In the
+    default cumulative mode a non-nested file raises FiltrationError.
+    The whole file is read before the table is built, so a ParseError
+    anywhere comes first.  The document carries the validated filtration.
     """
     doc = _load_json(text)
     if not isinstance(doc, dict):
@@ -177,7 +188,7 @@ def parse_filtration(text: str, incremental: bool = False) -> FiltrationDocument
     if not isinstance(raw_levels, list) or not raw_levels:
         raise ParseError("levels", "must be a non-empty list of levels")
 
-    levels: list[tuple[Simplex, ...]] = []
+    levels: list[tuple[tuple[int, ...], ...]] = []
     bound = _ClosureBound()
     for j, raw_level in enumerate(raw_levels):
         if not isinstance(raw_level, list):
@@ -188,12 +199,10 @@ def parse_filtration(text: str, incremental: bool = False) -> FiltrationDocument
         facets = list(map(bound.parsed.get, map(tuple, raw_level)))
         for k in compress(count(), map(is_, facets, repeat(None))):  # the entries not read before
             facets[k] = bound.facet(tuple(raw_level[k]), f"levels[{j}][{k}]")
-        parsed = tuple(facets)
-        if incremental and levels:
-            parsed = levels[-1] + parsed
-        levels.append(parsed)
+        levels.append(tuple(facets))
     document = FiltrationDocument(tuple(levels), name)
-    document.to_filtration()  # fail now, and keep it for the caller
+    filtration = Filtration._of_tuples(document.levels, incremental)  # fail now
+    object.__setattr__(document, "_filtration", filtration)
     return document
 
 

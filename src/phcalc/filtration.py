@@ -60,7 +60,7 @@ def validate(levels: Sequence[SimplicialComplex]) -> FiltrationViolation | None:
 
 
 def _sweep(
-    level_facets: Iterable[Iterable[tuple[int, ...]]],
+    level_facets: Iterable[Iterable[tuple[int, ...]]], incremental: bool = False,
 ) -> tuple[dict[tuple[int, ...], int], FiltrationViolation | None]:
     """The birth of each simplex of the levels' closures, or the first violation.
 
@@ -68,21 +68,25 @@ def _sweep(
     that level j - 1 lacks gives birth j to its faces not yet in the
     table.  Level j's closure is built only if it lacks a facet of level
     j - 1; the witness is then the least simplex of the table outside it.
+    An incremental level lists only facets new at it, so it nests by
+    construction: its facets go into the table as they are, with no
+    nesting test and no difference with the level before.
     """
     births: dict[tuple[int, ...], int] = {}
     previous: set[tuple[int, ...]] = set()
     for j, level in enumerate(level_facets):
-        facets = set(level)
-        if not previous <= facets:
-            closure = {verts for facet in facets for verts in subsets(facet)}
-            dropped = births.keys() - closure
-            if dropped:
-                return births, FiltrationViolation("not-nested", j, Simplex(min(dropped)))
-        for facet in facets - previous:
+        if not incremental:
+            facets = set(level)
+            if not previous <= facets:
+                closure = {verts for facet in facets for verts in subsets(facet)}
+                dropped = births.keys() - closure
+                if dropped:
+                    return births, FiltrationViolation("not-nested", j, Simplex(min(dropped)))
+            level, previous = facets - previous, facets
+        for facet in level:
             if facet not in births:
                 for verts in subsets(facet):
                     births.setdefault(verts, j)
-        previous = facets
     return births, None
 
 
@@ -103,19 +107,28 @@ class Filtration:
     """
 
     def __init__(self, levels: Iterable[Iterable[Simplex]]):
-        level_facets = list(levels)
-        if not level_facets:
+        self._build([map(_vertices, level) for level in levels], False)
+
+    @classmethod
+    def _of_tuples(cls, levels: Sequence[Iterable[tuple[int, ...]]], incremental: bool) -> Filtration:
+        """The filtration of levels of canonical vertex tuples, cumulative or incremental."""
+        return cls.__new__(cls)._build(levels, incremental)
+
+    def _build(self, levels: Sequence[Iterable[tuple[int, ...]]], incremental: bool) -> Filtration:
+        """Sweep the levels into the birth table, raising at the first violation."""
+        if not levels:
             raise ValueError("a filtration needs at least one level")
-        self._births, violation = _sweep(map(_vertices, level) for level in level_facets)
+        self._births, violation = _sweep(levels, incremental)
         if violation is not None:
             raise FiltrationError(violation)
-        self._levels: list[SimplicialComplex | None] = [None] * len(level_facets)
+        self._levels: list[SimplicialComplex | None] = [None] * len(levels)
         self._by_dim: list[list[tuple[tuple[int, ...], int]]] | None = None
         self._columns: dict[int, tuple[list[int], list[int]]] = {}
         self._later: dict[tuple[int, int], tuple[int, list[int]]] = {}
         self._z: dict[int, list[int]] = {}
         self._rank_g: dict[int, list[int]] = {}
         self._pivots: dict[int, dict[int, int]] = {}
+        return self
 
     @classmethod
     def from_level_facets(cls, level_facets: Sequence[Iterable[Simplex]]) -> Filtration:

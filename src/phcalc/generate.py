@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import random
 
-from .complexes import Simplex
 from .files import MAX_CLOSURE_SIZE, FiltrationDocument
 
 # A triangle closes to 7 simplices, so this many always parse back
@@ -51,7 +50,7 @@ def random_filtration_document(
 
     rng = random.Random(seed)
     drawn = [
-        (Simplex(tuple(rng.sample(range(vertices), 3))), rng.randrange(levels))
+        (tuple(sorted(rng.sample(range(vertices), 3))), rng.randrange(levels))
         for _ in range(triangles)
     ]
     cumulative = tuple(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -46,6 +47,35 @@ def test_betti_command(facets_file, capsys):
     assert main(["betti", facets_file, "-n", "0"]) == 0
     assert main(["betti", facets_file, "-n", "1"]) == 0
     assert capsys.readouterr().out == "1\n1\n"
+
+
+def test_an_incremental_file_answers_as_its_cumulative_form(tmp_path, capsys):
+    # each gen document again, listing only each level's new facets, with one
+    # level that adds nothing and one facet listed again, its vertices reversed
+    rng = random.Random(32)
+    for seed in range(20):
+        doc = random_filtration_document(rng.randrange(1, 30), rng.randrange(1, 8), seed=seed)
+        cumulative = [[list(facet) for facet in level] for level in doc.levels]
+        at = rng.randrange(len(cumulative))
+        cumulative.insert(at, cumulative[at])
+        incremental = [
+            [facet for facet in level if facet not in earlier]
+            for earlier, level in zip([[]] + cumulative, cumulative)
+        ]
+        assert incremental[at + 1] == []
+        facet = rng.choice(cumulative[-1])
+        birth = next(j for j, level in enumerate(cumulative) if facet in level)
+        incremental[rng.randrange(birth, len(cumulative))].append(facet[::-1])
+        answers = []
+        for name, levels, flag in [("c", cumulative, []), ("i", incremental, ["--incremental"])]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"levels": levels}))
+            for argv in (["barcode", str(path), "--all-dims", "--format", "json"],
+                         ["check", str(path)]):
+                code = main(argv + flag)
+                answers.append((code, capsys.readouterr()))
+        assert answers[:2] == answers[2:], seed
+        assert [code for code, _ in answers[:2]] == [0, 0]
 
 
 def test_betti_empty_file(tmp_path, capsys):

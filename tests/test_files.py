@@ -7,6 +7,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from phcalc import (
     Simplex,
     barcode,
 )
+from phcalc import files
 from phcalc.cli import main
 from phcalc.files import (
     MAX_CLOSURE_SIZE,
@@ -37,10 +39,7 @@ from .support import random_filtration
 def test_parse_facets_basic():
     text = "# diabolo\n2 3\n3 4\n\n3 5\n4 5\n0 1 2  # filled triangle\n"
     facets = parse_facets(text)
-    assert facets == (
-        Simplex((2, 3)), Simplex((3, 4)), Simplex((3, 5)),
-        Simplex((4, 5)), Simplex((0, 1, 2)),
-    )
+    assert facets == ((2, 3), (3, 4), (3, 5), (4, 5), (0, 1, 2))
 
 
 def test_parse_facets_empty_is_empty_complex():
@@ -128,10 +127,25 @@ def test_filtration_round_trip(diabolo_json):
 
 def test_parse_filtration_incremental():
     cumulative = '{"levels": [[[0,1]], [[0,1],[1,2]]]}'
-    incremental = '{"levels": [[[0,1]], [[1,2]]]}'
-    assert parse_filtration(incremental, incremental=True) == (
-        parse_filtration(cumulative)
-    )
+    incremental = '{"levels": [[[0,1]], [[2,1]]]}'
+    doc = parse_filtration(incremental, incremental=True)
+    assert doc.levels == (((0, 1),), ((1, 2),))  # what the file lists, in canonical form
+    assert doc.to_filtration() == parse_filtration(cumulative).to_filtration()
+
+
+def test_an_incremental_file_is_read_in_one_pass():
+    # 4,000 one-edge levels: each level keeps its own facet, and none is made cumulative
+    text = json.dumps({"levels": [[[k, k + 1]] for k in range(4000)]})
+    tracemalloc.start()
+    try:
+        doc = parse_filtration(text, incremental=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, doc.levels)) == 4000
+    assert peak < 16 << 20
+    f = doc.to_filtration()
+    assert f.m == 3999 and f.births(1)[-1] == ((3999, 4000), 3999)
 
 
 def test_parse_filtration_located_errors():
@@ -154,13 +168,13 @@ def test_parse_filtration_located_errors():
 def test_parse_filtration_builds_each_facet_once(monkeypatch):
     # a cumulative file lists a facet at every level from its birth on
     built = []
-    original = Simplex.__post_init__
+    original = files._canonical
 
-    def counting(self):
-        built.append(self.vertices)
-        original(self)
+    def counting(vertices):
+        built.append(vertices)
+        return original(vertices)
 
-    monkeypatch.setattr(Simplex, "__post_init__", counting)
+    monkeypatch.setattr(files, "_canonical", counting)
     text = json.dumps({"levels": [
         [[0, 1, 2]], [[0, 1, 2], [2, 3]], [[0, 1, 2], [2, 3], [3, 4]],
     ]})
@@ -216,8 +230,8 @@ def test_a_level_is_checked_in_bulk_and_read_as_entry_by_entry(levels, expected)
             assert str(info.value) == expected
         return
     doc = parse_filtration(text)
-    assert [[f.vertices for f in level] for level in doc.levels] == expected["levels"]
-    objects: dict[int, int] = {}  # each distinct Simplex object, numbered as first met
+    assert [list(level) for level in doc.levels] == expected["levels"]
+    objects: dict[int, int] = {}  # each distinct tuple object, numbered as first met
     assert [
         [objects.setdefault(id(f), len(objects)) for f in level] for level in doc.levels
     ] == expected["objects"]
@@ -233,15 +247,15 @@ def test_parse_filtration_validates_nesting():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Count Filtration constructions for the rest of the test."""
+    """Count Filtration builds, from Simplex or tuple levels, for the rest of the test."""
     count = []
-    original = Filtration.__init__
+    original = Filtration._build
 
-    def counting(self, levels):
+    def counting(self, levels, incremental):
         count.append(1)
-        original(self, levels)
+        return original(self, levels, incremental)
 
-    monkeypatch.setattr(Filtration, "__init__", counting)
+    monkeypatch.setattr(Filtration, "_build", counting)
     return count
 
 
@@ -250,7 +264,7 @@ def test_parsed_document_keeps_its_filtration(diabolo_json, builds):
     f = doc.to_filtration()
     assert doc.to_filtration() is f
     assert len(builds) == 1
-    assert f == Filtration.from_level_facets(doc.levels)
+    assert f == Filtration.from_level_facets([map(Simplex, level) for level in doc.levels])
 
 
 def test_generated_document_builds_on_demand(builds):
@@ -308,10 +322,10 @@ def test_parse_facets_bounds_the_closure():
 
 
 def test_parse_filtration_bounds_the_closure(monkeypatch):
-    def no_closure(self):
-        raise AssertionError("the closure was built")
+    def no_table(self, levels, incremental):
+        raise AssertionError("a birth table was built")
 
-    monkeypatch.setattr(FiltrationDocument, "to_filtration", no_closure)
+    monkeypatch.setattr(Filtration, "_build", no_table)
     text = json.dumps({"levels": [[[0, 1]], [[0, 1], HUGE_FACET]]})
     for incremental in (False, True):
         with pytest.raises(ParseError, match=r"^levels\[1\]\[1\]: "):
@@ -342,10 +356,10 @@ def test_parse_filtration_of_any_nested_lists_parses_or_raises(levels, increment
         doc = parse_filtration(json.dumps({"levels": levels}), incremental=incremental)
     except (ParseError, FiltrationError):
         return
-    if incremental:
-        levels = [sum(levels[: j + 1], []) for j in range(len(levels))]
     built = [[Simplex(tuple(f)) for f in level] for level in levels]
-    assert doc.levels == tuple(map(tuple, built))
+    assert doc.levels == tuple(tuple(f.vertices for f in level) for level in built)
+    if incremental:
+        built = [sum(built[: j + 1], []) for j in range(len(built))]
     assert doc.to_filtration() == Filtration.from_level_facets(built)
 
 

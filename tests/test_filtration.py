@@ -227,8 +227,9 @@ def test_table_built_levels_equal_the_closures_of_their_facets():
     # levels are built from the birth table, not from their facets
     for seed in range(12):
         doc = random_filtration_document(2 + 5 * seed, 6, seed=seed)
-        f = Filtration(doc.levels)
-        for level, facets in zip(f, doc.levels):
+        level_facets = [[Simplex(v) for v in level] for level in doc.levels]
+        f = Filtration(level_facets)
+        for level, facets in zip(f, level_facets):
             closure = closure_of_facets(facets)
             assert level == closure
             assert level.dim == closure.dim

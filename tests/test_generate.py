@@ -41,19 +41,19 @@ def test_levels_are_cumulative_and_valid():
     f = doc.to_filtration()  # validation happens here
     assert f.m == 3
     # all drawn facets are triangles
-    assert all(facet.dim == 2 for facet in doc.levels[-1])
+    assert all(len(facet) == 3 for facet in doc.levels[-1])
 
 
 def test_vertices_within_budget():
     doc = random_filtration_document(20, 3, vertices=9, seed=1)
-    used = {v for facet in doc.levels[-1] for v in facet.vertices}
+    used = {v for facet in doc.levels[-1] for v in facet}
     assert used <= set(range(9))
 
 
 def test_single_forced_outcome():
     doc = random_filtration_document(1, 1, vertices=3, seed=0)
     assert doc.levels == (((doc.levels[0][0]),),)
-    assert doc.levels[0][0].vertices == (0, 1, 2)
+    assert doc.levels[0][0] == (0, 1, 2)
     f = doc.to_filtration()
     assert f[0].betti(0) == 1 and len(f[0]) == 7
 

@@ -69,6 +69,8 @@ MUTANTS = [
     Mutant(FT, "births.setdefault(verts, j)", "births[verts] = j"),
     # the nesting check is off at level 1
     Mutant(FT, "if not previous <= facets:", "if j != 1 and not previous <= facets:"),
+    # an incremental level is held to the nesting check, as a cumulative one is
+    Mutant(FT, "if not incremental:", "if True:"),
     # the closure bound admits one simplex more
     Mutant(FI, "if self.total > MAX_CLOSURE_SIZE:", "if self.total > MAX_CLOSURE_SIZE + 1:"),
     # a CLI integer option takes whatever int() takes, less surrounding space
