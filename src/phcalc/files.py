@@ -138,20 +138,19 @@ def _plain(raw_level: list) -> bool:
 class FiltrationDocument(Value):
     """A filtration as written to disk: the facets of each level, as canonical vertex tuples.
 
-    A parsed document keeps the levels its file lists, and carries the
-    filtration its mode built: an `--incremental` file's levels hold
-    only their new facets.  Any other is built on first use from levels
-    read as cumulative, as `gen` draws them.
+    Each level lists every facet present at it, or with ``incremental``
+    only the facets new at it, as an `--incremental` file does.
     """
 
     levels: tuple[tuple[tuple[int, ...], ...], ...]
     name: str | None = None
+    incremental: bool = False
     _filtration = None  # built on first use; not annotated, so not a compared field
 
     def to_filtration(self) -> Filtration:
-        """The filtration of these levels, built once; parsed documents carry it."""
+        """The filtration of these levels, read in the document's mode, built once and kept."""
         if self._filtration is None:
-            object.__setattr__(self, "_filtration", Filtration._of_tuples(self.levels, False))
+            object.__setattr__(self, "_filtration", Filtration._of_tuples(self.levels, self.incremental))
         return self._filtration
 
     def serialize(self) -> str:
@@ -168,12 +167,12 @@ def parse_filtration(text: str, incremental: bool = False) -> FiltrationDocument
     """Parse a filtration document; validate it by building its filtration.
 
     With incremental=True each level lists only the facets new at that
-    level, and the document keeps those lists; the filtration inserts
-    each level's facets into its birth table as it sweeps, so nesting
-    holds by construction and no level is made cumulative.  In the
-    default cumulative mode a non-nested file raises FiltrationError.
-    The whole file is read before the table is built, so a ParseError
-    anywhere comes first.  The document carries the validated filtration.
+    level, and the document keeps those lists and records the mode; the
+    filtration inserts each level's facets into its birth table as it
+    sweeps, so nesting holds by construction and no level is made
+    cumulative.  In the default cumulative mode a non-nested file raises
+    FiltrationError.  The whole file is read before the table is built,
+    so a ParseError anywhere comes first.
     """
     doc = _load_json(text)
     if not isinstance(doc, dict):
@@ -200,9 +199,8 @@ def parse_filtration(text: str, incremental: bool = False) -> FiltrationDocument
         for k in compress(count(), map(is_, facets, repeat(None))):  # the entries not read before
             facets[k] = bound.facet(tuple(raw_level[k]), f"levels[{j}][{k}]")
         levels.append(tuple(facets))
-    document = FiltrationDocument(tuple(levels), name)
-    filtration = Filtration._of_tuples(document.levels, incremental)  # fail now
-    object.__setattr__(document, "_filtration", filtration)
+    document = FiltrationDocument(tuple(levels), name, incremental)
+    document.to_filtration()  # fail now
     return document
 
 

@@ -15,6 +15,7 @@ from collections import Counter
 
 from phcalc import Barcode, Filtration, Simplex, SimplicialComplex, closure_of_facets
 from phcalc import complexes, filtration, persistence
+from phcalc.generate import random_filtration_document
 from phcalc.gf2 import Gf2Matrix
 
 
@@ -251,6 +252,33 @@ def random_level_facets(
     if rng.random() < 0.5 and per_level[j]:
         per_level[j].pop(rng.randrange(len(per_level[j])))
     return per_level
+
+
+def incremental_forms() -> list[tuple[int, list, list]]:
+    """20 seeded `gen` documents, each as (seed, cumulative levels, incremental levels).
+
+    The levels are lists of vertex lists, as a file holds them.  One
+    cumulative level is listed twice, so its incremental twin adds
+    nothing, and one facet is listed again in the incremental form, its
+    vertices reversed, at a level from its birth on.
+    """
+    rng = random.Random(32)
+    forms = []
+    for seed in range(20):
+        doc = random_filtration_document(rng.randrange(1, 30), rng.randrange(1, 8), seed=seed)
+        cumulative = [[list(facet) for facet in level] for level in doc.levels]
+        at = rng.randrange(len(cumulative))
+        cumulative.insert(at, cumulative[at])
+        incremental = [
+            [facet for facet in level if facet not in earlier]
+            for earlier, level in zip([[]] + cumulative, cumulative)
+        ]
+        assert incremental[at + 1] == []
+        facet = rng.choice(cumulative[-1])
+        birth = next(j for j, level in enumerate(cumulative) if facet in level)
+        incremental[rng.randrange(birth, len(cumulative))].append(facet[::-1])
+        forms.append((seed, cumulative, incremental))
+    return forms
 
 
 def naive_missing_face(simplices: frozenset[Simplex]) -> Simplex | None:

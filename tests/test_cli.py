@@ -5,7 +5,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import random
 import resource
 import subprocess
 import sys
@@ -24,7 +23,7 @@ from phcalc.generate import random_filtration_document
 from phcalc.gf2 import Gf2Matrix
 from phcalc.persistence import LemmaReport, LemmaViolation, barcode, persistent_betti
 
-from .support import count_boundary_builds, perturb_rank_rows
+from .support import count_boundary_builds, incremental_forms, perturb_rank_rows
 
 DIABOLO_FACETS_TEXT = "2 3\n3 4\n3 5\n4 5\n0 1 2\n"
 
@@ -50,22 +49,7 @@ def test_betti_command(facets_file, capsys):
 
 
 def test_an_incremental_file_answers_as_its_cumulative_form(tmp_path, capsys):
-    # each gen document again, listing only each level's new facets, with one
-    # level that adds nothing and one facet listed again, its vertices reversed
-    rng = random.Random(32)
-    for seed in range(20):
-        doc = random_filtration_document(rng.randrange(1, 30), rng.randrange(1, 8), seed=seed)
-        cumulative = [[list(facet) for facet in level] for level in doc.levels]
-        at = rng.randrange(len(cumulative))
-        cumulative.insert(at, cumulative[at])
-        incremental = [
-            [facet for facet in level if facet not in earlier]
-            for earlier, level in zip([[]] + cumulative, cumulative)
-        ]
-        assert incremental[at + 1] == []
-        facet = rng.choice(cumulative[-1])
-        birth = next(j for j, level in enumerate(cumulative) if facet in level)
-        incremental[rng.randrange(birth, len(cumulative))].append(facet[::-1])
+    for seed, cumulative, incremental in incremental_forms():
         answers = []
         for name, levels, flag in [("c", cumulative, []), ("i", incremental, ["--incremental"])]:
             path = tmp_path / f"{name}.json"

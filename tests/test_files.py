@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 import random
 import re
 import sys
@@ -33,7 +35,7 @@ from phcalc.files import (
 )
 from phcalc.generate import random_filtration_document
 
-from .support import random_filtration
+from .support import incremental_forms, random_filtration
 
 
 def test_parse_facets_basic():
@@ -131,6 +133,39 @@ def test_parse_filtration_incremental():
     doc = parse_filtration(incremental, incremental=True)
     assert doc.levels == (((0, 1),), ((1, 2),))  # what the file lists, in canonical form
     assert doc.to_filtration() == parse_filtration(cumulative).to_filtration()
+
+
+def _incremental_documents() -> list[FiltrationDocument]:
+    """The two-level example and each `incremental_forms` document, parsed with --incremental."""
+    texts = ['{"levels": [[[0,1]], [[1,2]]]}']
+    texts += [json.dumps({"levels": levels}) for _, _, levels in incremental_forms()]
+    return [parse_filtration(text, incremental=True) for text in texts]
+
+
+def test_copies_and_pickles_of_an_incremental_document_build_its_filtration():
+    for doc in _incremental_documents():
+        f = doc.to_filtration()
+        for twin in (copy.copy(doc), copy.deepcopy(doc), pickle.loads(pickle.dumps(doc))):
+            assert twin.to_filtration() == f
+
+
+def test_documents_of_the_two_modes_are_unequal():
+    for doc in _incremental_documents():
+        cumulative = FiltrationDocument(doc.levels, doc.name)
+        assert doc != cumulative
+        assert hash(doc) != hash(cumulative)
+
+
+def test_a_serialized_document_reads_back_in_its_own_mode():
+    texts = [('{"name": "two", "levels": [[[0,1]], [[1,2]]]}', True)]
+    for _, cumulative, incremental in incremental_forms():
+        texts += [(json.dumps({"levels": cumulative}), False),
+                  (json.dumps({"levels": incremental}), True)]
+    for text, incremental in texts:
+        doc = parse_filtration(text, incremental=incremental)
+        back = parse_filtration(doc.serialize(), incremental=doc.incremental)
+        assert back == doc
+        assert back.to_filtration() == doc.to_filtration()
 
 
 def test_an_incremental_file_is_read_in_one_pass():

@@ -32,8 +32,8 @@ VALUES = [
      "FiltrationViolation(kind='not-nested', level=2, simplex=Simplex(vertices=(3,)))",
      ("not-nested", 2, Simplex((3,)))),
     (FiltrationDocument(((Simplex((0,)),),), "one"),
-     "FiltrationDocument(levels=((Simplex(vertices=(0,)),),), name='one')",
-     (((Simplex((0,)),),), "one")),
+     "FiltrationDocument(levels=((Simplex(vertices=(0,)),),), name='one', incremental=False)",
+     (((Simplex((0,)),),), "one", False)),
     (LemmaViolation("negative-count", 0, 2, 0, -1),
      "LemmaViolation(kind='negative-count', k=0, l=2, expected=0, actual=-1)",
      ("negative-count", 0, 2, 0, -1)),
@@ -43,6 +43,13 @@ VALUES = [
     (ChainSet(2, (0, 1)), "ChainSet(ambient_dim=2, members=(0, 1))", (2, (0, 1))),
 ]
 IDS = [type(value).__name__ for value, _, _ in VALUES]
+# the other mode of a document, as `parse_filtration(..., incremental=True)` gives it
+VALUES.append((
+    FiltrationDocument((((0, 1),), ((1, 2),)), None, True),
+    "FiltrationDocument(levels=(((0, 1),), ((1, 2),)), name=None, incremental=True)",
+    ((((0, 1),), ((1, 2),)), None, True),
+))
+IDS.append("FiltrationDocument-incremental")
 
 
 @pytest.mark.parametrize("value, text, fields", VALUES, ids=IDS)
@@ -96,7 +103,7 @@ def test_order_only_where_it_was_declared():
 
 def test_defaults_and_missing_arguments():
     doc = FiltrationDocument(levels=((Simplex((0,)),),))
-    assert doc.name is None
+    assert doc.name is None and doc.incremental is False
     with pytest.raises(TypeError, match="multiplicity"):
         PersistencePair(1, 2)
 

@@ -71,6 +71,9 @@ MUTANTS = [
     Mutant(FT, "if not previous <= facets:", "if j != 1 and not previous <= facets:"),
     # an incremental level is held to the nesting check, as a cumulative one is
     Mutant(FT, "if not incremental:", "if True:"),
+    # a document's levels are read as cumulative whatever its mode
+    Mutant(FI, "Filtration._of_tuples(self.levels, self.incremental)",
+           "Filtration._of_tuples(self.levels, False)"),
     # the closure bound admits one simplex more
     Mutant(FI, "if self.total > MAX_CLOSURE_SIZE:", "if self.total > MAX_CLOSURE_SIZE + 1:"),
     # a CLI integer option takes whatever int() takes, less surrounding space
