@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable
 from itertools import chain, compress, count, repeat
 from operator import is_
 
@@ -154,13 +155,21 @@ class FiltrationDocument(Value):
         return self._filtration
 
     def serialize(self) -> str:
-        doc: dict[str, object] = {}
-        if self.name is not None:
-            doc["name"] = self.name
-        doc["levels"] = [
-            [list(f) for f in level] for level in self.levels
-        ]
-        return json.dumps(doc, indent=2) + "\n"
+        """The document in the layout of ``json.dumps(..., indent=2)``, and a newline.
+
+        Written from the vertices' digits; only the name goes through
+        `json`, whose indented encoder runs in pure Python.
+        """
+        levels = _array((_array((_array(map(str, facet), "      ") for facet in level), "    ")
+                         for level in self.levels), "  ")
+        name = "" if self.name is None else f'  "name": {json.dumps(self.name)},\n'
+        return f'{{\n{name}  "levels": {levels}\n}}\n'
+
+
+def _array(items: Iterable[str], indent: str) -> str:
+    """The JSON array of written items as ``json.dumps(indent=2)`` lays it out at ``indent``."""
+    body = f",\n{indent}  ".join(items)
+    return f"[\n{indent}  {body}\n{indent}]" if body else "[]"
 
 
 def parse_filtration(text: str, incremental: bool = False) -> FiltrationDocument:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import groupby
 from operator import attrgetter
@@ -100,10 +101,11 @@ class Filtration:
     every level is a prefix of K^m; per dimension d, the columns of
     D_d(K^m) with rows and columns in that order; and each level asked
     for, through the public constructor and its face-closure check.
-    `persistence` keeps what it reads off those columns in ``_later``,
-    the swept rank rows; ``_z`` and ``_rank_g``, per dimension the
-    cycle count and boundary rank at each level, built from the rows of
-    birth -1; and ``_pivots``, each described where it is filled.
+    `persistence` keeps what it reads off those columns in ``_rows``,
+    per dimension one list of the swept rank rows by birth + 1, each a
+    prefix count by level, with ``()`` for a row not swept; ``_z``, per
+    dimension the cycle count at each level; and ``_pivots``, each
+    described where it is filled.
     """
 
     def __init__(self, levels: Iterable[Iterable[Simplex]]):
@@ -124,9 +126,9 @@ class Filtration:
         self._levels: list[SimplicialComplex | None] = [None] * len(levels)
         self._by_dim: list[list[tuple[tuple[int, ...], int]]] | None = None
         self._columns: dict[int, tuple[list[int], list[int]]] = {}
-        self._later: dict[tuple[int, int], tuple[int, list[int]]] = {}
+        slots = len(levels) + 1  # birth -1 and every level
+        self._rows: defaultdict[int, list[Sequence[int]]] = defaultdict(lambda: [()] * slots)
         self._z: dict[int, list[int]] = {}
-        self._rank_g: dict[int, list[int]] = {}
         self._pivots: dict[int, dict[int, int]] = {}
         return self
 

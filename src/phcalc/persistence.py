@@ -12,33 +12,34 @@ two n-simplex bases.  One helper evaluates the formula one birth row
 at a time, at every death level, and builds no level: the
 filtration keeps, per dimension, the boundary matrix of the last level
 K^m with rows and columns in birth order, of which every level's is a
-prefix.  Every rank it needs is read off one kind of swept row: the
-births of the columns that raise the rank of the boundaries on the
-rows born after j (the lower-left submatrices of Edelsbrunner-Harer's
-pairing lemma), swept from the first column born after j.  A rank is
-one bisect in a row.  The row of birth -1 is the rank of D_d at every
-level; it is swept once per dimension and kept on the filtration.
-From those rows the filtration also keeps, per dimension n and built
-on first use, two lists by level: z[j], the cycle count of K^j (the
-n-cells born by j less rank D_n(K^j)), padded with z[m+1] = 0, and
-rank_g[p], the rank of the boundaries of K^p (rank D_{n+1}(K^p)).
+prefix.  Every rank it needs is read off one kind of swept row:
+rank_later(j, q), the rank of the boundaries of K^q on the rows born
+after j (the lower-left submatrices of Edelsbrunner-Harer's pairing
+lemma), for q = 0..reach, swept from the first column born after j.
+A sweep counts the columns that raise the rank by level and sums the
+counts, so a rank is one index in a row.  The row of birth -1 is
+rank_g, the rank of D_{n+1}(K^q) at every level.  From dimension n-1's
+row of birth -1 the filtration also keeps, per dimension n and built
+on first use by one counting pass, z[j], the cycle count of K^j (the
+n-cells born by j less rank D_n(K^j)), padded with z[m+1] = 0.
 `betti_table` and `check_fundamental_lemma` read the helper's rows,
 and the point queries read no grid: `persistent_betti` takes its one
-number as z[j] - rank_g[p] plus one bisect in row j.  Interval
-multiplicities are a finite difference of four persistent Betti
-numbers (Zomorodian-Carlsson), in which rank_g cancels, and so does z
-at a finite death: `mu` counts the raises of two adjacent rows at p,
-and `mu_infinity` takes z[j] - z[j-1] plus the lengths of rows j and
-j-1.  The point queries keep each birth row they sweep, up to the
+number as z[j] - rank_g[p] + row_j[p].  Interval multiplicities are a
+finite difference of four persistent Betti numbers
+(Zomorodian-Carlsson), in which rank_g cancels, and so does z at a
+finite death: `mu` takes the raises of rows j-1 and j at p, each
+row[p] - row[p-1], and `mu_infinity` z[j] - z[j-1] plus rows j and j-1
+at m.  The filtration keeps each dimension's rows in one list by
+birth + 1; the point queries keep each row they sweep, up to the
 furthest death asked for that birth, so a later query inside it sweeps
 nothing; `betti_table` and `check_fundamental_lemma` keep no row of a
 birth >= 0, so their memory stays linear in m.  A warm point query is
 one inline test and kept reads: plain ints pass the test, and any
 other argument meets the full checks, which raise or accept it as they
-would alone; the lists are read off the filtration, and each row
-through `_later_raises`, which reads a kept row and leaves a row not
-kept that far to `_sweep_row`.  The helper's rows are lists indexed by
-death level, 0 below the birth and at m+1, past the last level, and
+would alone; z and rank_g are read off the filtration, and each other
+row through `_row`, which reads a kept row and sweeps one not kept
+that far.  The helper's rows of beta are lists indexed by death level,
+0 below the birth and at m+1, past the last level, and
 `check_fundamental_lemma` takes the finite difference as written, on
 two of them at a time, from a row of zeros for birth -1.
 `persistent_betti_simplified` keeps the per-pair matrix form on the
@@ -56,10 +57,10 @@ barcodes of every dimension reduce each boundary matrix once.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Container, Iterator
-from itertools import combinations, compress
+from itertools import accumulate, combinations
 
 from ._value import Value
 from .complexes import _require_dim, _require_integer
@@ -125,65 +126,55 @@ def _insert(pivots: dict[int, int], col: int) -> bool:
     return False
 
 
-def _later_raises(f: Filtration, n: int, j: int, p: int, keep: bool = False) -> list[int]:
-    """The births of the D_{n+1} columns born after j that raise rank_later(j, .).
+def _row(f: Filtration, n: int, j: int, p: int) -> list[int]:
+    """rank_later(j, q) for q = 0..p at least, read or swept, and kept.
 
     rank_later(j, q) is the rank of D_{n+1}(K^q) on the rows of the
-    n-simplices born after j; a column born <= j is 0 there.  For q <= p
-    it is the count of the births returned that are <= q.  At j = -1 no
-    row is born by j, so none is shifted off and D_n's births are not
-    read: rank_later(-1, q) is rank D_{n+1}(K^q).  The filtration keeps
-    rows as {(n, j): (reach, the births up to reach)}, O(rank) integers
-    each.  A kept row that reaches p is read, not swept; otherwise the
-    columns born in (j, p] are swept, and their row is kept if ``keep``
-    is true or j is -1, whose row is rank D_{n+1} at every level.
+    n-simplices born after j; a column born <= j is 0 there, so it is 0
+    for q <= j.  At j = -1 no row is shifted off: rank_later(-1, q) is
+    rank D_{n+1}(K^q), rank_g.  The filtration keeps each dimension's
+    rows in one list, row j in slot j + 1, as rank_later(j, q) for q =
+    0..reach.  A kept row that reaches p is read; any other is swept to
+    p and kept in place of the shorter one.
     """
-    reach, raised = f._later.get((n, j), (-1, None))
-    return raised if reach >= p else _sweep_row(f, n, j, p, keep)
+    rows = f._rows[n]
+    row = rows[j + 1]
+    if len(row) <= p:
+        row = rows[j + 1] = _sweep(f, n, j, p)
+    return row
 
 
-def _sweep_row(f: Filtration, n: int, j: int, p: int, keep: bool) -> list[int]:
-    """Sweep `_later_raises`'s row j up to p, and keep it if ``keep`` or j is -1.
+def _sweep(f: Filtration, n: int, j: int, p: int) -> list[int]:
+    """Sweep `_row`'s row j to p, and keep nothing.
 
-    Apart from the read of a kept row, so that the read starts a small frame.
+    The columns born in (j, p] are shifted past the rows born by j and
+    inserted; those that raise the rank are counted by level and summed.
     """
     born, columns = f._birth_columns(n + 1)
     start, end = bisect_right(born, j), bisect_right(born, p)
     shift = bisect_right(f._birth_columns(n)[0], j) if j >= 0 else 0
     pivots: dict[int, int] = {}
-    raises = [_insert(pivots, col >> shift) for col in columns[start:end]]
-    raised = list(compress(born[start:end], raises))
-    if keep or j < 0:
-        f._later[(n, j)] = (p, raised)
-    return raised
+    raises = [0] * (p + 1)
+    for birth, col in zip(born[start:end], columns[start:end]):
+        if _insert(pivots, col >> shift):
+            raises[birth] += 1
+    return list(accumulate(raises))
 
 
 def _z(f: Filtration, n: int) -> list[int]:
     """z[j], the dimension of the degree-n cycles of K^j, for j in 0..m, and 0 at m+1.
 
-    The n-cells born by j less rank D_n(K^j), the raises of D_n's row of
-    birth -1 up to j.  Built on first use from that row and kept on the
+    The n-cells born by j, counted by level and summed, less rank
+    D_n(K^j), D_n's row of birth -1.  Built on first use and kept on the
     filtration; the 0 at m+1 is z[j - 1] at j = 0, before any level.
     """
     z = f._z.get(n)
     if z is None:
-        cells, raised = f._birth_columns(n)[0], _later_raises(f, n - 1, -1, f.m)
-        z = [bisect_right(cells, j) - bisect_right(raised, j) for j in range(f.m + 1)] + [0]
-        f._z[n] = z
+        cells, ranks = [0] * (f.m + 1), _row(f, n - 1, -1, f.m)
+        for birth in f._birth_columns(n)[0]:
+            cells[birth] += 1
+        z = f._z[n] = [c - r for c, r in zip(accumulate(cells), ranks)] + [0]
     return z
-
-
-def _rank_g(f: Filtration, n: int) -> list[int]:
-    """rank_g[p], the rank of D_{n+1}(K^p), the boundaries of K^p, for p in 0..m.
-
-    The raises of D_{n+1}'s row of birth -1 up to p, built on first use
-    from that row and kept on the filtration.
-    """
-    rank_g = f._rank_g.get(n)
-    if rank_g is None:
-        raised = _later_raises(f, n, -1, f.m)
-        rank_g = f._rank_g[n] = [bisect_right(raised, p) for p in range(f.m + 1)]
-    return rank_g
 
 
 def _betti_grid(f: Filtration, n: int) -> Iterator[tuple[int, list[int]]]:
@@ -204,29 +195,33 @@ def _betti_grid(f: Filtration, n: int) -> Iterator[tuple[int, list[int]]]:
     first column born after j, as every earlier one is 0 on those rows.
     The cycles of K^j stacked with the boundaries of K^p have rank z +
     rank_later, so this is the paper's z - (rank_g + z - rank_stacked).
-    z and rank_g are the lists kept per dimension on the filtration, and
-    rank_later is one bisect in the row of raises.  Each birth row
-    reaches m and is not kept, so the grid's memory stays linear in m.
+    z is the list kept per dimension, rank_g the kept row of birth -1,
+    and rank_later row j: a kept row that reaches m is read, and any
+    other is swept to m and not kept, so the grid's memory stays linear
+    in m.
     """
-    m, z, rank_g = f.m, _z(f, n), _rank_g(f, n)
+    m, z, rank_g, rows = f.m, _z(f, n), _row(f, n, -1, f.m), f._rows[n]
     for j in range(m + 1):
-        raised = _later_raises(f, n, j, m)
-        yield j, [0] * j + [z[j] - rank_g[p] + bisect_right(raised, p) for p in range(j, m + 1)] + [0]
+        row = rows[j + 1] if len(rows[j + 1]) > m else _sweep(f, n, j, m)
+        yield j, [0] * j + [z[j] - g + c for g, c in zip(rank_g[j:], row[j:])] + [0]
 
 
 def persistent_betti(f: Filtration, n: int, j: int, p: int) -> int:
     """Number of degree-n classes of K^j still alive at K^p.
 
     z(j) - rank_g(p) + rank_later(j, p), the form `_betti_grid` derives:
-    z and rank_g from the lists kept per dimension, and rank_later by one
-    bisect in row j, kept, at p.
+    z from the list kept per dimension, rank_g from the kept row of
+    birth -1, swept to m when it falls short of p, and rank_later from
+    row j, kept, at p.
     """
     if not (type(n) is int is type(j) is type(p)
             and 0 <= n and 0 <= j <= p < len(f._levels)):
         _require_dim(n)
         f.check_level_pair(j, p)
-    z, rank_g = f._z.get(n) or _z(f, n), f._rank_g.get(n) or _rank_g(f, n)
-    return z[j] - rank_g[p] + bisect_right(_later_raises(f, n, j, p, True), p)
+    z, rank_g = f._z.get(n) or _z(f, n), f._rows[n][0]
+    if len(rank_g) <= p:
+        rank_g = _row(f, n, -1, len(f._levels) - 1)
+    return z[j] - rank_g[p] + _row(f, n, j, p)[p]
 
 
 def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
@@ -256,11 +251,12 @@ def mu(f: Filtration, n: int, j: int, p: int) -> int:
 
     (beta(j, p-1) - beta(j, p)) - (beta(j-1, p-1) - beta(j-1, p)).  With
     beta(j, p) = z(j) - rank_g(p) + rank_later(j, p), the z and rank_g
-    terms cancel, which leaves the raises of row j-1 at p minus those of
-    row j at p; row -1 is rank_g's, so the beta terms at birth level -1
-    are 0.  Only a wrong row could make it negative, and nothing here
-    checks it: `check_fundamental_lemma` finds "negative-count"
-    violations on the grid rows, where it takes the same difference.
+    terms cancel, which leaves the raise of row j-1 at p, row[p] -
+    row[p-1], minus that of row j; row -1 is rank_g's, so the beta terms
+    at birth level -1 are 0.  Each row is kept to p.  Only a wrong row
+    could make it negative, and nothing here checks it:
+    `check_fundamental_lemma` finds "negative-count" violations on the
+    grid rows, where it takes the same difference.
     """
     if not (type(n) is int is type(j) is type(p) and 0 <= n):
         _require_dim(n)
@@ -268,10 +264,8 @@ def mu(f: Filtration, n: int, j: int, p: int) -> int:
         _require_integer("level p", p)
     if not 0 <= j < p < len(f._levels):
         raise ValueError(f"need 0 <= j < p <= {f.m}, got j={j}, p={p}")
-    before = _later_raises(f, n, j - 1, p if j else f.m, True)
-    row = _later_raises(f, n, j, p, True)
-    return (bisect_right(before, p) - bisect_left(before, p)
-            - (bisect_right(row, p) - bisect_left(row, p)))
+    before, row = _row(f, n, j - 1, p), _row(f, n, j, p)
+    return before[p] - before[p - 1] - (row[p] - row[p - 1])
 
 
 def mu_infinity(f: Filtration, n: int, j: int) -> int:
@@ -280,8 +274,8 @@ def mu_infinity(f: Filtration, n: int, j: int) -> int:
     beta(j, m) - beta(j-1, m): the classes of K^j alive at the final
     level, minus those already present one level earlier.  rank_g
     cancels, z(j) - z(j-1) is read off the kept list, whose pad at m+1
-    is z(-1) = 0, and the rank_later terms are rows j and j-1, which
-    reach m, so each is its length.
+    is z(-1) = 0, and the rank_later terms are rows j and j-1 at m, each
+    kept to m.
     """
     if not (type(n) is int is type(j) and 0 <= n):
         _require_dim(n)
@@ -289,8 +283,7 @@ def mu_infinity(f: Filtration, n: int, j: int) -> int:
     if not 0 <= j < len(f._levels):
         raise ValueError(f"need 0 <= j <= {f.m}, got j={j}")
     z, m = f._z.get(n) or _z(f, n), len(f._levels) - 1
-    later = len(_later_raises(f, n, j, m, True)) - len(_later_raises(f, n, j - 1, m, True))
-    return z[j] - z[j - 1] + later
+    return z[j] - z[j - 1] + _row(f, n, j, m)[m] - _row(f, n, j - 1, m)[m]
 
 
 def _boundary_columns(

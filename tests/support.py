@@ -50,6 +50,12 @@ def count_inserts(monkeypatch) -> list[int]:
     return inserted
 
 
+def row_reaches(f: Filtration) -> dict[tuple[int, int], int]:
+    """{(n, j): the last level q of rank_later(j, q)} for each kept rank row, j = -1 too."""
+    return {(n, j - 1): len(row) - 1
+            for n, rows in f._rows.items() for j, row in enumerate(rows) if row}
+
+
 def perturb_rank_rows(monkeypatch, deltas: dict, dim: int | None = None) -> None:
     """Add deltas[(j, p)] to beta(j, p) in every rank row read from now on.
 

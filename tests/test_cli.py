@@ -8,7 +8,6 @@ import os
 import resource
 import subprocess
 import sys
-from bisect import insort
 from collections import Counter
 from pathlib import Path
 
@@ -21,9 +20,9 @@ from phcalc.filtration import Filtration
 from phcalc.files import parse_filtration
 from phcalc.generate import random_filtration_document
 from phcalc.gf2 import Gf2Matrix
-from phcalc.persistence import LemmaReport, LemmaViolation, barcode, persistent_betti
+from phcalc.persistence import LemmaReport, LemmaViolation, barcode, mu, persistent_betti
 
-from .support import count_boundary_builds, incremental_forms, perturb_rank_rows
+from .support import count_boundary_builds, incremental_forms, perturb_rank_rows, row_reaches
 
 DIABOLO_FACETS_TEXT = "2 3\n3 4\n3 5\n4 5\n0 1 2\n"
 
@@ -279,8 +278,8 @@ def test_check_fails_on_a_wrong_kept_rank(filtration_file, capsys, monkeypatch):
     # at level 3, not 4: dimension 1 counts a cycle too few there, and
     # dimension 0 a boundary too many
     def raise_early(f):
-        assert persistence._later_raises(f, 0, -1, f.m) == [1, 1, 3, 3, 4]
-        f._later[(0, -1)] = (f.m, [1, 1, 3, 3, 3])
+        assert persistence._row(f, 0, -1, f.m) == [0, 2, 2, 4, 5, 5]
+        f._rows[0][0] = [0, 2, 2, 5, 5, 5]
 
     code, out, payload = _tampered_check(monkeypatch, capsys, filtration_file, raise_early)
     assert code == 3
@@ -451,20 +450,23 @@ def test_perturbed_rank_rows_reach_check_after_point_queries(
 ):
     # point queries keep their rank_later rows and check reads the same
     # kept rows, so a wrong kept row shows in check and in the point
-    # queries on one filtration
+    # queries on one filtration; mu, which no check clamps, counts the
+    # extra raise of row 3 at 4 as -1 class born at 3 and dying at 4
     asked = []
 
     def ask_first(f):
         assert [persistent_betti(f, 1, j, 5) for j in range(6)] == [0, 0, 0, 1, 1, 1]
         asked.append(f)
-        insort(f._later[(1, 3)][1], 4)  # one raise too many in row 3 at 4
+        row = f._rows[1][3 + 1]  # one raise too many in row 3 at 4
+        row[4:] = [count + 1 for count in row[4:]]
 
     code, out, payload = _tampered_check(monkeypatch, capsys, filtration_file, ask_first)
     assert code == 3 and "fundamental-lemma: FAIL" in out
-    assert {(n, j) for n, j in asked[0]._later if j >= 0} == {(1, j) for j in range(6)}
+    assert {(n, j) for n, j in row_reaches(asked[0]) if j >= 0} == {(1, j) for j in range(6)}
     assert {"check": "fundamental-lemma", "dim": 1, "kind": "barcode-span",
             "k": 3, "l": 4, "detail": "expected 3, got 2"} in payload
     assert [persistent_betti(asked[0], 1, 3, 4) for _ in range(2)] == [3, 3]
+    assert mu(asked[0], 1, 3, 4) == -1
 
 
 def _tampered_check(monkeypatch, capsys, path, tamper):

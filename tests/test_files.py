@@ -127,6 +127,24 @@ def test_filtration_round_trip(diabolo_json):
     assert parse_filtration(unnamed.serialize()) == unnamed
 
 
+_VERTICES = st.integers(min_value=0, max_value=10**30)
+_FACETS = st.lists(_VERTICES, min_size=1, max_size=4).map(lambda vs: tuple(sorted(set(vs))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    levels=st.lists(st.lists(_FACETS, max_size=4).map(tuple), max_size=4).map(tuple),
+    name=st.none() | st.text() | st.sampled_from(['"quoted" \\ name', "caf\u00e9 \u2603 \U0001f600"]),
+)
+def test_serialize_writes_the_layout_of_json_dumps_indent_2(levels, name):
+    # byte for byte, with empty levels, no levels, no name, and names
+    # with quotes, backslashes, control and non-ASCII characters
+    doc = {} if name is None else {"name": name}
+    doc["levels"] = [[list(facet) for facet in level] for level in levels]
+    written = FiltrationDocument(levels, name).serialize()
+    assert written == json.dumps(doc, indent=2) + "\n"
+
+
 def test_parse_filtration_incremental():
     cumulative = '{"levels": [[[0,1]], [[0,1],[1,2]]]}'
     incremental = '{"levels": [[[0,1]], [[2,1]]]}'

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
-from bisect import bisect_right
 from collections import Counter
 from enum import IntEnum
 from itertools import combinations
@@ -49,6 +48,7 @@ from .support import (
     count_inserts,
     perturb_rank_rows,
     random_filtration,
+    row_reaches,
     stacked_rank_grid,
 )
 
@@ -119,9 +119,9 @@ def test_dimension_error_comes_before_level_error(diabolo_filtration):
             query()
 
 
-def _kept(f: Filtration) -> tuple[set, ...]:
-    """The keys of everything the filtration keeps for the rank and reduction paths."""
-    return set(f._later), set(f._z), set(f._rank_g), set(f._pivots), set(f._columns)
+def _kept(f: Filtration) -> tuple:
+    """Everything the filtration keeps for the rank and reduction paths: rows, reaches and keys."""
+    return row_reaches(f), set(f._z), set(f._pivots), set(f._columns)
 
 
 @pytest.mark.parametrize("query, dim", [
@@ -465,7 +465,7 @@ def test_warm_point_queries_sweep_only_the_columns_born_between_birth_and_death(
             inserted.clear()
             query(f, n, *args)
             assert len(inserted) == sweeps(births, p), (query.__name__, n, args)
-        assert {j: f._later[(n, j)][0] for j in range(m + 1)} == reach
+        assert {j: len(f._rows[n][j + 1]) - 1 for j in range(m + 1)} == reach
     assert cases.keys() == {"first", "past", "inside"}
     assert swept["first"] > 0 and swept["past"] > 0
 
@@ -503,8 +503,8 @@ def test_mu_and_mu_infinity_equal_the_finite_difference_of_two_grid_rows(
 def test_first_mu_sweeps_only_rows_j_minus_1_and_j_and_a_warm_one_nothing(monkeypatch):
     # a multiplicity reads no cycle count and no rank_g, so the first mu
     # in a fresh dimension inserts the columns born in (j - 1, p] and
-    # (j, p], and all of them for row -1, which reaches m; once
-    # mu_infinity has swept its rows to m, neither mu nor mu_infinity
+    # (j, p], row -1 at j = 0 included, and keeps those two rows to p;
+    # once mu_infinity has swept its rows to m, neither mu nor mu_infinity
     # inserts a column, nor does persistent_betti at birth j once one
     # query has swept rank_g's row, and no point query runs the rank grid
     levels = 8
@@ -523,11 +523,10 @@ def test_first_mu_sweeps_only_rows_j_minus_1_and_j_and_a_warm_one_nothing(monkey
             p = rng.randrange(j + 1, m + 1)
             inserted.clear()
             mu(f, n, j, p)
-            reach = p if j > 0 else m  # row -1 is swept to m
-            assert len(inserted) == sum(j - 1 < born <= reach for born in bounds) + sum(
+            assert len(inserted) == sum(j - 1 < born <= p for born in bounds) + sum(
                 j < born <= p for born in bounds
             ), (n, j, p)
-            assert {k for d, k in f._later if d == n} == {j - 1, j}
+            assert row_reaches(f) == {(n, j - 1): p, (n, j): p}
             inserted.clear()
             for q in range(j + 1, p + 1):
                 mu(f, n, j, q)
@@ -567,7 +566,7 @@ def test_check_and_betti_table_keep_no_rank_later_row():
     f = random_filtration_document(60, 12, seed=7).to_filtration()
 
     def kept():
-        return {(n, j): row for (n, j), row in f._later.items() if j >= 0}
+        return {(n, j): reach for (n, j), reach in row_reaches(f).items() if j >= 0}
 
     tables = [betti_table(f, n) for n in range(3)]
     assert all(check_fundamental_lemma(f, n).ok for n in range(3))
@@ -575,8 +574,7 @@ def test_check_and_betti_table_keep_no_rank_later_row():
     assert mu(f, 1, 3, 7) == tables[1][(3, 6)] - tables[1][(3, 7)] - (
         tables[1][(2, 6)] - tables[1][(2, 7)]
     )
-    assert kept().keys() == {(1, 2), (1, 3)}
-    assert {reach for reach, _ in kept().values()} == {7}
+    assert kept() == {(1, 2): 7, (1, 3): 7}
 
 
 def _two_spheres(rng: random.Random) -> Filtration:
@@ -635,6 +633,44 @@ def test_seeded_point_queries_in_random_order_match_betti_table_and_barcode():
     assert h2 and len(asked) == 9
 
 
+def _from_bars(bars: Barcode, query: tuple) -> int:
+    """What the barcode says a point query (name, n, j, p) answers."""
+    name, _, j, p = query
+    if name == "persistent_betti":
+        return bars.betti_at(j, p)
+    death = INFINITE_DEATH if name == "mu_infinity" else p
+    return sum(b.multiplicity for b in bars.pairs if (b.birth, b.death) == (j, death))
+
+
+def test_rows_swept_short_then_read_past_their_reach_match_the_barcode():
+    # a mu at j = 0 sweeps the row of birth -1 only to its death p < m; a
+    # query one dimension up, whose z reads that row, or a persistent_betti
+    # past p then sweeps it to m; and row 0, kept to p, is read inside its
+    # reach and then past it.  Every answer is held to the barcode and to
+    # a fresh filtration asked the same queries in reverse order
+    rng = random.Random(47)
+    for s in range(8):
+        levels = random_filtration_document(12 + 5 * s, 4 + s, seed=s).to_filtration().levels
+        bars = [barcode(Filtration(levels), n) for n in range(4)]
+        m = len(levels) - 1
+        for n in range(3):
+            f, p = Filtration(levels), rng.randrange(1, m)
+            j, q = rng.randrange(1, p + 1), rng.randrange(p + 1, m + 1)
+            queries = [("mu", n, 0, p), ("persistent_betti", n, 0, rng.randrange(p + 1))]
+            answers = [_ask(f, query) for query in queries]
+            assert row_reaches(f) == {(n - 1, -1): m, (n, -1): p, (n, 0): p}, (s, n)
+            extend = ("mu_infinity", n + 1, j, m + 1) if s % 2 else ("persistent_betti", n, j, q)
+            answers.append(_ask(f, extend))
+            assert row_reaches(f)[(n, -1)] == m, (s, n, extend)
+            later = [("mu", n, 0, q), ("persistent_betti", n, 0, q), ("mu_infinity", n, 0, m + 1)]
+            answers += [_ask(f, query) for query in later]
+            assert row_reaches(f)[(n, 0)] == m, (s, n)
+            queries += [extend] + later
+            assert answers == [_from_bars(bars[query[1]], query) for query in queries], (s, n)
+            fresh = Filtration(levels)
+            assert [_ask(fresh, query) for query in reversed(queries)] == answers[::-1], (s, n)
+
+
 def test_kept_ranks_match_each_levels_boundary_matrix():
     # against the matrix form, which shares no elimination with the sweep
     rng = random.Random(29)
@@ -643,8 +679,7 @@ def test_kept_ranks_match_each_levels_boundary_matrix():
         f = random_filtration(rng, vertices=7, count=6, levels=4, max_size=4)
         tops.add(f.dim)
         for d in range(f.dim + 2):
-            raised = persistence._later_raises(f, d - 1, -1, f.m)
-            assert [bisect_right(raised, j) for j in range(len(f))] == [
+            assert persistence._row(f, d - 1, -1, f.m) == [
                 level.boundary_matrix(d).rank() for level in f
             ]
     assert 3 in tops
@@ -665,7 +700,7 @@ def test_kept_cycle_counts_and_boundary_ranks_match_each_levels_matrices():
     for f in filtrations:
         tops.add(f.dim)
         for n in range(f.dim + 2):
-            z, rank_g = persistence._z(f, n), persistence._rank_g(f, n)
+            z, rank_g = persistence._z(f, n), persistence._row(f, n, -1, f.m)
             assert z == [
                 len(level.n_simplices(n)) - level.boundary_matrix(n).rank() for level in f
             ] + [0]
@@ -674,32 +709,34 @@ def test_kept_cycle_counts_and_boundary_ranks_match_each_levels_matrices():
 
 
 def test_warm_persistent_betti_and_mu_infinity_read_the_kept_lists(monkeypatch):
-    # the first query in a dimension keeps z and rank_g; after it a round of
-    # persistent_betti and mu_infinity keeps no list and no row of birth -1,
-    # and the same round again, warm, keeps no key, sweeps no column and
-    # reads no row of birth -1 but mu_infinity's row j - 1 at j = 0, its
-    # rank_later(-1, m) term
+    # the first query in a dimension keeps z and rank_g, the row of birth
+    # -1, to m; after it a round of persistent_betti and mu_infinity keeps
+    # no list and no row of birth -1, and the same round again, warm, keeps
+    # nothing, sweeps no column and reads no row of birth -1 through _row
+    # but mu_infinity's row j - 1 at j = 0, its rank_later(-1, m) term
     f = random_filtration_document(40, 6, seed=3).to_filtration()
     m, rng, rows = f.m, random.Random(37), []
-    inserted, original = count_inserts(monkeypatch), persistence._later_raises
+    inserted, original = count_inserts(monkeypatch), persistence._row
 
-    def recording(f, n, j, p, keep=False):
+    def recording(f, n, j, p):
         rows.append((n, j))
-        return original(f, n, j, p, keep)
+        return original(f, n, j, p)
 
-    monkeypatch.setattr(persistence, "_later_raises", recording)
+    def births(f):
+        return {key: reach for key, reach in row_reaches(f).items() if key[1] < 0}
+
+    monkeypatch.setattr(persistence, "_row", recording)
     for n in range(3):
         queries = [(persistent_betti, (j, p)) for j in range(m + 1) for p in range(j, m + 1)]
         queries += [(mu_infinity, (j,)) for j in range(m + 1)]
         persistent_betti(f, n, 0, 0)
-        assert n in f._z and n in f._rank_g
-        kept = _kept(f)
-        births = {(d, j) for d, j in f._later if j < 0}
+        assert n in f._z and len(f._rows[n][0]) == m + 1
+        kept, swept = _kept(f), births(f)
         rng.shuffle(queries)
         for query, args in queries:
             query(f, n, *args)
         assert _kept(f)[1:] == kept[1:]
-        assert {(d, j) for d, j in f._later if j < 0} == births
+        assert births(f) == swept
         kept = _kept(f)
         rng.shuffle(queries)
         rows.clear()

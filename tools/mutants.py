@@ -40,31 +40,29 @@ P, C, FT, FI, CX, O = (f"src/phcalc/{m}.py" for m in
 MUTANTS = [
     # the reduction adds no earlier column, and only clears the pivot bit
     Mutant(P, "col ^= reduced[low]", "col ^= 1 << low"),
-    # bisect_left for bisect_right in the kept rank_g list; a point query reads rank_g at p - 1
-    Mutant(P, "rank_g = f._rank_g[n] = [bisect_right(raised, p)",
-           "rank_g = f._rank_g[n] = [bisect_left(raised, p)"),
-    Mutant(P, "z[j] - rank_g[p] + bisect_right(_later_raises",
-           "z[j] - rank_g[p - 1] + bisect_right(_later_raises"),
+    # the grid reads rank_g[p] as the raises born before p; a point query reads rank_g at p - 1
+    Mutant(P, "zip(rank_g[j:], row[j:])", "zip(([0] + rank_g)[j:], row[j:])"),
+    Mutant(P, "z[j] - rank_g[p] + _row(f, n, j, p)[p]", "z[j] - rank_g[p - 1] + _row(f, n, j, p)[p]"),
     # persistent_betti's inline test, and mu's and mu_infinity's one range check, admit m + 1
     Mutant(P, "0 <= j <= p < len(f._levels)", "0 <= j <= p <= len(f._levels)"),
     Mutant(P, "0 <= j < p < len(f._levels)", "0 <= j < p <= len(f._levels)"),
     Mutant(P, "0 <= j < len(f._levels)", "0 <= j <= len(f._levels)"),
-    # ... the row shift, both counts of the kept z list, and its pad at m + 1
+    # ... the row shift, both counts of the kept z list (each of the births before j), and
+    # its pad at m + 1
     Mutant(P, "shift = bisect_right(", "shift = bisect_left("),
-    Mutant(P, "z = [bisect_right(cells, j) - bisect_right(raised, j)",
-           "z = [bisect_left(cells, j) - bisect_right(raised, j)"),
-    Mutant(P, "z = [bisect_right(cells, j) - bisect_right(raised, j)",
-           "z = [bisect_right(cells, j) - bisect_left(raised, j)"),
-    Mutant(P, "for j in range(f.m + 1)] + [0]", "for j in range(f.m + 1)] + [1]"),
+    Mutant(P, "zip(accumulate(cells), ranks)", "zip([0, *accumulate(cells)], ranks)"),
+    Mutant(P, "zip(accumulate(cells), ranks)", "zip(accumulate(cells), [0] + ranks)"),
+    Mutant(P, "zip(accumulate(cells), ranks)] + [0]", "zip(accumulate(cells), ranks)] + [1]"),
     # mu_infinity drops z(j - 1)
-    Mutant(P, "return z[j] - z[j - 1] + later", "return z[j] + later"),
+    Mutant(P, "return z[j] - z[j - 1] + _row(", "return z[j] + _row("),
     # off by one: the negative-count, span, inclusion and nilpotency checks
     Mutant(P, "for p in range(k + 1, m + 2):", "for p in range(k + 1, m + 1):"),
     Mutant(P, "for l in range(k, m + 1)", "for l in range(k + 1, m + 1)"),
     Mutant(C, "if born > birth:", "if born > birth + 1:"),
     Mutant(C, "if j >= birth", "if j > birth"),
-    # point queries keep no birth row
-    Mutant(P, "if keep or j < 0:", "if j < 0:"),
+    # point queries keep no row but that of birth -1
+    Mutant(P, "row = rows[j + 1] = _sweep(f, n, j, p)",
+           "row = _sweep(f, n, j, p)\n        if j < 0:\n            rows[0] = row"),
     # a simplex takes the birth of the last level that adds it, not the first
     Mutant(FT, "births.setdefault(verts, j)", "births[verts] = j"),
     # the nesting check is off at level 1
@@ -86,12 +84,10 @@ MUTANTS = [
     Mutant(P, "if birth < death:", "if birth <= death:"),
     # the oracle's meet of two subspaces takes their union
     Mutant(O, "set(self.members) & set(other.members)", "set(self.members) | set(other.members)"),
-    # clamps at 0, which change nothing unless a row or a rank is already wrong
-    Mutant(P, "return (bisect_right(before, p) - bisect_left(before, p)",
-           "return max(0, bisect_right(before, p) - bisect_left(before, p)",
-           equivalent="mu reads two rows that are right on every input, so the"
-           " difference is never negative; the test that perturbs rank rows"
-           " wraps _betti_grid, which mu does not read"),
+    # mu clamps at 0, which hides a wrong kept row
+    Mutant(P, "return before[p] - before[p - 1] - (row[p] - row[p - 1])",
+           "return max(0, before[p] - before[p - 1] - (row[p] - row[p - 1]))"),
+    # clamps at 0, which change nothing unless a rank is already wrong
     Mutant(CX, "return ns - self.boundary_matrix(n).rank() - self.boundary_matrix(n + 1).rank()",
            "return max(0, ns - self.boundary_matrix(n).rank()"
            " - self.boundary_matrix(n + 1).rank())",
