@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import groupby
 from operator import attrgetter
@@ -101,11 +100,16 @@ class Filtration:
     every level is a prefix of K^m; per dimension d, the columns of
     D_d(K^m) with rows and columns in that order; and each level asked
     for, through the public constructor and its face-closure check.
-    `persistence` keeps what it reads off those columns in ``_rows``,
-    per dimension one list of the swept rank rows by birth + 1, each a
-    prefix count by level, with ``()`` for a row not swept; ``_z``, per
-    dimension the cycle count at each level; and ``_pivots``, each
-    described where it is filled.
+    `persistence` keeps what it reads off those columns, per dimension:
+    in ``_rows`` one list of the rows of persistent Betti numbers beta(j,
+    q) by birth + 1, each up to the furthest death q built, with slot 0
+    all zeros, beta at birth -1, and ``()`` for a row not built; in
+    ``_later`` one list of the rank_later rows by birth + 1 in the same
+    way, whose slot 0 is the rank of D_{n+1} at each level; in ``_z`` the
+    cycle count at each level; and in ``_pivots`` the reduction's pivots,
+    each described where it is filled.  ``_zero_rows`` stands for the
+    rows of every dimension above the top, where no n-cell lives and
+    each beta and rank is 0, so that they are read and never kept.
     """
 
     def __init__(self, levels: Iterable[Iterable[Simplex]]):
@@ -126,9 +130,10 @@ class Filtration:
         self._levels: list[SimplicialComplex | None] = [None] * len(levels)
         self._by_dim: list[list[tuple[tuple[int, ...], int]]] | None = None
         self._columns: dict[int, tuple[list[int], list[int]]] = {}
-        slots = len(levels) + 1  # birth -1 and every level
-        self._rows: defaultdict[int, list[Sequence[int]]] = defaultdict(lambda: [()] * slots)
+        self._rows: dict[int, list[Sequence[int]]] = {}
+        self._later: dict[int, list[Sequence[int]]] = {}
         self._z: dict[int, list[int]] = {}
+        self._zero_rows: list[Sequence[int]] = [[0] * len(levels)] * (len(levels) + 1)
         self._pivots: dict[int, dict[int, int]] = {}
         return self
 
@@ -153,10 +158,14 @@ class Filtration:
 
     def births(self, n: int) -> list[tuple[tuple[int, ...], int]]:
         """(vertices, birth) of each n-simplex by (birth, vertices), in a new list."""
+        return list(self._cells(n))
+
+    def _cells(self, n: int) -> Sequence[tuple[tuple[int, ...], int]]:
+        """`births` without the copy: the kept list, empty above the top dimension."""
         if self._by_dim is None:  # face-closed: every dimension up to the top is there
             cells = sorted(self._births.items(), key=lambda c: (len(c[0]), c[1], c[0]))
             self._by_dim = [list(group) for _, group in groupby(cells, lambda c: len(c[0]))]
-        return list(self._by_dim[n]) if 0 <= n < len(self._by_dim) else []
+        return self._by_dim[n] if 0 <= n < len(self._by_dim) else ()
 
     def __len__(self) -> int:
         return len(self._levels)

@@ -8,40 +8,44 @@ of level j that are still alive at level p form a quotient space: the
 cycles of K^j modulo the boundaries of K^p they meet.  Its dimension
 is obtained from the degree-n boundary matrix of K^j, the
 degree-(n+1) boundary matrix of K^p, and the inclusion between the
-two n-simplex bases.  One helper evaluates the formula one birth row
-at a time, at every death level, and builds no level: the
+two n-simplex bases.  One builder, `_beta`, evaluates the formula one
+birth row at a time, at every death level, and builds no level: the
 filtration keeps, per dimension, the boundary matrix of the last level
 K^m with rows and columns in birth order, of which every level's is a
-prefix.  Every rank it needs is read off one kind of swept row:
-rank_later(j, q), the rank of the boundaries of K^q on the rows born
-after j (the lower-left submatrices of Edelsbrunner-Harer's pairing
-lemma), for q = 0..reach, swept from the first column born after j.
-A sweep counts the columns that raise the rank by level and sums the
-counts, so a rank is one index in a row.  The row of birth -1 is
-rank_g, the rank of D_{n+1}(K^q) at every level.  From dimension n-1's
-row of birth -1 the filtration also keeps, per dimension n and built
-on first use by one counting pass, z[j], the cycle count of K^j (the
-n-cells born by j less rank D_n(K^j)), padded with z[m+1] = 0.
-`betti_table` and `check_fundamental_lemma` read the helper's rows,
-and the point queries read no grid: `persistent_betti` takes its one
-number as z[j] - rank_g[p] + row_j[p].  Interval multiplicities are a
+prefix.  A row of beta is z[j] - rank_g[q] + rank_later(j, q) for q =
+0..reach, from one sweep: rank_later(j, q) is the rank of the
+boundaries of K^q on the rows born after j (the lower-left submatrices
+of Edelsbrunner-Harer's pairing lemma), swept from the first column
+born after j; a sweep counts the columns that raise the rank by level
+and sums the counts, so a rank is one index in a row.  The sweep from
+birth -1 is rank_g, the rank of D_{n+1}(K^q) at every level, and z[j],
+the cycle count of K^j, is the n-cells born by j less dimension n-1's
+rank_g; both take every column of a boundary matrix, and the
+filtration keeps both per dimension, built on first use.
+
+The filtration keeps, per dimension, two lists of rows by birth + 1,
+each row up to the furthest death asked: rows of beta, whose slot 0 is
+zeros, as beta is 0 at birth -1, and rank_later rows, whose slot 0 is
+rank_g.  `persistent_betti` is row_j[p] of beta.  `mu`, the paper's
 finite difference of four persistent Betti numbers
-(Zomorodian-Carlsson), in which rank_g cancels, and so does z at a
-finite death: `mu` takes the raises of rows j-1 and j at p, each
-row[p] - row[p-1], and `mu_infinity` z[j] - z[j-1] plus rows j and j-1
-at m.  The filtration keeps each dimension's rows in one list by
-birth + 1; the point queries keep each row they sweep, up to the
-furthest death asked for that birth, so a later query inside it sweeps
-nothing; `betti_table` and `check_fundamental_lemma` keep no row of a
-birth >= 0, so their memory stays linear in m.  A warm point query is
-one inline test and kept reads: plain ints pass the test, and any
-other argument meets the full checks, which raise or accept it as they
-would alone; z and rank_g are read off the filtration, and each other
-row through `_row`, which reads a kept row and sweeps one not kept
-that far.  The helper's rows of beta are lists indexed by death level,
-0 below the birth and at m+1, past the last level, and
-`check_fundamental_lemma` takes the finite difference as written, on
-two of them at a time, from a row of zeros for birth -1.
+(Zomorodian-Carlsson), (beta(j, p-1) - beta(j, p)) - (beta(j-1, p-1) -
+beta(j-1, p)), is taken on rank_later rows j - 1 and j, as z is one
+value along a row and rank_g one value down a column, and both cancel:
+so a first `mu` sweeps those two rows and no boundary matrix in full.
+`mu_infinity`, beta(j, m) - beta(j-1, m), cancels rank_g[m] and reads
+z.  Each reads its kept rows inline and builds a row only when it falls
+short of the death asked, then keeps it to that death, so a later query
+inside it builds nothing.  A warm point query is one inline test and
+kept reads: plain ints pass the test, and any other argument meets the
+full checks, which raise or accept it as they would alone.  Above the
+top dimension no n-cell lives and every answer is 0: the queries read
+the filtration's shared rows of zeros, and nothing is kept.
+`betti_table` and `check_fundamental_lemma` read rows of beta from the
+same builder, as lists over the death levels 0..m+1, 0 below the birth
+and at m+1, past the last level; they keep no row of a birth >= 0, so
+their memory stays linear in m, and `check_fundamental_lemma` takes
+the finite difference as `mu` does, on two rows at a time, from a row
+of zeros for birth -1.
 `persistent_betti_simplified` keeps the per-pair matrix form on the
 two levels: a kernel basis, the inclusion matrix, its product, `rank`.
 
@@ -59,8 +63,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Container, Iterator
+from collections.abc import Container, Iterator, Sequence
 from itertools import accumulate, combinations
+from operator import sub
 
 from ._value import Value
 from .complexes import _require_dim, _require_integer
@@ -126,29 +131,49 @@ def _insert(pivots: dict[int, int], col: int) -> bool:
     return False
 
 
-def _row(f: Filtration, n: int, j: int, p: int) -> list[int]:
-    """rank_later(j, q) for q = 0..p at least, read or swept, and kept.
+def _kept_rows(
+    f: Filtration, kept: dict[int, list[Sequence[int]]], n: int, first: Sequence[int]
+) -> list[Sequence[int]]:
+    """Dimension n's rows in ``kept`` by birth + 1, kept on the filtration from the first call.
 
-    rank_later(j, q) is the rank of D_{n+1}(K^q) on the rows of the
-    n-simplices born after j; a column born <= j is 0 there, so it is 0
-    for q <= j.  At j = -1 no row is shifted off: rank_later(-1, q) is
-    rank D_{n+1}(K^q), rank_g.  The filtration keeps each dimension's
-    rows in one list, row j in slot j + 1, as rank_later(j, q) for q =
-    0..reach.  A kept row that reaches p is read; any other is swept to
-    p and kept in place of the shorter one.
+    Slot 0 starts as ``first``, and slot j + 1 is ``()`` until row j is
+    built.  Above the top dimension, and at n = -1, there is no n-cell,
+    so every beta and every rank is 0: the rows are the filtration's
+    shared rows of zeros, and nothing is kept.
     """
-    rows = f._rows[n]
-    row = rows[j + 1]
-    if len(row) <= p:
-        row = rows[j + 1] = _sweep(f, n, j, p)
-    return row
+    rows = kept.get(n)
+    if rows is None:
+        if not f._cells(n):
+            return f._zero_rows
+        rows = kept[n] = [first] + [()] * len(f._levels)
+    return rows
+
+
+def _beta(f: Filtration, n: int, j: int, p: int) -> list[int]:
+    """beta(j, q) for q = 0..p, 0 below j, from one sweep, and keep nothing.
+
+    z[j] - rank_g[q] + rank_later(j, q), the paper's z - (rank_g + z -
+    rank_stacked): the cycles of K^j stacked with the boundaries of K^q
+    have rank z + rank_later.  rank_later(j, q) is the rank of
+    D_{n+1}(K^q) on the rows of the n-simplices born after j, a
+    lower-left submatrix rank of Edelsbrunner-Harer's pairing lemma,
+    and the boundaries of K^q that are cycles of K^j span rank_g -
+    rank_later of them.  z and rank_g are the lists kept per dimension.
+    """
+    z, rank_g = _z(f, n)[j], _rank_g(f, n)
+    later = accumulate(_sweep(f, n, j, p)[j + 1:], initial=z)  # z + rank_later(j, q), q >= j
+    return [0] * j + list(map(sub, later, rank_g[j:]))
 
 
 def _sweep(f: Filtration, n: int, j: int, p: int) -> list[int]:
-    """Sweep `_row`'s row j to p, and keep nothing.
+    """The raises of rank_later(j, q) at each level q = 0..p, and keep nothing.
 
-    The columns born in (j, p] are shifted past the rows born by j and
-    inserted; those that raise the rank are counted by level and summed.
+    A D_{n+1} column born <= j has no face born after j, so it is 0 on
+    those rows and rank_later(j, q) is 0 for q <= j: the columns born
+    in (j, p] are shifted past the rows born by j and inserted, and
+    those that raise the rank are counted by level, so rank_later(j, q)
+    is the sum of the counts up to q.  At j = -1 no row is shifted off,
+    and the sums are rank D_{n+1}(K^q).
     """
     born, columns = f._birth_columns(n + 1)
     start, end = bisect_right(born, j), bisect_right(born, p)
@@ -158,70 +183,70 @@ def _sweep(f: Filtration, n: int, j: int, p: int) -> list[int]:
     for birth, col in zip(born[start:end], columns[start:end]):
         if _insert(pivots, col >> shift):
             raises[birth] += 1
-    return list(accumulate(raises))
+    return raises
+
+
+def _later(f: Filtration, n: int, j: int, p: int) -> list[int]:
+    """rank_later(j, q) for q = 0..p, the sums of one sweep's raises, and keep nothing."""
+    return list(accumulate(_sweep(f, n, j, p)))
+
+
+def _rank_g(f: Filtration, n: int) -> list[int]:
+    """rank_g, the rank of D_{n+1}(K^q) for q = 0..m: rank_later's row of birth -1, kept to m."""
+    rows = f._later.get(n) or _kept_rows(f, f._later, n, ())
+    if len(rows[0]) <= f.m:
+        rows[0] = _later(f, n, -1, f.m)
+    return rows[0]
 
 
 def _z(f: Filtration, n: int) -> list[int]:
     """z[j], the dimension of the degree-n cycles of K^j, for j in 0..m, and 0 at m+1.
 
     The n-cells born by j, counted by level and summed, less rank
-    D_n(K^j), D_n's row of birth -1.  Built on first use and kept on the
-    filtration; the 0 at m+1 is z[j - 1] at j = 0, before any level.
+    D_n(K^j), dimension n - 1's rank_g.  Built on first use and kept on
+    the filtration; the 0 at m+1 is z[j - 1] at j = 0, before any
+    level.  Above the top dimension z is 0, and nothing is kept.
     """
     z = f._z.get(n)
     if z is None:
-        cells, ranks = [0] * (f.m + 1), _row(f, n - 1, -1, f.m)
+        if not f._cells(n):
+            return f._zero_rows[0]
+        cells = [0] * (f.m + 1)
         for birth in f._birth_columns(n)[0]:
             cells[birth] += 1
-        z = f._z[n] = [c - r for c, r in zip(accumulate(cells), ranks)] + [0]
+        z = f._z[n] = [c - r for c, r in zip(accumulate(cells), _rank_g(f, n - 1))] + [0]
     return z
 
 
 def _betti_grid(f: Filtration, n: int) -> Iterator[tuple[int, list[int]]]:
     """persistent_betti by birth row: (j, row), j ascending, row[p] = beta(j, p).
 
-    Each row is a list of m+2 entries: beta(j, p) for j <= p <= m, and 0
-    below j and at m+1, where no class lives past the last level.
-
-    The filtration keeps D_n(K^m) and D_{n+1}(K^m) with rows and columns
-    in (birth, vertices) order, in which every level is a prefix of K^m.
-    Inserting the columns born at or before a level gives rank D_n(K^j),
-    hence the z cycles of K^j, and rank_g, the rank of the boundaries of
-    K^p: a column born <= p has no face born after p.  The boundaries
-    that are cycles of K^j, those that are 0 on the rows born after j,
-    span rank_g - rank_later: rank_later is the rank of D_{n+1}(K^p) on
-    the rows from the count of n-simplices born <= j up, a lower-left
-    submatrix rank of Edelsbrunner-Harer's pairing lemma, swept from the
-    first column born after j, as every earlier one is 0 on those rows.
-    The cycles of K^j stacked with the boundaries of K^p have rank z +
-    rank_later, so this is the paper's z - (rank_g + z - rank_stacked).
-    z is the list kept per dimension, rank_g the kept row of birth -1,
-    and rank_later row j: a kept row that reaches m is read, and any
-    other is swept to m and not kept, so the grid's memory stays linear
-    in m.
+    Each row is a new list of m+2 entries: beta(j, p) for j <= p <= m,
+    and 0 below j and at m+1, where no class lives past the last level.
+    A kept row that reaches m is read, and any other is built to m and
+    not kept, so the grid's memory stays linear in m.
     """
-    m, z, rank_g, rows = f.m, _z(f, n), _row(f, n, -1, f.m), f._rows[n]
+    m, rows = f.m, _kept_rows(f, f._rows, n, f._zero_rows[0])
     for j in range(m + 1):
-        row = rows[j + 1] if len(rows[j + 1]) > m else _sweep(f, n, j, m)
-        yield j, [0] * j + [z[j] - g + c for g, c in zip(rank_g[j:], row[j:])] + [0]
+        row = rows[j + 1]
+        yield j, (row if len(row) > m else _beta(f, n, j, m)) + [0]
 
 
 def persistent_betti(f: Filtration, n: int, j: int, p: int) -> int:
     """Number of degree-n classes of K^j still alive at K^p.
 
-    z(j) - rank_g(p) + rank_later(j, p), the form `_betti_grid` derives:
-    z from the list kept per dimension, rank_g from the kept row of
-    birth -1, swept to m when it falls short of p, and rank_later from
-    row j, kept, at p.
+    beta(j, p), read off the kept row j of beta, which `_beta` builds to
+    p when it falls short.
     """
     if not (type(n) is int is type(j) is type(p)
             and 0 <= n and 0 <= j <= p < len(f._levels)):
         _require_dim(n)
         f.check_level_pair(j, p)
-    z, rank_g = f._z.get(n) or _z(f, n), f._rows[n][0]
-    if len(rank_g) <= p:
-        rank_g = _row(f, n, -1, len(f._levels) - 1)
-    return z[j] - rank_g[p] + _row(f, n, j, p)[p]
+    rows = f._rows.get(n) or _kept_rows(f, f._rows, n, f._zero_rows[0])
+    row = rows[j + 1]
+    if len(row) <= p:
+        row = rows[j + 1] = _beta(f, n, j, p)
+    return row[p]
 
 
 def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
@@ -249,14 +274,15 @@ def betti_table(f: Filtration, n: int) -> dict[tuple[int, int], int]:
 def mu(f: Filtration, n: int, j: int, p: int) -> int:
     """Count of degree-n classes born exactly at K^j that die entering K^p.
 
-    (beta(j, p-1) - beta(j, p)) - (beta(j-1, p-1) - beta(j-1, p)).  With
-    beta(j, p) = z(j) - rank_g(p) + rank_later(j, p), the z and rank_g
-    terms cancel, which leaves the raise of row j-1 at p, row[p] -
-    row[p-1], minus that of row j; row -1 is rank_g's, so the beta terms
-    at birth level -1 are 0.  Each row is kept to p.  Only a wrong row
-    could make it negative, and nothing here checks it:
-    `check_fundamental_lemma` finds "negative-count" violations on the
-    grid rows, where it takes the same difference.
+    The paper's (beta(j, p-1) - beta(j, p)) - (beta(j-1, p-1) -
+    beta(j-1, p)), taken on the kept rank_later rows j - 1 and j, each
+    swept to p when it falls short.  A row of beta is z[j] - rank_g[q]
+    + rank_later(j, q): z is one value along a row and rank_g one value
+    down a column, so both cancel in the difference, which a multiplicity
+    takes without either.  Only a wrong row could make it negative, and
+    nothing here checks it: `check_fundamental_lemma` finds
+    "negative-count" violations on the grid rows, where it takes the
+    same difference on rows of beta.
     """
     if not (type(n) is int is type(j) is type(p) and 0 <= n):
         _require_dim(n)
@@ -264,26 +290,37 @@ def mu(f: Filtration, n: int, j: int, p: int) -> int:
         _require_integer("level p", p)
     if not 0 <= j < p < len(f._levels):
         raise ValueError(f"need 0 <= j < p <= {f.m}, got j={j}, p={p}")
-    before, row = _row(f, n, j - 1, p), _row(f, n, j, p)
-    return before[p] - before[p - 1] - (row[p] - row[p - 1])
+    rows = f._later.get(n) or _kept_rows(f, f._later, n, ())
+    before, row = rows[j], rows[j + 1]
+    if len(before) <= p:
+        before = rows[j] = _later(f, n, j - 1, p)
+    if len(row) <= p:
+        row = rows[j + 1] = _later(f, n, j, p)
+    return (row[p - 1] - row[p]) - (before[p - 1] - before[p])
 
 
 def mu_infinity(f: Filtration, n: int, j: int) -> int:
     """Count of degree-n classes born exactly at K^j that never die.
 
     beta(j, m) - beta(j-1, m): the classes of K^j alive at the final
-    level, minus those already present one level earlier.  rank_g
-    cancels, z(j) - z(j-1) is read off the kept list, whose pad at m+1
-    is z(-1) = 0, and the rank_later terms are rows j and j-1 at m, each
-    kept to m.
+    level, minus those already present one level earlier.  rank_g[m]
+    cancels, which leaves z[j] - z[j-1] off the kept list, whose 0 at
+    m+1 is z at j = -1, and the kept rank_later rows j and j - 1 at m,
+    each swept to m when it falls short.
     """
     if not (type(n) is int is type(j) and 0 <= n):
         _require_dim(n)
         _require_integer("level j", j)
     if not 0 <= j < len(f._levels):
         raise ValueError(f"need 0 <= j <= {f.m}, got j={j}")
-    z, m = f._z.get(n) or _z(f, n), len(f._levels) - 1
-    return z[j] - z[j - 1] + _row(f, n, j, m)[m] - _row(f, n, j - 1, m)[m]
+    rows, m = f._later.get(n) or _kept_rows(f, f._later, n, ()), len(f._levels) - 1
+    before, row = rows[j], rows[j + 1]
+    if len(before) <= m:
+        before = rows[j] = _later(f, n, j - 1, m)
+    if len(row) <= m:
+        row = rows[j + 1] = _later(f, n, j, m)
+    z = f._z.get(n) or _z(f, n)
+    return z[j] - z[j - 1] + row[m] - before[m]
 
 
 def _boundary_columns(
@@ -346,9 +383,12 @@ def barcode(f: Filtration, n: int) -> Barcode:
     barcode is read, not run again.  Each pivot (i, c) is the interval
     [birth of i, birth of c), dropped when both are born at one level;
     an n-simplex whose column reduces to zero and that is no pivot is a
-    class that never dies.
+    class that never dies.  Above the top dimension there is no bar,
+    and nothing is reduced or kept.
     """
     _require_dim(n)
+    if n + 1 not in f._pivots and not f._cells(n):
+        return Barcode(n, ())
     deaths = _pivots(f, n + 1)
     negative = set(_pivots(f, n).values())
     cells, above = f.births(n), f.births(n + 1)
@@ -408,7 +448,7 @@ class LemmaReport(Value):
 def check_fundamental_lemma(f: Filtration, n: int) -> LemmaReport:
     """Check the rank grid of degree n against the reduction's barcode.
 
-    Walks the rank rows in birth order and holds two of them, k-1 and k,
+    Walks the rows of beta in birth order and holds two of them, k-1 and k,
     with one running row of the bars born <= k alive at each level.  The
     multiplicity mu(k, p) is written once, as the paper's difference
     (beta(k, p-1) - beta(k, p)) - (beta(k-1, p-1) - beta(k-1, p)): the

@@ -51,13 +51,19 @@ def count_inserts(monkeypatch) -> list[int]:
 
 
 def row_reaches(f: Filtration) -> dict[tuple[int, int], int]:
-    """{(n, j): the last level q of rank_later(j, q)} for each kept rank row, j = -1 too."""
+    """{(n, j): the last level q of beta(j, q)} for each kept beta row of a birth j >= 0."""
+    return {(n, j): len(row) - 1
+            for n, rows in f._rows.items() for j, row in enumerate(rows[1:]) if row}
+
+
+def later_reaches(f: Filtration) -> dict[tuple[int, int], int]:
+    """{(n, j): the last level q of rank_later(j, q)} for each kept rank_later row, j = -1 too."""
     return {(n, j - 1): len(row) - 1
-            for n, rows in f._rows.items() for j, row in enumerate(rows) if row}
+            for n, rows in f._later.items() for j, row in enumerate(rows) if row}
 
 
 def perturb_rank_rows(monkeypatch, deltas: dict, dim: int | None = None) -> None:
-    """Add deltas[(j, p)] to beta(j, p) in every rank row read from now on.
+    """Add deltas[(j, p)] to beta(j, p) in every grid row of beta read from now on.
 
     Only the rows of degree ``dim`` change, or those of every degree when
     it is None; an entry outside j <= p <= m is left out.  A later call

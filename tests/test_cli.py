@@ -22,7 +22,9 @@ from phcalc.generate import random_filtration_document
 from phcalc.gf2 import Gf2Matrix
 from phcalc.persistence import LemmaReport, LemmaViolation, barcode, mu, persistent_betti
 
-from .support import count_boundary_builds, incremental_forms, perturb_rank_rows, row_reaches
+from .support import (
+    count_boundary_builds, incremental_forms, later_reaches, perturb_rank_rows, row_reaches
+)
 
 DIABOLO_FACETS_TEXT = "2 3\n3 4\n3 5\n4 5\n0 1 2\n"
 
@@ -274,12 +276,12 @@ def test_check_fails_on_a_wrong_rank_grid(filtration_file, capsys, monkeypatch):
 
 
 def test_check_fails_on_a_wrong_kept_rank(filtration_file, capsys, monkeypatch):
-    # rank D_1(K^3) one too high, as if the kept row of birth -1 raised it
-    # at level 3, not 4: dimension 1 counts a cycle too few there, and
-    # dimension 0 a boundary too many
+    # rank D_1(K^3) one too high, as if dimension 0's kept rank_later row
+    # of birth -1, its rank_g, raised it at level 3, not 4: dimension 1
+    # counts a cycle too few there, and dimension 0 a boundary too many
     def raise_early(f):
-        assert persistence._row(f, 0, -1, f.m) == [0, 2, 2, 4, 5, 5]
-        f._rows[0][0] = [0, 2, 2, 5, 5, 5]
+        assert persistence._rank_g(f, 0) == [0, 2, 2, 4, 5, 5]
+        f._later[0][0] = [0, 2, 2, 5, 5, 5]
 
     code, out, payload = _tampered_check(monkeypatch, capsys, filtration_file, raise_early)
     assert code == 3
@@ -448,21 +450,26 @@ def test_all_barcodes_build_and_reduce_each_boundary_matrix_once(
 def test_perturbed_rank_rows_reach_check_after_point_queries(
     filtration_file, capsys, monkeypatch
 ):
-    # point queries keep their rank_later rows and check reads the same
-    # kept rows, so a wrong kept row shows in check and in the point
-    # queries on one filtration; mu, which no check clamps, counts the
-    # extra raise of row 3 at 4 as -1 class born at 3 and dying at 4
+    # point queries keep their rows of beta and of rank_later, and check
+    # reads the same kept rows of beta, so a wrong kept row shows in check
+    # and in the point queries on one filtration; one raise too many in
+    # rank_later row 3 at 4 is beta(3, q) one too high from q = 4 on, and
+    # mu, which no check clamps, counts it as -1 class born at 3 and dying at 4
     asked = []
 
     def ask_first(f):
         assert [persistent_betti(f, 1, j, 5) for j in range(6)] == [0, 0, 0, 1, 1, 1]
+        assert [mu(f, 1, j, 5) for j in range(5)] == [0, 1, 0, 0, 0]
         asked.append(f)
-        row = f._rows[1][3 + 1]  # one raise too many in row 3 at 4
-        row[4:] = [count + 1 for count in row[4:]]
+        for rows in (f._rows[1], f._later[1]):
+            row = rows[3 + 1]
+            row[4:] = [count + 1 for count in row[4:]]
 
     code, out, payload = _tampered_check(monkeypatch, capsys, filtration_file, ask_first)
     assert code == 3 and "fundamental-lemma: FAIL" in out
-    assert {(n, j) for n, j in row_reaches(asked[0]) if j >= 0} == {(1, j) for j in range(6)}
+    assert row_reaches(asked[0]) == {(1, j): 5 for j in range(6)}
+    # and rank_g, the rows of birth -1, of every dimension check reads
+    assert later_reaches(asked[0]) == {(1, j): 5 for j in range(-1, 5)} | {(0, -1): 5, (2, -1): 5}
     assert {"check": "fundamental-lemma", "dim": 1, "kind": "barcode-span",
             "k": 3, "l": 4, "detail": "expected 3, got 2"} in payload
     assert [persistent_betti(asked[0], 1, 3, 4) for _ in range(2)] == [3, 3]

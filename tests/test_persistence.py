@@ -46,6 +46,7 @@ from phcalc.persistence import _betti_grid
 from .support import (
     count_boundary_builds,
     count_inserts,
+    later_reaches,
     perturb_rank_rows,
     random_filtration,
     row_reaches,
@@ -121,7 +122,8 @@ def test_dimension_error_comes_before_level_error(diabolo_filtration):
 
 def _kept(f: Filtration) -> tuple:
     """Everything the filtration keeps for the rank and reduction paths: rows, reaches and keys."""
-    return row_reaches(f), set(f._z), set(f._pivots), set(f._columns)
+    return (row_reaches(f), later_reaches(f), set(f._rows), set(f._later), set(f._z),
+            set(f._pivots), set(f._columns))
 
 
 @pytest.mark.parametrize("query, dim", [
@@ -407,11 +409,12 @@ def test_betti_grid_matches_the_stacked_rank_grid():
 
 def test_rank_rows_sweep_from_the_first_column_born_after_the_birth(monkeypatch):
     # a D_{n+1} column born <= j has no face born after j, so it is 0 on
-    # the rows born after j: the sweep for birth j skips it
+    # the rows born after j: the sweep for birth j skips it; and D_0 has
+    # no rows, so its rank is 0 at every level, with no column swept
     inserted = count_inserts(monkeypatch)
     for n in range(3):
         f = random_filtration_document(40, 6, seed=3).to_filtration()
-        cells, bounds = f._birth_columns(n)[0], f._birth_columns(n + 1)[0]
+        cells, bounds = f._birth_columns(n)[0] if n else [], f._birth_columns(n + 1)[0]
         inserted.clear()
         betti_table(f, n)
         later = sum(born > j for j in range(len(f)) for born in bounds)
@@ -422,23 +425,24 @@ def test_warm_point_queries_sweep_only_the_columns_born_between_birth_and_death(
     monkeypatch,
 ):
     # rank D_n and rank_g are kept per dimension, and each birth j asked
-    # keeps its rank_later row up to the furthest death p asked for it,
-    # so once dims n and n + 1 are kept a query inserts, per birth, the
+    # keeps its row of beta, for persistent_betti, and its rank_later row,
+    # for mu and mu_infinity, each up to the furthest death p asked of it,
+    # so once dims n and n + 1 are kept a query inserts, per row, the
     # columns born in (j, p] on the first query there or past its kept
     # row, and none inside it; the first query in a dimension sweeps the
-    # dimensions not kept yet, all of their columns, once
+    # dimensions not kept yet, all of their columns, once, but D_0, which
+    # has no rows
     f = random_filtration_document(40, 6, seed=3).to_filtration()
     inserted, kept, m = count_inserts(monkeypatch), set(), f.m
     rng = random.Random(17)
     cases, swept = Counter(), Counter()
     for n in range(3):
-        bounds, reach = f._birth_columns(n + 1)[0], {}
+        bounds = f._birth_columns(n + 1)[0]
+        reaches = {"beta": {}, "later": {-1: m}}  # rank_g, the row of birth -1, is kept to m
 
-        def sweeps(births, p):
-            total = 0
+        def sweeps(births, p, rows):
+            total, reach = 0, reaches[rows]
             for j in births:
-                if j < 0:
-                    continue
                 if reach.get(j, -1) < p:
                     case = "past" if j in reach else "first"
                     columns = sum(j < born <= p for born in bounds)
@@ -450,22 +454,23 @@ def test_warm_point_queries_sweep_only_the_columns_born_between_birth_and_death(
                 cases[case] += 1
             return total
 
-        cold = sum(len(f._birth_columns(d)[0]) for d in {n, n + 1} - kept)
+        cold = sum(len(f._birth_columns(d)[0]) for d in {n, n + 1} - kept if d > 0)
         kept |= {n, n + 1}
         inserted.clear()
         persistent_betti(f, n, 0, 2)
-        assert len(inserted) == cold + sweeps((0,), 2)
-        queries = [(persistent_betti, (j, p), (j,), p)
+        assert len(inserted) == cold + sweeps((0,), 2, "beta")
+        queries = [(persistent_betti, (j, p), (j,), p, "beta")
                    for j in range(m + 1) for p in range(j, m + 1)]
-        queries += [(mu, (j, p), (j - 1, j), p)
+        queries += [(mu, (j, p), (j - 1, j), p, "later")
                     for j in range(m + 1) for p in range(j + 1, m + 1)]
-        queries += [(mu_infinity, (j,), (j - 1, j), m) for j in range(m + 1)]
+        queries += [(mu_infinity, (j,), (j - 1, j), m, "later") for j in range(m + 1)]
         rng.shuffle(queries)
-        for query, args, births, p in queries + queries:
+        for query, args, births, p, rows in queries + queries:
             inserted.clear()
             query(f, n, *args)
-            assert len(inserted) == sweeps(births, p), (query.__name__, n, args)
-        assert {j: len(f._rows[n][j + 1]) - 1 for j in range(m + 1)} == reach
+            assert len(inserted) == sweeps(births, p, rows), (query.__name__, n, args)
+        assert {j: r for (d, j), r in row_reaches(f).items() if d == n} == reaches["beta"]
+        assert {j: r for (d, j), r in later_reaches(f).items() if d == n} == reaches["later"]
     assert cases.keys() == {"first", "past", "inside"}
     assert swept["first"] > 0 and swept["past"] > 0
 
@@ -503,10 +508,11 @@ def test_mu_and_mu_infinity_equal_the_finite_difference_of_two_grid_rows(
 def test_first_mu_sweeps_only_rows_j_minus_1_and_j_and_a_warm_one_nothing(monkeypatch):
     # a multiplicity reads no cycle count and no rank_g, so the first mu
     # in a fresh dimension inserts the columns born in (j - 1, p] and
-    # (j, p], row -1 at j = 0 included, and keeps those two rows to p;
-    # once mu_infinity has swept its rows to m, neither mu nor mu_infinity
-    # inserts a column, nor does persistent_betti at birth j once one
-    # query has swept rank_g's row, and no point query runs the rank grid
+    # (j, p], row -1 at j = 0 included, keeps those two rank_later rows to
+    # p, and keeps no row of beta and no z; once mu_infinity has swept its
+    # rows to m, neither mu nor mu_infinity inserts a column, nor does
+    # persistent_betti at birth j once one query has built its row of
+    # beta to m, and no point query runs the rank grid
     levels = 8
     text = random_filtration_document(60, levels, seed=11).serialize()
     inserted = count_inserts(monkeypatch)
@@ -526,7 +532,8 @@ def test_first_mu_sweeps_only_rows_j_minus_1_and_j_and_a_warm_one_nothing(monkey
             assert len(inserted) == sum(j - 1 < born <= p for born in bounds) + sum(
                 j < born <= p for born in bounds
             ), (n, j, p)
-            assert row_reaches(f) == {(n, j - 1): p, (n, j): p}
+            assert later_reaches(f) == {(n, j - 1): p, (n, j): p}, (n, j, p)
+            assert (row_reaches(f), f._z) == ({}, {}), (n, j, p)
             inserted.clear()
             for q in range(j + 1, p + 1):
                 mu(f, n, j, q)
@@ -545,9 +552,9 @@ def test_first_mu_sweeps_only_rows_j_minus_1_and_j_and_a_warm_one_nothing(monkey
 def test_point_queries_after_check_sweep_only_the_columns_born_between_birth_and_death(
     monkeypatch,
 ):
-    # check keeps the rows of birth -1, the ranks of every D_d, so a
-    # round of point queries after it sweeps, per birth j and death p,
-    # only the columns born in (j, p], and no D_d in full again
+    # check keeps rank_g and z, the ranks of every D_d and the cycle
+    # counts, so a round of point queries after it sweeps, per birth j
+    # and death p, only the columns born in (j, p], and no D_d in full again
     f = random_filtration_document(40, 6, seed=3).to_filtration()
     assert all(check_fundamental_lemma(f, n).ok for n in range(3))
     inserted = count_inserts(monkeypatch)
@@ -560,21 +567,20 @@ def test_point_queries_after_check_sweep_only_the_columns_born_between_birth_and
 
 
 def test_check_and_betti_table_keep_no_rank_later_row():
-    # they stream one row per birth and keep none, so their memory stays
-    # linear in m; a point query keeps the rows of the births it asks
-    # (the rows of birth -1 are the ranks of each D_d, kept by every caller)
+    # they stream one row of beta per birth and keep none, so their memory
+    # stays linear in m; a point query keeps the rows of the births it asks
+    # (rank_g and z, the ranks of each D_d and the cycle counts, are
+    # kept by every caller; D_0's rank is 0 and kept by none)
     f = random_filtration_document(60, 12, seed=7).to_filtration()
-
-    def kept():
-        return {(n, j): reach for (n, j), reach in row_reaches(f).items() if j >= 0}
-
     tables = [betti_table(f, n) for n in range(3)]
     assert all(check_fundamental_lemma(f, n).ok for n in range(3))
-    assert kept() == {}
+    rank_g = {(n, -1): f.m for n in range(3)}
+    assert (row_reaches(f), later_reaches(f), set(f._z)) == ({}, rank_g, {0, 1, 2})
     assert mu(f, 1, 3, 7) == tables[1][(3, 6)] - tables[1][(3, 7)] - (
         tables[1][(2, 6)] - tables[1][(2, 7)]
     )
-    assert kept() == {(1, 2): 7, (1, 3): 7}
+    assert row_reaches(f) == {}
+    assert later_reaches(f) == {**rank_g, (1, 2): 7, (1, 3): 7}
 
 
 def _two_spheres(rng: random.Random) -> Filtration:
@@ -643,11 +649,14 @@ def _from_bars(bars: Barcode, query: tuple) -> int:
 
 
 def test_rows_swept_short_then_read_past_their_reach_match_the_barcode():
-    # a mu at j = 0 sweeps the row of birth -1 only to its death p < m; a
-    # query one dimension up, whose z reads that row, or a persistent_betti
-    # past p then sweeps it to m; and row 0, kept to p, is read inside its
-    # reach and then past it.  Every answer is held to the barcode and to
-    # a fresh filtration asked the same queries in reverse order
+    # a mu at j = 0 sweeps the rank_later rows of births -1 and 0 only to
+    # its death p < m; a persistent_betti at birth 0 then builds rank_g,
+    # the row of birth -1, to m and its row of beta only to its own death;
+    # a query one dimension up, whose z reads the kept rank_g, or a
+    # persistent_betti past p at another birth then builds its own rows;
+    # and both rows of birth 0 are read inside their reach and then past
+    # it.  Every answer is held to the barcode and to a fresh filtration
+    # asked the same queries in reverse order
     rng = random.Random(47)
     for s in range(8):
         levels = random_filtration_document(12 + 5 * s, 4 + s, seed=s).to_filtration().levels
@@ -655,16 +664,24 @@ def test_rows_swept_short_then_read_past_their_reach_match_the_barcode():
         m = len(levels) - 1
         for n in range(3):
             f, p = Filtration(levels), rng.randrange(1, m)
-            j, q = rng.randrange(1, p + 1), rng.randrange(p + 1, m + 1)
-            queries = [("mu", n, 0, p), ("persistent_betti", n, 0, rng.randrange(p + 1))]
+            j, q, b = rng.randrange(1, p + 1), rng.randrange(p + 1, m + 1), rng.randrange(p + 1)
+            queries = [("mu", n, 0, p), ("persistent_betti", n, 0, b)]
             answers = [_ask(f, query) for query in queries]
-            assert row_reaches(f) == {(n - 1, -1): m, (n, -1): p, (n, 0): p}, (s, n)
+            below = {(n - 1, -1): m} if n else {}  # z reads dimension n - 1's rank_g
+            assert later_reaches(f) == {**below, (n, -1): m, (n, 0): p}, (s, n)
+            assert row_reaches(f) == {(n, 0): b}, (s, n)
+            rank_g = f._later[n][0]
             extend = ("mu_infinity", n + 1, j, m + 1) if s % 2 else ("persistent_betti", n, j, q)
             answers.append(_ask(f, extend))
-            assert row_reaches(f)[(n, -1)] == m, (s, n, extend)
+            if s % 2:  # none above the top dimension, where beta is 0
+                grown = {(n + 1, i): m for i in (j - 1, j)} if n < f.dim else {}
+                assert later_reaches(f) == {**below, (n, -1): m, (n, 0): p, **grown}, (s, n)
+            else:
+                assert row_reaches(f) == {(n, 0): b, (n, j): q}, (s, n)
+            assert f._later[n][0] is rank_g, (s, n, extend)
             later = [("mu", n, 0, q), ("persistent_betti", n, 0, q), ("mu_infinity", n, 0, m + 1)]
             answers += [_ask(f, query) for query in later]
-            assert row_reaches(f)[(n, 0)] == m, (s, n)
+            assert (later_reaches(f)[(n, 0)], row_reaches(f)[(n, 0)]) == (m, q), (s, n)
             queries += [extend] + later
             assert answers == [_from_bars(bars[query[1]], query) for query in queries], (s, n)
             fresh = Filtration(levels)
@@ -679,7 +696,7 @@ def test_kept_ranks_match_each_levels_boundary_matrix():
         f = random_filtration(rng, vertices=7, count=6, levels=4, max_size=4)
         tops.add(f.dim)
         for d in range(f.dim + 2):
-            assert persistence._row(f, d - 1, -1, f.m) == [
+            assert persistence._rank_g(f, d - 1) == [
                 level.boundary_matrix(d).rank() for level in f
             ]
     assert 3 in tops
@@ -700,51 +717,55 @@ def test_kept_cycle_counts_and_boundary_ranks_match_each_levels_matrices():
     for f in filtrations:
         tops.add(f.dim)
         for n in range(f.dim + 2):
-            z, rank_g = persistence._z(f, n), persistence._row(f, n, -1, f.m)
-            assert z == [
+            z, rank_g = persistence._z(f, n), persistence._rank_g(f, n)
+            assert z[:len(f)] == [
                 len(level.n_simplices(n)) - level.boundary_matrix(n).rank() for level in f
-            ] + [0]
+            ]
+            assert z[-1] == 0  # z[j - 1] at j = 0, before any level
             assert rank_g == [level.boundary_matrix(n + 1).rank() for level in f]
     assert 3 in tops
 
 
 def test_warm_persistent_betti_and_mu_infinity_read_the_kept_lists(monkeypatch):
-    # the first query in a dimension keeps z and rank_g, the row of birth
-    # -1, to m; after it a round of persistent_betti and mu_infinity keeps
-    # no list and no row of birth -1, and the same round again, warm, keeps
-    # nothing, sweeps no column and reads no row of birth -1 through _row
-    # but mu_infinity's row j - 1 at j = 0, its rank_later(-1, m) term
+    # the first query in a dimension keeps z and rank_g to m; after it a
+    # round of persistent_betti and mu_infinity keeps no list but rows of
+    # beta and of rank_later, and the same round again, warm, keeps
+    # nothing, sweeps no column and reads each row and z inline: it calls
+    # none of `_beta`, `_later`, `_kept_rows` and `_z`, and slot 0, beta at
+    # birth -1, stays all zeros
     f = random_filtration_document(40, 6, seed=3).to_filtration()
-    m, rng, rows = f.m, random.Random(37), []
-    inserted, original = count_inserts(monkeypatch), persistence._row
+    m, rng, calls = f.m, random.Random(37), []
+    inserted = count_inserts(monkeypatch)
 
-    def recording(f, n, j, p):
-        rows.append((n, j))
-        return original(f, n, j, p)
+    def recording(name):
+        original = getattr(persistence, name)
 
-    def births(f):
-        return {key: reach for key, reach in row_reaches(f).items() if key[1] < 0}
+        def record(*args):
+            calls.append(name)
+            return original(*args)
 
-    monkeypatch.setattr(persistence, "_row", recording)
+        return record
+
+    for name in ("_beta", "_later", "_kept_rows", "_z"):
+        monkeypatch.setattr(persistence, name, recording(name))
     for n in range(3):
         queries = [(persistent_betti, (j, p)) for j in range(m + 1) for p in range(j, m + 1)]
         queries += [(mu_infinity, (j,)) for j in range(m + 1)]
         persistent_betti(f, n, 0, 0)
-        assert n in f._z and len(f._rows[n][0]) == m + 1
-        kept, swept = _kept(f), births(f)
+        assert (len(f._z[n]), len(f._later[n][0])) == (m + 2, m + 1)
+        kept = _kept(f)
         rng.shuffle(queries)
         for query, args in queries:
             query(f, n, *args)
-        assert _kept(f)[1:] == kept[1:]
-        assert births(f) == swept
+        assert _kept(f)[2:] == kept[2:]
         kept = _kept(f)
         rng.shuffle(queries)
-        rows.clear()
+        calls.clear()
         inserted.clear()
         for query, args in queries:
             query(f, n, *args)
-        assert _kept(f) == kept and inserted == []
-        assert [(d, j) for d, j in rows if j < 0] == [(n, -1)]
+        assert _kept(f) == kept and inserted == [] and calls == []
+        assert f._rows[n][0] == [0] * (m + 1)
 
 
 def test_rank_grid_uses_no_reduction(diabolo_filtration, monkeypatch):
@@ -904,7 +925,7 @@ def test_interval_counts_conserve_births():
 
 
 def test_lemma_check_keeps_no_grid_of_level_pairs():
-    # the check walks the rank rows holding two of them and one running
+    # the check walks the rows of beta holding two of them and one running
     # row of bars, so its memory grows with m, not with the (m+1)^2 pairs
     # (three grids of the pairs take 3.1 MB here)
     f = random_filtration_document(150, 150, seed=5).to_filtration()
@@ -1032,6 +1053,29 @@ def test_barcode_above_top_dimension(diabolo_filtration):
         assert barcode(diabolo_filtration, n) == Barcode(n, ())
     with pytest.raises(ValueError, match="dimension must be >= 0"):
         barcode(diabolo_filtration, -1)
+
+
+def test_queries_above_the_top_dimension_answer_0_and_keep_nothing():
+    # no n-cell lives above the top dimension, so every beta, multiplicity
+    # and bar there is 0; 1,000 such dimensions, asked of a fresh
+    # filtration and of one warm in every dimension, keep nothing
+    f = random_filtration_document(40, 6, seed=3).to_filtration()
+    m, top = f.m, f.dim
+    for warm in (False, True):
+        if warm:
+            for n in range(top + 1):
+                persistent_betti(f, n, 0, m), mu(f, n, 0, m), mu_infinity(f, n, m)
+                barcode(f, n)
+        kept = _kept(f)
+        sizes = [len(d) for d in (f._rows, f._later, f._z, f._columns, f._pivots)]
+        for n in range(top + 1, top + 1001):
+            assert persistent_betti(f, n, 0, m) == persistent_betti(f, n, m, m) == 0, n
+            assert mu(f, n, 0, m) == mu(f, n, m - 1, m) == mu_infinity(f, n, 0) == 0, n
+            assert barcode(f, n) == Barcode(n, ()), n
+        assert set(betti_table(f, top + 1).values()) == {0}
+        assert [len(d) for d in (f._rows, f._later, f._z, f._columns, f._pivots)] == sizes
+        assert _kept(f) == kept
+        assert f._zero_rows == [[0] * (m + 1)] * (m + 2)
 
 
 def test_lemma_check_catches_a_wrong_rank_grid(diabolo_filtration, monkeypatch):

@@ -40,9 +40,13 @@ P, C, FT, FI, CX, O = (f"src/phcalc/{m}.py" for m in
 MUTANTS = [
     # the reduction adds no earlier column, and only clears the pivot bit
     Mutant(P, "col ^= reduced[low]", "col ^= 1 << low"),
-    # the grid reads rank_g[p] as the raises born before p; a point query reads rank_g at p - 1
-    Mutant(P, "zip(rank_g[j:], row[j:])", "zip(([0] + rank_g)[j:], row[j:])"),
-    Mutant(P, "z[j] - rank_g[p] + _row(f, n, j, p)[p]", "z[j] - rank_g[p - 1] + _row(f, n, j, p)[p]"),
+    # the beta builder reads rank_g[q] as the raises born before q, or z of the level before j;
+    # persistent_betti reads its kept row at p - 1; rank_g kept short of m is read as it is
+    Mutant(P, "map(sub, later, rank_g[j:])", "map(sub, later, ([0] + rank_g)[j:])"),
+    Mutant(P, "z, rank_g = _z(f, n)[j], _rank_g(f, n)",
+           "z, rank_g = _z(f, n)[j - 1], _rank_g(f, n)"),
+    Mutant(P, "    return row[p]\n", "    return row[p - 1]\n"),
+    Mutant(P, "if len(rows[0]) <= f.m:", "if not rows[0]:"),
     # persistent_betti's inline test, and mu's and mu_infinity's one range check, admit m + 1
     Mutant(P, "0 <= j <= p < len(f._levels)", "0 <= j <= p <= len(f._levels)"),
     Mutant(P, "0 <= j < p < len(f._levels)", "0 <= j < p <= len(f._levels)"),
@@ -50,19 +54,27 @@ MUTANTS = [
     # ... the row shift, both counts of the kept z list (each of the births before j), and
     # its pad at m + 1
     Mutant(P, "shift = bisect_right(", "shift = bisect_left("),
-    Mutant(P, "zip(accumulate(cells), ranks)", "zip([0, *accumulate(cells)], ranks)"),
-    Mutant(P, "zip(accumulate(cells), ranks)", "zip(accumulate(cells), [0] + ranks)"),
-    Mutant(P, "zip(accumulate(cells), ranks)] + [0]", "zip(accumulate(cells), ranks)] + [1]"),
-    # mu_infinity drops z(j - 1)
-    Mutant(P, "return z[j] - z[j - 1] + _row(", "return z[j] + _row("),
+    Mutant(P, "zip(accumulate(cells), _rank_g(f, n - 1))",
+           "zip([0, *accumulate(cells)], _rank_g(f, n - 1))"),
+    Mutant(P, "zip(accumulate(cells), _rank_g(f, n - 1))",
+           "zip(accumulate(cells), [0] + _rank_g(f, n - 1))"),
+    Mutant(P, "_rank_g(f, n - 1))] + [0]", "_rank_g(f, n - 1))] + [1]"),
+    # mu_infinity drops z(j - 1), and mu reads row j one level early at p - 1
+    Mutant(P, "return z[j] - z[j - 1] + row[m]", "return z[j] + row[m]"),
+    Mutant(P, "return (row[p - 1] - row[p])", "return (row[p - 2] - row[p])"),
     # off by one: the negative-count, span, inclusion and nilpotency checks
     Mutant(P, "for p in range(k + 1, m + 2):", "for p in range(k + 1, m + 1):"),
     Mutant(P, "for l in range(k, m + 1)", "for l in range(k + 1, m + 1)"),
     Mutant(C, "if born > birth:", "if born > birth + 1:"),
     Mutant(C, "if j >= birth", "if j > birth"),
-    # point queries keep no row but that of birth -1
-    Mutant(P, "row = rows[j + 1] = _sweep(f, n, j, p)",
-           "row = _sweep(f, n, j, p)\n        if j < 0:\n            rows[0] = row"),
+    # point queries keep no row of beta, mu no rank_later row j; a dimension above the top
+    # is kept, rows and all, or its z
+    Mutant(P, "row = rows[j + 1] = _beta(f, n, j, p)", "row = _beta(f, n, j, p)"),
+    Mutant(P, "row = rows[j + 1] = _later(f, n, j, p)", "row = _later(f, n, j, p)"),
+    Mutant(P, "        if not f._cells(n):\n            return f._zero_rows\n",
+           "        if False:\n            return f._zero_rows\n"),
+    Mutant(P, "        if not f._cells(n):\n            return f._zero_rows[0]\n",
+           "        if False:\n            return f._zero_rows[0]\n"),
     # a simplex takes the birth of the last level that adds it, not the first
     Mutant(FT, "births.setdefault(verts, j)", "births[verts] = j"),
     # the nesting check is off at level 1
@@ -85,8 +97,8 @@ MUTANTS = [
     # the oracle's meet of two subspaces takes their union
     Mutant(O, "set(self.members) & set(other.members)", "set(self.members) | set(other.members)"),
     # mu clamps at 0, which hides a wrong kept row
-    Mutant(P, "return before[p] - before[p - 1] - (row[p] - row[p - 1])",
-           "return max(0, before[p] - before[p - 1] - (row[p] - row[p - 1]))"),
+    Mutant(P, "return (row[p - 1] - row[p]) - (before[p - 1] - before[p])",
+           "return max(0, (row[p - 1] - row[p]) - (before[p - 1] - before[p]))"),
     # clamps at 0, which change nothing unless a rank is already wrong
     Mutant(CX, "return ns - self.boundary_matrix(n).rank() - self.boundary_matrix(n + 1).rank()",
            "return max(0, ns - self.boundary_matrix(n).rank()"
