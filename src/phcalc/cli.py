@@ -27,6 +27,7 @@ from .filtration import Filtration, FiltrationError
 from .files import _VERTEX, ParseError, parse_facets, parse_filtration, serialize_barcodes
 from .persistence import (
     barcode,
+    betti_table,
     check_fundamental_lemma,
     mu,
     mu_infinity,
@@ -234,9 +235,10 @@ def _check_lemma(f: Filtration, max_dim: int) -> list[dict]:
 def _check_oracle(f: Filtration, max_dim: int) -> list[dict] | None:
     """Differential test against the brute-force oracle.
 
-    An oracle answer that differs from the rank method's is a violation,
-    and so is an oracle that refuses its input as inconsistent (boundaries
-    that are not cycles, an inclusion that is not injective).  Past the
+    An oracle answer that differs from the rank method's (`betti` per
+    level, `betti_table` per level pair) is a violation, and so is an
+    oracle that refuses its input as inconsistent (boundaries that are
+    not cycles, an inclusion that is not injective).  Past the
     enumeration bound the section stops: it fails if it found a violation
     before, and is skipped (None) otherwise.
     """
@@ -260,10 +262,11 @@ def _check_oracle(f: Filtration, max_dim: int) -> list[dict] | None:
                 compare({"check": "oracle-betti", "level": j, "dim": n},
                         f[j].betti(n), oracle_betti, f[j], n)
         for n in range(max_dim + 1):
+            table = betti_table(f, n)
             for j in range(len(f)):
                 for p in range(j, len(f)):
                     compare({"check": "oracle-pbetti", "dim": n, "j": j, "p": p},
-                            persistent_betti(f, n, j, p), oracle_persistent_betti, f, n, j, p)
+                            table[(j, p)], oracle_persistent_betti, f, n, j, p)
     except EnumerationLimitError:
         return violations or None
     return violations

@@ -100,16 +100,12 @@ class Filtration:
     every level is a prefix of K^m; per dimension d, the columns of
     D_d(K^m) with rows and columns in that order; and each level asked
     for, through the public constructor and its face-closure check.
-    `persistence` keeps what it reads off those columns, per dimension:
-    in ``_rows`` one list of the rows of persistent Betti numbers beta(j,
-    q) by birth + 1, each up to the furthest death q built, with slot 0
-    all zeros, beta at birth -1, and ``()`` for a row not built; in
-    ``_later`` one list of the rank_later rows by birth + 1 in the same
-    way, whose slot 0 is the rank of D_{n+1} at each level; in ``_z`` the
-    cycle count at each level; and in ``_pivots`` the reduction's pivots,
-    each described where it is filled.  ``_zero_rows`` stands for the
-    rows of every dimension above the top, where no n-cell lives and
-    each beta and rank is 0, so that they are read and never kept.
+    `persistence` keeps, per dimension, the reduction's pivots in
+    ``_pivots`` and its bars in ``_bars``, as {(birth, death):
+    multiplicity}, and in ``_rows`` the row of persistent Betti numbers
+    beta(j, p) for p = j..m of each (dimension, birth j) a point query
+    asked, each described where it is filled.  Nothing is kept for a
+    dimension above the top, where no n-cell lives.
     """
 
     def __init__(self, levels: Iterable[Iterable[Simplex]]):
@@ -130,11 +126,9 @@ class Filtration:
         self._levels: list[SimplicialComplex | None] = [None] * len(levels)
         self._by_dim: list[list[tuple[tuple[int, ...], int]]] | None = None
         self._columns: dict[int, tuple[list[int], list[int]]] = {}
-        self._rows: dict[int, list[Sequence[int]]] = {}
-        self._later: dict[int, list[Sequence[int]]] = {}
-        self._z: dict[int, list[int]] = {}
-        self._zero_rows: list[Sequence[int]] = [[0] * len(levels)] * (len(levels) + 1)
         self._pivots: dict[int, dict[int, int]] = {}
+        self._bars: dict[int, dict[tuple[int, int | float], int]] = {}
+        self._rows: dict[tuple[int, int], list[int]] = {}
         return self
 
     @classmethod
@@ -183,7 +177,7 @@ class Filtration:
         Rows are by birth too, so each level's D_d is a prefix of both.
         """
         if d not in self._columns:
-            cells, faces = self.births(d), self.births(d - 1)
+            cells, faces = self._cells(d), self._cells(d - 1)
             self._columns[d] = (
                 [birth for _, birth in cells],
                 _boundary_bits([v for v, _ in cells], [v for v, _ in faces]),

@@ -3,59 +3,56 @@
 All quantities are computed exactly over GF(2), by two independent
 methods.
 
-Point queries follow the paper's rank formula.  The degree-n classes
-of level j that are still alive at level p form a quotient space: the
-cycles of K^j modulo the boundaries of K^p they meet.  Its dimension
-is obtained from the degree-n boundary matrix of K^j, the
-degree-(n+1) boundary matrix of K^p, and the inclusion between the
-two n-simplex bases.  One builder, `_beta`, evaluates the formula one
-birth row at a time, at every death level, and builds no level: the
-filtration keeps, per dimension, the boundary matrix of the last level
-K^m with rows and columns in birth order, of which every level's is a
-prefix.  A row of beta is z[j] - rank_g[q] + rank_later(j, q) for q =
-0..reach, from one sweep: rank_later(j, q) is the rank of the
-boundaries of K^q on the rows born after j (the lower-left submatrices
-of Edelsbrunner-Harer's pairing lemma), swept from the first column
-born after j; a sweep counts the columns that raise the rank by level
-and sums the counts, so a rank is one index in a row.  The sweep from
-birth -1 is rank_g, the rank of D_{n+1}(K^q) at every level, and z[j],
-the cycle count of K^j, is the n-cells born by j less dimension n-1's
-rank_g; both take every column of a boundary matrix, and the
-filtration keeps both per dimension, built on first use.
-
-The filtration keeps, per dimension, two lists of rows by birth + 1,
-each row up to the furthest death asked: rows of beta, whose slot 0 is
-zeros, as beta is 0 at birth -1, and rank_later rows, whose slot 0 is
-rank_g.  `persistent_betti` is row_j[p] of beta.  `mu`, the paper's
-finite difference of four persistent Betti numbers
-(Zomorodian-Carlsson), (beta(j, p-1) - beta(j, p)) - (beta(j-1, p-1) -
-beta(j-1, p)), is taken on rank_later rows j - 1 and j, as z is one
-value along a row and rank_g one value down a column, and both cancel:
-so a first `mu` sweeps those two rows and no boundary matrix in full.
-`mu_infinity`, beta(j, m) - beta(j-1, m), cancels rank_g[m] and reads
-z.  Each reads its kept rows inline and builds a row only when it falls
-short of the death asked, then keeps it to that death, so a later query
-inside it builds nothing.  A warm point query is one inline test and
-kept reads: plain ints pass the test, and any other argument meets the
-full checks, which raise or accept it as they would alone.  Above the
-top dimension no n-cell lives and every answer is 0: the queries read
-the filtration's shared rows of zeros, and nothing is kept.
-`betti_table` and `check_fundamental_lemma` read rows of beta from the
-same builder, as lists over the death levels 0..m+1, 0 below the birth
-and at m+1, past the last level; they keep no row of a birth >= 0, so
-their memory stays linear in m, and `check_fundamental_lemma` takes
-the finite difference as `mu` does, on two rows at a time, from a row
-of zeros for birth -1.
-`persistent_betti_simplified` keeps the per-pair matrix form on the
-two levels: a kernel basis, the inclusion matrix, its product, `rank`.
-
 Barcodes come from one column reduction of the filtered boundary
 matrix (Edelsbrunner-Letscher-Zomorodian; Zomorodian-Carlsson), with
 clearing (Chen-Kerber): each pivot pairs the birth of a class with its
 death.  It reads births from the filtration's table and builds no
-level, and the filtration keeps each dimension's pivots, so the
-barcodes of every dimension reduce each boundary matrix once.
-`check_fundamental_lemma` holds each method against the other.
+level.  The filtration keeps each dimension's pivots, so the barcodes
+of every dimension reduce each boundary matrix once, and each
+dimension's bars as {(birth, death): multiplicity}, death
+`INFINITE_DEATH` for a class that never dies; `barcode` wraps them.
+
+Point queries read the bars.  By the pairing lemma
+(Edelsbrunner-Harer, ch. VII), `mu(j, p)` is the multiplicity of the
+bar [j, p) and `mu_infinity(j)` that of [j, inf), one lookup each, and
+`persistent_betti(j, p)` is the number of bars born <= j that die
+after p.  It reads row j of beta, built once from the bars born by j,
+their deaths counted by level and summed from the end, O(bars + m),
+and kept on the filtration from j to m.  A warm point query is one
+inline test and a read or two: plain ints pass the test, and any other
+argument meets the full checks, which raise or accept it as they would
+alone.  Above the top dimension no n-cell lives and every answer is 0:
+nothing is reduced, built or kept.
+
+The reference path follows the paper's rank formula, and shares no
+code with the reduction.  The degree-n classes of level j that are
+still alive at level p form a quotient space: the cycles of K^j modulo
+the boundaries of K^p they meet.  Its dimension is obtained from the
+degree-n boundary matrix of K^j, the degree-(n+1) boundary matrix of
+K^p, and the inclusion between the two n-simplex bases.  One builder,
+`_beta`, evaluates the formula one birth row at a time, at every death
+level, and builds no level: the filtration keeps, per dimension, the
+boundary matrix of the last level K^m with rows and columns in birth
+order, of which every level's is a prefix.  A row of beta is z[j] -
+rank_g[q] + rank_later(j, q) for q = 0..m, from one sweep:
+rank_later(j, q) is the rank of the boundaries of K^q on the rows born
+after j (the lower-left submatrices of Edelsbrunner-Harer's pairing
+lemma), swept from the first column born after j; a sweep counts the
+columns that raise the rank by level and sums the counts, so a rank is
+one index in a row.  The sweep from birth -1 is rank_g, the rank of
+D_{n+1}(K^q) at every level, and z[j], the cycle count of K^j, is the
+n-cells born by j less dimension n-1's rank_g.  `betti_table` and
+`check_fundamental_lemma` read rows of beta from `_betti_grid`, which
+computes z and rank_g once per grid and keeps nothing on the
+filtration, as lists over the death levels 0..m+1, 0 below the birth
+and at m+1, past the last level, so their memory stays linear in m.
+`check_fundamental_lemma` takes the paper's finite difference of four
+persistent Betti numbers (Zomorodian-Carlsson), (beta(j, p-1) -
+beta(j, p)) - (beta(j-1, p-1) - beta(j-1, p)), on two rows at a time,
+from a row of zeros for birth -1, and holds each method against the
+other.  `persistent_betti_simplified` keeps the per-pair matrix form
+on the two levels: a kernel basis, the inclusion matrix, its product,
+`rank`.
 """
 
 from __future__ import annotations
@@ -131,26 +128,8 @@ def _insert(pivots: dict[int, int], col: int) -> bool:
     return False
 
 
-def _kept_rows(
-    f: Filtration, kept: dict[int, list[Sequence[int]]], n: int, first: Sequence[int]
-) -> list[Sequence[int]]:
-    """Dimension n's rows in ``kept`` by birth + 1, kept on the filtration from the first call.
-
-    Slot 0 starts as ``first``, and slot j + 1 is ``()`` until row j is
-    built.  Above the top dimension, and at n = -1, there is no n-cell,
-    so every beta and every rank is 0: the rows are the filtration's
-    shared rows of zeros, and nothing is kept.
-    """
-    rows = kept.get(n)
-    if rows is None:
-        if not f._cells(n):
-            return f._zero_rows
-        rows = kept[n] = [first] + [()] * len(f._levels)
-    return rows
-
-
-def _beta(f: Filtration, n: int, j: int, p: int) -> list[int]:
-    """beta(j, q) for q = 0..p, 0 below j, from one sweep, and keep nothing.
+def _beta(f: Filtration, n: int, j: int, z: list[int], rank_g: list[int]) -> list[int]:
+    """beta(j, q) for q = 0..m, 0 below j, from one sweep and the grid's z and rank_g.
 
     z[j] - rank_g[q] + rank_later(j, q), the paper's z - (rank_g + z -
     rank_stacked): the cycles of K^j stacked with the boundaries of K^q
@@ -158,64 +137,51 @@ def _beta(f: Filtration, n: int, j: int, p: int) -> list[int]:
     D_{n+1}(K^q) on the rows of the n-simplices born after j, a
     lower-left submatrix rank of Edelsbrunner-Harer's pairing lemma,
     and the boundaries of K^q that are cycles of K^j span rank_g -
-    rank_later of them.  z and rank_g are the lists kept per dimension.
+    rank_later of them.
     """
-    z, rank_g = _z(f, n)[j], _rank_g(f, n)
-    later = accumulate(_sweep(f, n, j, p)[j + 1:], initial=z)  # z + rank_later(j, q), q >= j
+    later = accumulate(_sweep(f, n, j)[j + 1:], initial=z[j])  # z + rank_later(j, q), q >= j
     return [0] * j + list(map(sub, later, rank_g[j:]))
 
 
-def _sweep(f: Filtration, n: int, j: int, p: int) -> list[int]:
-    """The raises of rank_later(j, q) at each level q = 0..p, and keep nothing.
+def _sweep(f: Filtration, n: int, j: int) -> list[int]:
+    """The raises of rank_later(j, q) at each level q = 0..m, and keep nothing.
 
     A D_{n+1} column born <= j has no face born after j, so it is 0 on
     those rows and rank_later(j, q) is 0 for q <= j: the columns born
-    in (j, p] are shifted past the rows born by j and inserted, and
-    those that raise the rank are counted by level, so rank_later(j, q)
-    is the sum of the counts up to q.  At j = -1 no row is shifted off,
+    after j are shifted past the rows born by j and inserted, and those
+    that raise the rank are counted by level, so rank_later(j, q) is
+    the sum of the counts up to q.  At j = -1 no row is shifted off,
     and the sums are rank D_{n+1}(K^q).
     """
     born, columns = f._birth_columns(n + 1)
-    start, end = bisect_right(born, j), bisect_right(born, p)
+    start = bisect_right(born, j)
     shift = bisect_right(f._birth_columns(n)[0], j) if j >= 0 else 0
     pivots: dict[int, int] = {}
-    raises = [0] * (p + 1)
-    for birth, col in zip(born[start:end], columns[start:end]):
+    raises = [0] * (f.m + 1)
+    for birth, col in zip(born[start:], columns[start:]):
         if _insert(pivots, col >> shift):
             raises[birth] += 1
     return raises
 
 
-def _later(f: Filtration, n: int, j: int, p: int) -> list[int]:
-    """rank_later(j, q) for q = 0..p, the sums of one sweep's raises, and keep nothing."""
-    return list(accumulate(_sweep(f, n, j, p)))
-
-
 def _rank_g(f: Filtration, n: int) -> list[int]:
-    """rank_g, the rank of D_{n+1}(K^q) for q = 0..m: rank_later's row of birth -1, kept to m."""
-    rows = f._later.get(n) or _kept_rows(f, f._later, n, ())
-    if len(rows[0]) <= f.m:
-        rows[0] = _later(f, n, -1, f.m)
-    return rows[0]
+    """rank_g, the rank of D_{n+1}(K^q) for q = 0..m: the sums of the sweep from birth -1.
+
+    At n = -1 it is 0 at every level, as D_0 has no rows, and nothing is swept.
+    """
+    return list(accumulate(_sweep(f, n, -1))) if n >= 0 else [0] * (f.m + 1)
 
 
 def _z(f: Filtration, n: int) -> list[int]:
-    """z[j], the dimension of the degree-n cycles of K^j, for j in 0..m, and 0 at m+1.
+    """z[j], the dimension of the degree-n cycles of K^j, for j in 0..m.
 
     The n-cells born by j, counted by level and summed, less rank
-    D_n(K^j), dimension n - 1's rank_g.  Built on first use and kept on
-    the filtration; the 0 at m+1 is z[j - 1] at j = 0, before any
-    level.  Above the top dimension z is 0, and nothing is kept.
+    D_n(K^j), dimension n - 1's rank_g.
     """
-    z = f._z.get(n)
-    if z is None:
-        if not f._cells(n):
-            return f._zero_rows[0]
-        cells = [0] * (f.m + 1)
-        for birth in f._birth_columns(n)[0]:
-            cells[birth] += 1
-        z = f._z[n] = [c - r for c, r in zip(accumulate(cells), _rank_g(f, n - 1))] + [0]
-    return z
+    cells = [0] * (f.m + 1)
+    for birth in f._birth_columns(n)[0]:
+        cells[birth] += 1
+    return [c - r for c, r in zip(accumulate(cells), _rank_g(f, n - 1))]
 
 
 def _betti_grid(f: Filtration, n: int) -> Iterator[tuple[int, list[int]]]:
@@ -223,30 +189,49 @@ def _betti_grid(f: Filtration, n: int) -> Iterator[tuple[int, list[int]]]:
 
     Each row is a new list of m+2 entries: beta(j, p) for j <= p <= m,
     and 0 below j and at m+1, where no class lives past the last level.
-    A kept row that reaches m is read, and any other is built to m and
-    not kept, so the grid's memory stays linear in m.
+    z and rank_g are computed once per grid, and nothing is kept, so
+    the grid's memory stays linear in m.  Above the top dimension every
+    row is zeros, and nothing is swept.
     """
-    m, rows = f.m, _kept_rows(f, f._rows, n, f._zero_rows[0])
+    m = f.m
+    if not f._cells(n):
+        yield from ((j, [0] * (m + 2)) for j in range(m + 1))
+        return
+    z, rank_g = _z(f, n), _rank_g(f, n)
     for j in range(m + 1):
-        row = rows[j + 1]
-        yield j, (row if len(row) > m else _beta(f, n, j, m)) + [0]
+        yield j, _beta(f, n, j, z, rank_g) + [0]
+
+
+def _bar_row(f: Filtration, n: int, j: int) -> list[int]:
+    """beta(j, p) for p = j..m, at index p - j: the bars born <= j that die after p.
+
+    The deaths of the bars born by j and alive at j are counted by
+    level, m + 1 for those that never die, and summed from the end.
+    """
+    m = f.m
+    deaths = [0] * (m + 1 - j)  # at levels j + 1..m + 1
+    for (birth, death), count in _bars(f, n).items():
+        if birth <= j < death:
+            deaths[min(death, m + 1) - j - 1] += count
+    return list(accumulate(reversed(deaths)))[::-1]
 
 
 def persistent_betti(f: Filtration, n: int, j: int, p: int) -> int:
     """Number of degree-n classes of K^j still alive at K^p.
 
-    beta(j, p), read off the kept row j of beta, which `_beta` builds to
-    p when it falls short.
+    beta(j, p), the bars born <= j that die after p, read off row j of
+    beta, which `_bar_row` builds on first use and the filtration keeps.
     """
     if not (type(n) is int is type(j) is type(p)
             and 0 <= n and 0 <= j <= p < len(f._levels)):
         _require_dim(n)
         f.check_level_pair(j, p)
-    rows = f._rows.get(n) or _kept_rows(f, f._rows, n, f._zero_rows[0])
-    row = rows[j + 1]
-    if len(row) <= p:
-        row = rows[j + 1] = _beta(f, n, j, p)
-    return row[p]
+    row = f._rows.get((n, j))
+    if row is None:
+        if not f._cells(n):  # above the top dimension: no bar, and nothing is kept
+            return 0
+        row = f._rows[n, j] = _bar_row(f, n, j)
+    return row[p - j]
 
 
 def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
@@ -256,7 +241,8 @@ def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
     basis N_n(K^j) pushed forward by the inclusion matrix I.  It shares
     no boundary code with the prefix form, which reads K^m's kept
     columns and takes no level, no kernel basis, no inclusion and no
-    `rank`, so each checks the other; the two must agree on every input.
+    `rank`, nor with the reduction, so each checks the others; they
+    must agree on every input.
     """
     _require_dim(n)
     f.check_level_pair(j, p)
@@ -266,7 +252,7 @@ def persistent_betti_simplified(f: Filtration, n: int, j: int, p: int) -> int:
 
 
 def betti_table(f: Filtration, n: int) -> dict[tuple[int, int], int]:
-    """persistent_betti over the whole (j, p) grid, j <= p."""
+    """persistent_betti over the whole (j, p) grid, j <= p, by the rank formula."""
     _require_dim(n)
     return {(j, p): row[p] for j, row in _betti_grid(f, n) for p in range(j, f.m + 1)}
 
@@ -274,15 +260,10 @@ def betti_table(f: Filtration, n: int) -> dict[tuple[int, int], int]:
 def mu(f: Filtration, n: int, j: int, p: int) -> int:
     """Count of degree-n classes born exactly at K^j that die entering K^p.
 
-    The paper's (beta(j, p-1) - beta(j, p)) - (beta(j-1, p-1) -
-    beta(j-1, p)), taken on the kept rank_later rows j - 1 and j, each
-    swept to p when it falls short.  A row of beta is z[j] - rank_g[q]
-    + rank_later(j, q): z is one value along a row and rank_g one value
-    down a column, so both cancel in the difference, which a multiplicity
-    takes without either.  Only a wrong row could make it negative, and
-    nothing here checks it: `check_fundamental_lemma` finds
-    "negative-count" violations on the grid rows, where it takes the
-    same difference on rows of beta.
+    The multiplicity of the bar [j, p), which the pairing lemma equates
+    with the paper's (beta(j, p-1) - beta(j, p)) - (beta(j-1, p-1) -
+    beta(j-1, p)); `check_fundamental_lemma` holds the two against each
+    other.
     """
     if not (type(n) is int is type(j) is type(p) and 0 <= n):
         _require_dim(n)
@@ -290,41 +271,25 @@ def mu(f: Filtration, n: int, j: int, p: int) -> int:
         _require_integer("level p", p)
     if not 0 <= j < p < len(f._levels):
         raise ValueError(f"need 0 <= j < p <= {f.m}, got j={j}, p={p}")
-    rows = f._later.get(n) or _kept_rows(f, f._later, n, ())
-    before, row = rows[j], rows[j + 1]
-    if len(before) <= p:
-        before = rows[j] = _later(f, n, j - 1, p)
-    if len(row) <= p:
-        row = rows[j + 1] = _later(f, n, j, p)
-    return (row[p - 1] - row[p]) - (before[p - 1] - before[p])
+    return (f._bars[n] if n in f._bars else _bars(f, n)).get((j, p), 0)
 
 
 def mu_infinity(f: Filtration, n: int, j: int) -> int:
     """Count of degree-n classes born exactly at K^j that never die.
 
-    beta(j, m) - beta(j-1, m): the classes of K^j alive at the final
-    level, minus those already present one level earlier.  rank_g[m]
-    cancels, which leaves z[j] - z[j-1] off the kept list, whose 0 at
-    m+1 is z at j = -1, and the kept rank_later rows j and j - 1 at m,
-    each swept to m when it falls short.
+    The multiplicity of the bar [j, inf), which the pairing lemma
+    equates with beta(j, m) - beta(j-1, m).
     """
     if not (type(n) is int is type(j) and 0 <= n):
         _require_dim(n)
         _require_integer("level j", j)
     if not 0 <= j < len(f._levels):
         raise ValueError(f"need 0 <= j <= {f.m}, got j={j}")
-    rows, m = f._later.get(n) or _kept_rows(f, f._later, n, ()), len(f._levels) - 1
-    before, row = rows[j], rows[j + 1]
-    if len(before) <= m:
-        before = rows[j] = _later(f, n, j - 1, m)
-    if len(row) <= m:
-        row = rows[j + 1] = _later(f, n, j, m)
-    z = f._z.get(n) or _z(f, n)
-    return z[j] - z[j - 1] + row[m] - before[m]
+    return (f._bars[n] if n in f._bars else _bars(f, n)).get((j, INFINITE_DEATH), 0)
 
 
 def _boundary_columns(
-    cells: list[tuple[tuple[int, ...], int]], faces: list[tuple[tuple[int, ...], int]]
+    cells: Sequence[tuple[tuple[int, ...], int]], faces: Sequence[tuple[tuple[int, ...], int]]
 ) -> list[int]:
     """The boundary of each cell as a bitset over the indices of ``faces``."""
     if not faces:  # the cells are vertices, or there are none
@@ -369,40 +334,45 @@ def _pivots(f: Filtration, d: int) -> dict[int, int]:
     pivots when those are kept already, and no other reduction is run.
     """
     if d not in f._pivots:
-        columns = _boundary_columns(f.births(d), f.births(d - 1))
+        columns = _boundary_columns(f._cells(d), f._cells(d - 1))
         f._pivots[d] = _reduce(columns, f._pivots.get(d + 1, ()))
     return f._pivots[d]
 
 
-def barcode(f: Filtration, n: int) -> Barcode:
-    """The degree-n barcode: every interval with positive multiplicity.
+def _bars(f: Filtration, n: int) -> dict[tuple[int, int | float], int]:
+    """{(birth, death): multiplicity} of the degree-n bars, kept on the filtration.
 
     Reduces the degree-(n+1) boundary columns, then the degree-n ones
     with clearing: an n-simplex that is a pivot of degree n+1 creates a
     class, so its column is skipped.  A reduction kept from an earlier
-    barcode is read, not run again.  Each pivot (i, c) is the interval
+    call is read, not run again.  Each pivot (i, c) is the interval
     [birth of i, birth of c), dropped when both are born at one level;
     an n-simplex whose column reduces to zero and that is no pivot is a
     class that never dies.  Above the top dimension there is no bar,
     and nothing is reduced or kept.
     """
-    _require_dim(n)
-    if n + 1 not in f._pivots and not f._cells(n):
-        return Barcode(n, ())
+    if n in f._bars or not f._cells(n):
+        return f._bars.get(n, {})
     deaths = _pivots(f, n + 1)
     negative = set(_pivots(f, n).values())
-    cells, above = f.births(n), f.births(n + 1)
-    counts: Counter[tuple[int, int | float]] = Counter()
+    cells, above = f._cells(n), f._cells(n + 1)
+    bars: Counter[tuple[int, int | float]] = Counter()
     for i, c in deaths.items():
         birth, death = cells[i][1], above[c][1]
         if birth < death:
-            counts[(birth, death)] += 1
+            bars[(birth, death)] += 1
     for i, (_, birth) in enumerate(cells):
         if i not in deaths and i not in negative:
-            counts[(birth, INFINITE_DEATH)] += 1
-    return Barcode(
-        n, tuple(PersistencePair(b, d, k) for (b, d), k in sorted(counts.items()))
-    )
+            bars[(birth, INFINITE_DEATH)] += 1
+    f._bars[n] = bars
+    return bars
+
+
+def barcode(f: Filtration, n: int) -> Barcode:
+    """The degree-n barcode: every interval with positive multiplicity, from `_bars`."""
+    _require_dim(n)
+    pairs = sorted(_bars(f, n).items())
+    return Barcode(n, tuple(PersistencePair(b, d, k) for (b, d), k in pairs))
 
 
 class LemmaViolation(Value):

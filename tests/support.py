@@ -50,16 +50,30 @@ def count_inserts(monkeypatch) -> list[int]:
     return inserted
 
 
-def row_reaches(f: Filtration) -> dict[tuple[int, int], int]:
-    """{(n, j): the last level q of beta(j, q)} for each kept beta row of a birth j >= 0."""
-    return {(n, j): len(row) - 1
-            for n, rows in f._rows.items() for j, row in enumerate(rows[1:]) if row}
+def count_reductions(monkeypatch) -> Counter:
+    """Count the reduction's boundary builds by degree, from now on: one per reduced D_d.
+
+    The degree is read off the faces, as in `count_boundary_builds`.
+    """
+    built: Counter = Counter()
+    original = persistence._boundary_columns
+
+    def counting(cells, faces):
+        built[len(faces[0][0]) if faces else 0] += 1
+        return original(cells, faces)
+
+    monkeypatch.setattr(persistence, "_boundary_columns", counting)
+    return built
 
 
-def later_reaches(f: Filtration) -> dict[tuple[int, int], int]:
-    """{(n, j): the last level q of rank_later(j, q)} for each kept rank_later row, j = -1 too."""
-    return {(n, j - 1): len(row) - 1
-            for n, rows in f._later.items() for j, row in enumerate(rows) if row}
+def kept_state(f: Filtration) -> tuple:
+    """A copy of what the filtration keeps for point queries and barcodes.
+
+    Each kept row of beta by (dimension, birth), each dimension's bars,
+    and the degrees whose pivots and rank-side columns are kept.
+    """
+    return ({key: list(row) for key, row in f._rows.items()},
+            {n: dict(bars) for n, bars in f._bars.items()}, set(f._pivots), set(f._columns))
 
 
 def perturb_rank_rows(monkeypatch, deltas: dict, dim: int | None = None) -> None:

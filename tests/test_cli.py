@@ -20,11 +20,11 @@ from phcalc.filtration import Filtration
 from phcalc.files import parse_filtration
 from phcalc.generate import random_filtration_document
 from phcalc.gf2 import Gf2Matrix
-from phcalc.persistence import LemmaReport, LemmaViolation, barcode, mu, persistent_betti
-
-from .support import (
-    count_boundary_builds, incremental_forms, later_reaches, perturb_rank_rows, row_reaches
+from phcalc.persistence import (
+    LemmaReport, LemmaViolation, barcode, betti_table, mu, persistent_betti
 )
+
+from .support import count_boundary_builds, incremental_forms, perturb_rank_rows
 
 DIABOLO_FACETS_TEXT = "2 3\n3 4\n3 5\n4 5\n0 1 2\n"
 
@@ -275,21 +275,23 @@ def test_check_fails_on_a_wrong_rank_grid(filtration_file, capsys, monkeypatch):
             "k": 3, "l": 4, "detail": "expected 3, got 2"} in payload
 
 
-def test_check_fails_on_a_wrong_kept_rank(filtration_file, capsys, monkeypatch):
-    # rank D_1(K^3) one too high, as if dimension 0's kept rank_later row
-    # of birth -1, its rank_g, raised it at level 3, not 4: dimension 1
-    # counts a cycle too few there, and dimension 0 a boundary too many
-    def raise_early(f):
-        assert persistence._rank_g(f, 0) == [0, 2, 2, 4, 5, 5]
-        f._later[0][0] = [0, 2, 2, 5, 5, 5]
+def test_check_fails_on_a_wrong_kept_bar(filtration_file, capsys, monkeypatch):
+    # check holds the rank grid against the barcodes, which read the bars a
+    # first point query kept: the bar [1, 5) of dimension 1 kept as [1, 4)
+    # is one class too few alive at 4 from every birth 1..4
+    def die_early(f):
+        assert mu(f, 1, 1, 5) == 1 and mu(f, 1, 1, 4) == 0
+        bars = f._bars[1]
+        del bars[1, 5]
+        bars[1, 4] = 1
 
-    code, out, payload = _tampered_check(monkeypatch, capsys, filtration_file, raise_early)
+    code, out, payload = _tampered_check(monkeypatch, capsys, filtration_file, die_early)
     assert code == 3
     assert "fundamental-lemma: FAIL" in out
-    assert {v["check"] for v in payload} == {"fundamental-lemma"}
-    assert {v["dim"] for v in payload} == {0, 1}
-    assert {"check": "fundamental-lemma", "dim": 1, "kind": "barcode-span",
-            "k": 3, "l": 3, "detail": "expected 1, got 2"} in payload
+    assert payload == [
+        {"check": "fundamental-lemma", "dim": 1, "kind": "barcode-span", "k": k, "l": 4,
+         "detail": f"expected {beta}, got {beta - 1}"} for k, beta in ((1, 1), (2, 1), (3, 2), (4, 2))
+    ]
 
 
 PINNED_CHECK_OUTPUT = """\
@@ -447,33 +449,28 @@ def test_all_barcodes_build_and_reduce_each_boundary_matrix_once(
     capsys.readouterr()
 
 
-def test_perturbed_rank_rows_reach_check_after_point_queries(
+def test_a_wrong_kept_bar_reaches_check_and_the_point_queries(
     filtration_file, capsys, monkeypatch
 ):
-    # point queries keep their rows of beta and of rank_later, and check
-    # reads the same kept rows of beta, so a wrong kept row shows in check
-    # and in the point queries on one filtration; one raise too many in
-    # rank_later row 3 at 4 is beta(3, q) one too high from q = 4 on, and
-    # mu, which no check clamps, counts it as -1 class born at 3 and dying at 4
+    # point queries and check's barcodes read the same kept bars, so a wrong
+    # bar kept after a first query shows in check and in the point queries
+    # on one filtration: one bar [3, 4) too many in dimension 1 is beta(3, 3)
+    # one too high, where the rank grid holds it at 2, and mu counts it
     asked = []
 
     def ask_first(f):
-        assert [persistent_betti(f, 1, j, 5) for j in range(6)] == [0, 0, 0, 1, 1, 1]
         assert [mu(f, 1, j, 5) for j in range(5)] == [0, 1, 0, 0, 0]
+        assert f._rows == {}
         asked.append(f)
-        for rows in (f._rows[1], f._later[1]):
-            row = rows[3 + 1]
-            row[4:] = [count + 1 for count in row[4:]]
+        bars = f._bars[1]
+        bars[3, 4] = bars.get((3, 4), 0) + 1
 
     code, out, payload = _tampered_check(monkeypatch, capsys, filtration_file, ask_first)
     assert code == 3 and "fundamental-lemma: FAIL" in out
-    assert row_reaches(asked[0]) == {(1, j): 5 for j in range(6)}
-    # and rank_g, the rows of birth -1, of every dimension check reads
-    assert later_reaches(asked[0]) == {(1, j): 5 for j in range(-1, 5)} | {(0, -1): 5, (2, -1): 5}
-    assert {"check": "fundamental-lemma", "dim": 1, "kind": "barcode-span",
-            "k": 3, "l": 4, "detail": "expected 3, got 2"} in payload
-    assert [persistent_betti(asked[0], 1, 3, 4) for _ in range(2)] == [3, 3]
-    assert mu(asked[0], 1, 3, 4) == -1
+    assert payload == [{"check": "fundamental-lemma", "dim": 1, "kind": "barcode-span",
+                        "k": 3, "l": 3, "detail": "expected 2, got 3"}]
+    assert [persistent_betti(asked[0], 1, 3, p) for p in (3, 4, 5)] == [3, 2, 1]
+    assert mu(asked[0], 1, 3, 4) == 1
 
 
 def _tampered_check(monkeypatch, capsys, path, tamper):
@@ -592,10 +589,13 @@ def _oracle_violations(path, capsys) -> list[dict]:
 def test_check_oracle_fails_on_a_wrong_persistent_betti(
     filtration_file, capsys, monkeypatch
 ):
-    def wrong(f, n, j, p):
-        return persistent_betti(f, n, j, p) + ((n, j, p) == (1, 2, 4))
+    # the oracle section holds the oracle to the rank method's table
+    def wrong(f, n):
+        table = betti_table(f, n)
+        table[(2, 4)] += n == 1
+        return table
 
-    monkeypatch.setattr(cli, "persistent_betti", wrong)
+    monkeypatch.setattr(cli, "betti_table", wrong)
     assert _oracle_violations(filtration_file, capsys) == [
         {"check": "oracle-pbetti", "dim": 1, "j": 2, "p": 4,
          "detail": "rank method 2, oracle 1"}

@@ -46,10 +46,10 @@ from phcalc.persistence import _betti_grid
 from .support import (
     count_boundary_builds,
     count_inserts,
-    later_reaches,
+    count_reductions,
+    kept_state,
     perturb_rank_rows,
     random_filtration,
-    row_reaches,
     stacked_rank_grid,
 )
 
@@ -120,12 +120,6 @@ def test_dimension_error_comes_before_level_error(diabolo_filtration):
             query()
 
 
-def _kept(f: Filtration) -> tuple:
-    """Everything the filtration keeps for the rank and reduction paths: rows, reaches and keys."""
-    return (row_reaches(f), later_reaches(f), set(f._rows), set(f._later), set(f._z),
-            set(f._pivots), set(f._columns))
-
-
 @pytest.mark.parametrize("query, dim", [
     (lambda f: persistent_betti(f, 1.5, 0, 2), "1.5"),
     (lambda f: mu(f, 1.0, 0, 2), "1.0"),
@@ -136,39 +130,39 @@ def _kept(f: Filtration) -> tuple:
 def test_a_non_integer_dimension_is_refused_by_name(diabolo_filtration, query, dim):
     # a named error before anything is swept, reduced or kept, and before the levels
     f = diabolo_filtration
-    kept = _kept(f)
+    kept = kept_state(f)
     with pytest.raises(TypeError, match=f"^dimension n must be an integer, got {dim}$"):
         query(f)
-    assert _kept(f) == kept
+    assert kept_state(f) == kept
 
 
 def test_persistent_betti_refuses_a_non_integer_level(diabolo_filtration):
     # as f[3.5] does, and before it keeps a row under a key that is no level
     f = diabolo_filtration
-    kept = _kept(f)
+    kept = kept_state(f)
     with pytest.raises(TypeError, match="level j must be an integer, got 3.5"):
         persistent_betti(f, 1, 3.5, 4)
     with pytest.raises(TypeError, match="level p must be an integer, got 4.5"):
         persistent_betti(f, 1, 3, 4.5)
-    assert _kept(f) == kept
+    assert kept_state(f) == kept
 
 
 def test_mu_refuses_a_non_integer_level(diabolo_filtration):
     f = diabolo_filtration
-    kept = _kept(f)
+    kept = kept_state(f)
     with pytest.raises(TypeError, match="level j must be an integer, got 2.5"):
         mu(f, 1, 2.5, 4)
     with pytest.raises(TypeError, match="level p must be an integer, got 4.5"):
         mu(f, 1, 2, 4.5)
-    assert _kept(f) == kept
+    assert kept_state(f) == kept
 
 
 def test_mu_infinity_refuses_a_non_integer_level(diabolo_filtration):
     f = diabolo_filtration
-    kept = _kept(f)
+    kept = kept_state(f)
     with pytest.raises(TypeError, match="level j must be an integer, got 2.5"):
         mu_infinity(f, 1, 2.5)
-    assert _kept(f) == kept
+    assert kept_state(f) == kept
 
 
 _QUERIES = {"persistent_betti": persistent_betti, "mu": mu, "mu_infinity": mu_infinity}
@@ -224,11 +218,11 @@ def test_the_inline_check_refuses_what_the_full_checks_refuse(
                 persistent_betti(f, n, 0, 5)
                 mu(f, n, 2, 5)
                 mu_infinity(f, n, 5)
-        kept = _kept(f)
+        kept = kept_state(f)
         with pytest.raises(error) as refused:
             _QUERIES[name](f, *args)
         assert type(refused.value) is error and str(refused.value) == message
-        assert _kept(f) == kept
+        assert kept_state(f) == kept
 
 
 class _Level(IntEnum):
@@ -254,7 +248,7 @@ def test_bools_and_int_enums_get_the_plain_ints_answer(diabolo_filtration, name,
     for variant in variants:
         f = Filtration(diabolo_filtration.levels)
         assert _QUERIES[name](f, *variant) == answer, variant
-        assert _kept(f) == _kept(plain), variant
+        assert kept_state(f) == kept_state(plain), variant
 
 
 def test_matrices_built_once_per_query(diabolo_filtration, monkeypatch):
@@ -266,19 +260,21 @@ def test_matrices_built_once_per_query(diabolo_filtration, monkeypatch):
         return method(*args, **kwargs)
 
     monkeypatch.setattr(Gf2Matrix, "kernel_basis", counting)
-    built = count_boundary_builds(monkeypatch)
+    built, reduced = count_boundary_builds(monkeypatch), count_reductions(monkeypatch)
     f = diabolo_filtration
-    for query, builds in (
-        # D_n and D_{n+1} of the last level, kept by the filtration
+    for query, reductions in (
+        # the reduction of D_n and D_{n+1} of the last level, kept by the filtration
         (lambda: mu(f, 1, 3, 5), 2),
         (lambda: mu(f, 1, 3, 5), 0),
         (lambda: persistent_betti(f, 1, 3, 5), 0),
+        (lambda: mu_infinity(f, 1, 3), 0),
     ):
         calls.clear()
-        built.clear()
+        reduced.clear()
         query()
         assert calls["kernel_basis"] == 0
-        assert sum(built.values()) == builds
+        assert sum(reduced.values()) == reductions
+    assert built == {}  # and no column of the rank side
 
 
 def test_rank_grid_builds_no_level(monkeypatch):
@@ -344,6 +340,24 @@ def _point_queries(m: int) -> list[tuple]:
     return sorted(queries, key=lambda q: q[3])
 
 
+def _grid_mu(table: dict, m: int, j: int, p: int) -> int:
+    """The paper's (beta(j, p-1) - beta(j, p)) - (beta(j-1, p-1) - beta(j-1, p)) off a grid.
+
+    beta is 0 at birth -1 and at death m + 1, past the last level, so
+    at p = m + 1 it counts the classes born at j that never die.
+    """
+    def beta(k: int, l: int) -> int:
+        return table[(k, l)] if k >= 0 and l <= m else 0
+
+    return beta(j, p - 1) - beta(j, p) - beta(j - 1, p - 1) + beta(j - 1, p)
+
+
+def _from_table(table: dict, m: int, query: tuple) -> int:
+    """What a grid of beta says a point query (name, n, j, p) answers; p = m + 1 for mu_infinity."""
+    name, _, j, p = query
+    return table[(j, p)] if name == "persistent_betti" else _grid_mu(table, m, j, p)
+
+
 def _ask(f: Filtration, query: tuple) -> int:
     name, n, j, p = query
     if name == "persistent_betti":
@@ -354,11 +368,14 @@ def _ask(f: Filtration, query: tuple) -> int:
 
 
 def test_a_round_of_point_queries_builds_each_boundary_matrix_once(monkeypatch):
+    # each boundary matrix is built and reduced once, for the bars, and
+    # none is built on the rank side
     f = random_filtration_document(200, 10, seed=5).to_filtration()
-    built = count_boundary_builds(monkeypatch)
+    built, reduced = count_boundary_builds(monkeypatch), count_reductions(monkeypatch)
     for query in _point_queries(f.m):
         _ask(f, query)
-    assert built == {d: 1 for d in range(4)}
+    assert reduced == {d: 1 for d in range(4)}
+    assert built == {}
 
 
 def test_point_queries_in_any_order_match_the_stacked_rank_grid():
@@ -373,22 +390,13 @@ def test_point_queries_in_any_order_match_the_stacked_rank_grid():
             stacked_rank_grid(Filtration(level_facets), n, levels, levels) for n in range(3)
         ]
 
-        def expected(name, n, j, p):
-            def beta(j, p):
-                return grids[n][(j, p)] if j >= 0 and p <= m else 0
-
-            if name == "persistent_betti":
-                return beta(j, p)
-            # mu and mu_infinity, whose death p = m + 1 is past the grid
-            return beta(j, p - 1) - beta(j, p) - beta(j - 1, p - 1) + beta(j - 1, p)
-
         queries = _point_queries(m)
         infinity_first = sorted(queries, key=lambda q: q[0] != "mu_infinity")
         for order in (queries, queries[::-1], infinity_first):
             shared = Filtration(level_facets)
             for query in order:
                 fresh = _ask(Filtration(level_facets), query)
-                assert _ask(shared, query) == expected(*query) == fresh
+                assert _ask(shared, query) == _from_table(grids[query[1]], m, query) == fresh
 
 
 def test_betti_grid_matches_the_stacked_rank_grid():
@@ -421,67 +429,56 @@ def test_rank_rows_sweep_from_the_first_column_born_after_the_birth(monkeypatch)
         assert len(inserted) == len(cells) + len(bounds) + later
 
 
-def test_warm_point_queries_sweep_only_the_columns_born_between_birth_and_death(
-    monkeypatch,
-):
-    # rank D_n and rank_g are kept per dimension, and each birth j asked
-    # keeps its row of beta, for persistent_betti, and its rank_later row,
-    # for mu and mu_infinity, each up to the furthest death p asked of it,
-    # so once dims n and n + 1 are kept a query inserts, per row, the
-    # columns born in (j, p] on the first query there or past its kept
-    # row, and none inside it; the first query in a dimension sweeps the
-    # dimensions not kept yet, all of their columns, once, but D_0, which
-    # has no rows
+def _record(monkeypatch, names: tuple[str, ...]) -> list:
+    """Record, from now on, the name and arguments past the filtration of each call of names."""
+    calls = []
+
+    def recording(name):
+        original = getattr(persistence, name)
+
+        def record(*args):
+            calls.append((name, *args[1:]))
+            return original(*args)
+
+        return record
+
+    for name in names:
+        monkeypatch.setattr(persistence, name, recording(name))
+    return calls
+
+
+def test_point_queries_reduce_each_dimension_once_and_build_each_row_once(monkeypatch):
+    # a round of every point query in dims 0-2, in random order, keeps the
+    # bars of each dimension from one reduction of each D_d, and builds
+    # each row of beta once, on the first persistent_betti at its birth;
+    # no query sweeps a rank-side column
     f = random_filtration_document(40, 6, seed=3).to_filtration()
-    inserted, kept, m = count_inserts(monkeypatch), set(), f.m
-    rng = random.Random(17)
-    cases, swept = Counter(), Counter()
-    for n in range(3):
-        bounds = f._birth_columns(n + 1)[0]
-        reaches = {"beta": {}, "later": {-1: m}}  # rank_g, the row of birth -1, is kept to m
-
-        def sweeps(births, p, rows):
-            total, reach = 0, reaches[rows]
-            for j in births:
-                if reach.get(j, -1) < p:
-                    case = "past" if j in reach else "first"
-                    columns = sum(j < born <= p for born in bounds)
-                    swept[case] += columns
-                    total += columns
-                    reach[j] = p
-                else:
-                    case = "inside"
-                cases[case] += 1
-            return total
-
-        cold = sum(len(f._birth_columns(d)[0]) for d in {n, n + 1} - kept if d > 0)
-        kept |= {n, n + 1}
-        inserted.clear()
-        persistent_betti(f, n, 0, 2)
-        assert len(inserted) == cold + sweeps((0,), 2, "beta")
-        queries = [(persistent_betti, (j, p), (j,), p, "beta")
-                   for j in range(m + 1) for p in range(j, m + 1)]
-        queries += [(mu, (j, p), (j - 1, j), p, "later")
-                    for j in range(m + 1) for p in range(j + 1, m + 1)]
-        queries += [(mu_infinity, (j,), (j - 1, j), m, "later") for j in range(m + 1)]
-        rng.shuffle(queries)
-        for query, args, births, p, rows in queries + queries:
-            inserted.clear()
-            query(f, n, *args)
-            assert len(inserted) == sweeps(births, p, rows), (query.__name__, n, args)
-        assert {j: r for (d, j), r in row_reaches(f).items() if d == n} == reaches["beta"]
-        assert {j: r for (d, j), r in later_reaches(f).items() if d == n} == reaches["later"]
-    assert cases.keys() == {"first", "past", "inside"}
-    assert swept["first"] > 0 and swept["past"] > 0
+    inserted, reduced = count_inserts(monkeypatch), count_reductions(monkeypatch)
+    rows = _record(monkeypatch, ("_bar_row",))
+    queries = _point_queries(f.m)
+    random.Random(17).shuffle(queries)
+    first = set()
+    for query in queries:
+        name, n, j, _ = query
+        before = len(rows)
+        _ask(f, query)
+        if name == "persistent_betti" and (n, j) not in first:
+            first.add((n, j))
+            assert rows[before:] == [("_bar_row", n, j)]
+        else:
+            assert rows[before:] == [], query
+    assert reduced == {d: 1 for d in range(4)} and inserted == []
+    assert set(f._rows) == first == {(n, j) for n in range(3) for j in range(f.m + 1)}
+    assert set(f._bars) == {0, 1, 2}
 
 
 def test_mu_and_mu_infinity_equal_the_finite_difference_of_two_grid_rows(
     diabolo_filtration,
 ):
-    # mu counts the raises of rows j - 1 and j at p, where z and rank_g
-    # cancel; the grid's rows of births j - 1 and j give the difference as
-    # the paper writes it, on a filtration of its own, and persistent_betti,
-    # read off the kept z and rank_g lists and row j, equals the grid's entry
+    # mu and mu_infinity look the bar up; the grid's rows of births j - 1
+    # and j give the difference as the paper writes it, on a filtration of
+    # its own, and persistent_betti, read off its row of the bars, equals
+    # the grid's entry
     rng = random.Random(59)
     filtrations = [diabolo_filtration, _two_spheres(rng)]
     filtrations += [random_filtration(rng, vertices=7, count=6, levels=5, max_size=4)
@@ -505,17 +502,15 @@ def test_mu_and_mu_infinity_equal_the_finite_difference_of_two_grid_rows(
     assert 3 in tops
 
 
-def test_first_mu_sweeps_only_rows_j_minus_1_and_j_and_a_warm_one_nothing(monkeypatch):
-    # a multiplicity reads no cycle count and no rank_g, so the first mu
-    # in a fresh dimension inserts the columns born in (j - 1, p] and
-    # (j, p], row -1 at j = 0 included, keeps those two rank_later rows to
-    # p, and keeps no row of beta and no z; once mu_infinity has swept its
-    # rows to m, neither mu nor mu_infinity inserts a column, nor does
-    # persistent_betti at birth j once one query has built its row of
-    # beta to m, and no point query runs the rank grid
+def test_first_mu_keeps_the_bars_and_no_row_and_a_warm_one_builds_nothing(monkeypatch):
+    # a multiplicity is one lookup in the bars: the first mu in a fresh
+    # dimension n reduces D_{n+1} and D_n, keeps the bars of n and no row
+    # of beta; after it neither mu nor mu_infinity builds anything, nor
+    # does persistent_betti at birth j once one query has built its row,
+    # and no point query runs the rank grid or sweeps a rank-side column
     levels = 8
     text = random_filtration_document(60, levels, seed=11).serialize()
-    inserted = count_inserts(monkeypatch)
+    inserted, reduced = count_inserts(monkeypatch), count_reductions(monkeypatch)
 
     def no_grid(*args, **kwargs):
         raise AssertionError("a point query ran the rank grid")
@@ -525,62 +520,53 @@ def test_first_mu_sweeps_only_rows_j_minus_1_and_j_and_a_warm_one_nothing(monkey
     for n in range(3):
         for j in range(levels - 1):
             f = parse_filtration(text).to_filtration()
-            bounds, m = f._birth_columns(n + 1)[0], f.m
+            m = f.m
             p = rng.randrange(j + 1, m + 1)
-            inserted.clear()
+            reduced.clear()
             mu(f, n, j, p)
-            assert len(inserted) == sum(j - 1 < born <= p for born in bounds) + sum(
-                j < born <= p for born in bounds
-            ), (n, j, p)
-            assert later_reaches(f) == {(n, j - 1): p, (n, j): p}, (n, j, p)
-            assert (row_reaches(f), f._z) == ({}, {}), (n, j, p)
-            inserted.clear()
-            for q in range(j + 1, p + 1):
-                mu(f, n, j, q)
-            assert inserted == [], (n, j, p)
+            assert reduced == {n: 1, n + 1: 1}, (n, j, p)
+            assert (set(f._bars), f._rows) == ({n}, {}), (n, j, p)
             mu_infinity(f, n, j)
             persistent_betti(f, n, j, m)
-            inserted.clear()
+            kept = kept_state(f)
+            reduced.clear()
             mu_infinity(f, n, j)
             for q in range(j + 1, m + 1):
                 mu(f, n, j, q)
             for q in range(j, m + 1):
                 persistent_betti(f, n, j, q)
-            assert inserted == [], (n, j)
+            assert (reduced, inserted, kept_state(f)) == ({}, [], kept), (n, j)
 
 
-def test_point_queries_after_check_sweep_only_the_columns_born_between_birth_and_death(
-    monkeypatch,
-):
-    # check keeps rank_g and z, the ranks of every D_d and the cycle
-    # counts, so a round of point queries after it sweeps, per birth j
-    # and death p, only the columns born in (j, p], and no D_d in full again
+def test_point_queries_after_check_reduce_nothing_again(monkeypatch):
+    # check keeps the bars of every dimension, through its barcodes, so a
+    # round of point queries after it reduces nothing and sweeps no
+    # rank-side column; persistent_betti builds only its own rows
     f = random_filtration_document(40, 6, seed=3).to_filtration()
     assert all(check_fundamental_lemma(f, n).ok for n in range(3))
-    inserted = count_inserts(monkeypatch)
-    for n in range(3):
-        bounds = f._birth_columns(n + 1)[0]
-        for j in range(f.m + 1):
-            inserted.clear()
-            persistent_betti(f, n, j, f.m)
-            assert len(inserted) == sum(born > j for born in bounds), (n, j)
+    assert (set(f._bars), f._rows) == ({0, 1, 2}, {})
+    inserted, reduced = count_inserts(monkeypatch), count_reductions(monkeypatch)
+    for query in _point_queries(f.m):
+        _ask(f, query)
+    assert (reduced, inserted) == ({}, [])
+    assert set(f._rows) == {(n, j) for n in range(3) for j in range(f.m + 1)}
 
 
-def test_check_and_betti_table_keep_no_rank_later_row():
-    # they stream one row of beta per birth and keep none, so their memory
-    # stays linear in m; a point query keeps the rows of the births it asks
-    # (rank_g and z, the ranks of each D_d and the cycle counts, are
-    # kept by every caller; D_0's rank is 0 and kept by none)
+def test_check_and_betti_table_keep_no_row_of_beta():
+    # they stream one row of beta per birth from the rank formula and keep
+    # none, so their memory stays linear in m; check keeps the bars of its
+    # barcodes, and a point query keeps the row of each birth it asks
     f = random_filtration_document(60, 12, seed=7).to_filtration()
     tables = [betti_table(f, n) for n in range(3)]
+    assert (f._rows, f._bars) == ({}, {})
     assert all(check_fundamental_lemma(f, n).ok for n in range(3))
-    rank_g = {(n, -1): f.m for n in range(3)}
-    assert (row_reaches(f), later_reaches(f), set(f._z)) == ({}, rank_g, {0, 1, 2})
+    assert (f._rows, set(f._bars)) == ({}, {0, 1, 2})
     assert mu(f, 1, 3, 7) == tables[1][(3, 6)] - tables[1][(3, 7)] - (
         tables[1][(2, 6)] - tables[1][(2, 7)]
     )
-    assert row_reaches(f) == {}
-    assert later_reaches(f) == {**rank_g, (1, 2): 7, (1, 3): 7}
+    assert f._rows == {}
+    assert persistent_betti(f, 1, 3, 7) == tables[1][(3, 7)]
+    assert {key: len(row) for key, row in f._rows.items()} == {(1, 3): f.m - 2}
 
 
 def _two_spheres(rng: random.Random) -> Filtration:
@@ -596,8 +582,9 @@ def _two_spheres(rng: random.Random) -> Filtration:
 
 
 def test_seeded_point_queries_in_random_order_match_betti_table_and_barcode():
-    # one filtration answers every query, kept rows and all; repeated
-    # queries and growing deaths on one birth read and extend kept rows
+    # one filtration answers every query, kept bars and rows and all, and
+    # repeated queries and growing deaths on one birth read a kept row;
+    # each answer is held to the rank grid, and the grid to the barcode
     rng = random.Random(41)
     filtrations = [random_filtration_document(6 + 4 * s, 3 + s % 7, seed=s).to_filtration()
                    for s in range(6)]
@@ -610,14 +597,6 @@ def test_seeded_point_queries_in_random_order_match_betti_table_and_barcode():
         tables = [betti_table(Filtration(f.levels), n) for n in range(3)]
         bars = [barcode(Filtration(f.levels), n) for n in range(3)]
         h2 |= bars[2].total_bars() > 0
-
-        def expected(kind, n, j, p):
-            if kind == "persistent_betti":
-                assert tables[n][(j, p)] == bars[n].betti_at(j, p)
-                return tables[n][(j, p)]
-            death = INFINITE_DEATH if kind == "mu_infinity" else p
-            return sum(b.multiplicity for b in bars[n].pairs
-                       if (b.birth, b.death) == (j, death))
 
         queries = []
         for _ in range(40):
@@ -634,7 +613,8 @@ def test_seeded_point_queries_in_random_order_match_betti_table_and_barcode():
         queries += [("persistent_betti", n, j, p) for p in range(j, m + 1)]
         queries += [("mu", n, j, p) for p in range(j + 1, m + 1)]
         for query in queries:
-            assert _ask(f, query) == expected(*query), query
+            table = tables[query[1]]
+            assert _ask(f, query) == _from_table(table, m, query) == _from_bars(bars[query[1]], query), query
             asked[query[0], query[1]] += 1
     assert h2 and len(asked) == 9
 
@@ -648,42 +628,39 @@ def _from_bars(bars: Barcode, query: tuple) -> int:
     return sum(b.multiplicity for b in bars.pairs if (b.birth, b.death) == (j, death))
 
 
-def test_rows_swept_short_then_read_past_their_reach_match_the_barcode():
-    # a mu at j = 0 sweeps the rank_later rows of births -1 and 0 only to
-    # its death p < m; a persistent_betti at birth 0 then builds rank_g,
-    # the row of birth -1, to m and its row of beta only to its own death;
-    # a query one dimension up, whose z reads the kept rank_g, or a
-    # persistent_betti past p at another birth then builds its own rows;
-    # and both rows of birth 0 are read inside their reach and then past
-    # it.  Every answer is held to the barcode and to a fresh filtration
-    # asked the same queries in reverse order
+def test_a_kept_row_is_read_by_later_queries_and_matches_betti_table():
+    # a mu at birth 0 keeps the bars of n and no row; a persistent_betti at
+    # birth 0 then builds row 0 of beta from them, levels 0 to m, and keeps
+    # it; a query one dimension up keeps that dimension's bars (none above
+    # the top dimension), or a persistent_betti at another birth its own
+    # row; and later queries at birth 0 read the same row.  Every answer
+    # is held to betti_table and to a fresh filtration asked the same
+    # queries in reverse order
     rng = random.Random(47)
     for s in range(8):
         levels = random_filtration_document(12 + 5 * s, 4 + s, seed=s).to_filtration().levels
-        bars = [barcode(Filtration(levels), n) for n in range(4)]
+        tables = [betti_table(Filtration(levels), n) for n in range(4)]
         m = len(levels) - 1
         for n in range(3):
             f, p = Filtration(levels), rng.randrange(1, m)
             j, q, b = rng.randrange(1, p + 1), rng.randrange(p + 1, m + 1), rng.randrange(p + 1)
             queries = [("mu", n, 0, p), ("persistent_betti", n, 0, b)]
             answers = [_ask(f, query) for query in queries]
-            below = {(n - 1, -1): m} if n else {}  # z reads dimension n - 1's rank_g
-            assert later_reaches(f) == {**below, (n, -1): m, (n, 0): p}, (s, n)
-            assert row_reaches(f) == {(n, 0): b}, (s, n)
-            rank_g = f._later[n][0]
+            assert (set(f._bars), set(f._rows)) == ({n}, {(n, 0)}), (s, n)
+            row = f._rows[n, 0]
+            assert len(row) == m + 1, (s, n)
             extend = ("mu_infinity", n + 1, j, m + 1) if s % 2 else ("persistent_betti", n, j, q)
             answers.append(_ask(f, extend))
-            if s % 2:  # none above the top dimension, where beta is 0
-                grown = {(n + 1, i): m for i in (j - 1, j)} if n < f.dim else {}
-                assert later_reaches(f) == {**below, (n, -1): m, (n, 0): p, **grown}, (s, n)
+            if s % 2:
+                assert set(f._bars) == ({n, n + 1} if n < f.dim else {n}), (s, n)
             else:
-                assert row_reaches(f) == {(n, 0): b, (n, j): q}, (s, n)
-            assert f._later[n][0] is rank_g, (s, n, extend)
+                assert set(f._rows) == {(n, 0), (n, j)}, (s, n)
             later = [("mu", n, 0, q), ("persistent_betti", n, 0, q), ("mu_infinity", n, 0, m + 1)]
             answers += [_ask(f, query) for query in later]
-            assert (later_reaches(f)[(n, 0)], row_reaches(f)[(n, 0)]) == (m, q), (s, n)
+            assert f._rows[n, 0] is row, (s, n, extend)
             queries += [extend] + later
-            assert answers == [_from_bars(bars[query[1]], query) for query in queries], (s, n)
+            expected = [_from_table(tables[query[1]], m, query) for query in queries]
+            assert answers == expected, (s, n)
             fresh = Filtration(levels)
             assert [_ask(fresh, query) for query in reversed(queries)] == answers[::-1], (s, n)
 
@@ -718,72 +695,74 @@ def test_kept_cycle_counts_and_boundary_ranks_match_each_levels_matrices():
         tops.add(f.dim)
         for n in range(f.dim + 2):
             z, rank_g = persistence._z(f, n), persistence._rank_g(f, n)
-            assert z[:len(f)] == [
+            assert z == [
                 len(level.n_simplices(n)) - level.boundary_matrix(n).rank() for level in f
             ]
-            assert z[-1] == 0  # z[j - 1] at j = 0, before any level
             assert rank_g == [level.boundary_matrix(n + 1).rank() for level in f]
     assert 3 in tops
 
 
-def test_warm_persistent_betti_and_mu_infinity_read_the_kept_lists(monkeypatch):
-    # the first query in a dimension keeps z and rank_g to m; after it a
-    # round of persistent_betti and mu_infinity keeps no list but rows of
-    # beta and of rank_later, and the same round again, warm, keeps
-    # nothing, sweeps no column and reads each row and z inline: it calls
-    # none of `_beta`, `_later`, `_kept_rows` and `_z`, and slot 0, beta at
-    # birth -1, stays all zeros
+def test_warm_point_queries_read_the_kept_bars_and_rows(monkeypatch):
+    # after one round of every point query in dims 0-2, the same round
+    # again, in another order, keeps nothing new, sweeps no column and
+    # calls no builder: each query reads its bars or its row inline, in
+    # dimension 2 too, whose kept bars are none
     f = random_filtration_document(40, 6, seed=3).to_filtration()
-    m, rng, calls = f.m, random.Random(37), []
+    queries, rng = _point_queries(f.m), random.Random(37)
+    rng.shuffle(queries)
+    for query in queries:
+        _ask(f, query)
+    kept = kept_state(f)
+    assert kept[1][2] == {}
     inserted = count_inserts(monkeypatch)
-
-    def recording(name):
-        original = getattr(persistence, name)
-
-        def record(*args):
-            calls.append(name)
-            return original(*args)
-
-        return record
-
-    for name in ("_beta", "_later", "_kept_rows", "_z"):
-        monkeypatch.setattr(persistence, name, recording(name))
-    for n in range(3):
-        queries = [(persistent_betti, (j, p)) for j in range(m + 1) for p in range(j, m + 1)]
-        queries += [(mu_infinity, (j,)) for j in range(m + 1)]
-        persistent_betti(f, n, 0, 0)
-        assert (len(f._z[n]), len(f._later[n][0])) == (m + 2, m + 1)
-        kept = _kept(f)
-        rng.shuffle(queries)
-        for query, args in queries:
-            query(f, n, *args)
-        assert _kept(f)[2:] == kept[2:]
-        kept = _kept(f)
-        rng.shuffle(queries)
-        calls.clear()
-        inserted.clear()
-        for query, args in queries:
-            query(f, n, *args)
-        assert _kept(f) == kept and inserted == [] and calls == []
-        assert f._rows[n][0] == [0] * (m + 1)
+    calls = _record(monkeypatch, ("_bars", "_bar_row", "_pivots", "_beta", "_sweep", "_z",
+                                  "_rank_g"))
+    rng.shuffle(queries)
+    for query in queries:
+        _ask(f, query)
+    assert (calls, inserted, kept_state(f)) == ([], [], kept)
 
 
-def test_rank_grid_uses_no_reduction(diabolo_filtration, monkeypatch):
+def test_betti_table_uses_no_reduction(diabolo_filtration, monkeypatch):
     # check holds the rank grid against the reduction, so the grid must
     # answer with the reduction's helpers broken
-    f = diabolo_filtration
-    tables = [betti_table(f, n) for n in range(3)]
+    tables = [betti_table(diabolo_filtration, n) for n in range(3)]
 
     def broken(*args, **kwargs):
         raise AssertionError("the rank grid went through the reduction")
 
     monkeypatch.setattr(persistence, "_reduce", broken)
     monkeypatch.setattr(persistence, "_boundary_columns", broken)
+    f = Filtration(diabolo_filtration.levels)
     with pytest.raises(AssertionError, match="reduction"):
         barcode(f, 0)
     assert [betti_table(f, n) for n in range(3)] == tables
-    assert (mu(f, 0, 2, 3), mu(f, 1, 1, 5), mu(f, 1, 3, 4)) == (2, 1, 0)
-    assert (mu_infinity(f, 0, 0), mu_infinity(f, 1, 3)) == (1, 1)
+
+
+def test_point_queries_use_no_rank_grid_columns(diabolo_filtration, diabolo_json,
+                                                monkeypatch):
+    # the point queries read the reduction's bars, which the grid is held
+    # against, so they must answer with the grid's kept columns and their
+    # builder broken
+    f = diabolo_filtration
+    tables = [betti_table(f, n) for n in range(3)]
+    multiplicities = (mu(f, 0, 2, 3), mu(f, 1, 1, 5), mu(f, 1, 3, 4), mu_infinity(f, 0, 0),
+                      mu_infinity(f, 1, 3))
+    assert multiplicities == (2, 1, 0, 1, 1)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("a point query went through the kept columns")
+
+    monkeypatch.setattr(complexes, "_boundary_bits", broken)
+    monkeypatch.setattr(filtration, "_boundary_bits", broken)
+    monkeypatch.setattr(Filtration, "_birth_columns", broken)
+    f = parse_filtration(diabolo_json).to_filtration()
+    with pytest.raises(AssertionError, match="kept columns"):
+        betti_table(f, 0)
+    for n in range(3):
+        assert {key: persistent_betti(f, n, *key) for key in tables[n]} == tables[n]
+    assert (mu(f, 0, 2, 3), mu(f, 1, 1, 5), mu(f, 1, 3, 4), mu_infinity(f, 0, 0),
+            mu_infinity(f, 1, 3)) == multiplicities
 
 
 def test_reduction_uses_no_rank_grid_columns(diabolo_filtration, diabolo_json,
@@ -955,10 +934,10 @@ def test_barcode_spanning_equals_pbetti_random():
     for _ in range(25):
         f = random_filtration(rng)
         for n in range(3):
-            bars = barcode(f, n)
+            bars, table = barcode(f, n), betti_table(f, n)
             for k in range(len(f)):
                 for l in range(k, len(f)):
-                    assert bars.betti_at(k, l) == persistent_betti(f, n, k, l)
+                    assert bars.betti_at(k, l) == table[(k, l)]
 
 
 def test_barcode_multiplicities_match_mu_random():
@@ -969,10 +948,11 @@ def test_barcode_multiplicities_match_mu_random():
             by_interval = {
                 (p.birth, p.death): p.multiplicity for p in barcode(f, n).pairs
             }
+            table, m = betti_table(f, n), f.m
             for j in range(len(f)):
                 for p in range(j + 1, len(f)):
-                    assert by_interval.get((j, p), 0) == mu(f, n, j, p)
-                assert by_interval.get((j, INFINITE_DEATH), 0) == mu_infinity(f, n, j)
+                    assert by_interval.get((j, p), 0) == _grid_mu(table, m, j, p)
+                assert by_interval.get((j, INFINITE_DEATH), 0) == _grid_mu(table, m, j, m + 1)
 
 
 def test_barcode_is_dataclass_value():
@@ -985,12 +965,12 @@ def test_barcode_is_dataclass_value():
 def _assert_barcode_matches_rank_grid(f, n):
     """The reduction's barcode against the paper's rank formulas."""
     bars = barcode(f, n)
-    table = betti_table(f, n)
+    table, m = betti_table(f, n), len(f) - 1
     assert {(j, p): bars.betti_at(j, p) for (j, p) in table} == table
     expected = {
-        (j, p): mu(f, n, j, p) for j in range(len(f)) for p in range(j + 1, len(f))
+        (j, p): _grid_mu(table, m, j, p) for j in range(len(f)) for p in range(j + 1, len(f))
     }
-    expected.update({(j, INFINITE_DEATH): mu_infinity(f, n, j) for j in range(len(f))})
+    expected.update({(j, INFINITE_DEATH): _grid_mu(table, m, j, m + 1) for j in range(len(f))})
     by_interval = {(p.birth, p.death): p.multiplicity for p in bars.pairs}
     assert by_interval == {key: count for key, count in expected.items() if count}
 
@@ -1055,27 +1035,27 @@ def test_barcode_above_top_dimension(diabolo_filtration):
         barcode(diabolo_filtration, -1)
 
 
-def test_queries_above_the_top_dimension_answer_0_and_keep_nothing():
+def test_queries_above_the_top_dimension_answer_0_and_keep_nothing(monkeypatch):
     # no n-cell lives above the top dimension, so every beta, multiplicity
     # and bar there is 0; 1,000 such dimensions, asked of a fresh
-    # filtration and of one warm in every dimension, keep nothing
+    # filtration and of one warm in every dimension, keep nothing, and
+    # no query there builds a row of beta, even to read a 0 off it
     f = random_filtration_document(40, 6, seed=3).to_filtration()
     m, top = f.m, f.dim
+    built = _record(monkeypatch, ("_bar_row", "_beta", "_pivots"))
     for warm in (False, True):
         if warm:
             for n in range(top + 1):
                 persistent_betti(f, n, 0, m), mu(f, n, 0, m), mu_infinity(f, n, m)
                 barcode(f, n)
-        kept = _kept(f)
-        sizes = [len(d) for d in (f._rows, f._later, f._z, f._columns, f._pivots)]
+        kept = kept_state(f)
+        built.clear()
         for n in range(top + 1, top + 1001):
             assert persistent_betti(f, n, 0, m) == persistent_betti(f, n, m, m) == 0, n
             assert mu(f, n, 0, m) == mu(f, n, m - 1, m) == mu_infinity(f, n, 0) == 0, n
             assert barcode(f, n) == Barcode(n, ()), n
         assert set(betti_table(f, top + 1).values()) == {0}
-        assert [len(d) for d in (f._rows, f._later, f._z, f._columns, f._pivots)] == sizes
-        assert _kept(f) == kept
-        assert f._zero_rows == [[0] * (m + 1)] * (m + 2)
+        assert (kept_state(f), built) == (kept, [])
 
 
 def test_lemma_check_catches_a_wrong_rank_grid(diabolo_filtration, monkeypatch):

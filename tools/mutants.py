@@ -40,41 +40,42 @@ P, C, FT, FI, CX, O = (f"src/phcalc/{m}.py" for m in
 MUTANTS = [
     # the reduction adds no earlier column, and only clears the pivot bit
     Mutant(P, "col ^= reduced[low]", "col ^= 1 << low"),
-    # the beta builder reads rank_g[q] as the raises born before q, or z of the level before j;
-    # persistent_betti reads its kept row at p - 1; rank_g kept short of m is read as it is
+    # the beta builder reads rank_g[q] as the raises born before q, or z of the level before j
     Mutant(P, "map(sub, later, rank_g[j:])", "map(sub, later, ([0] + rank_g)[j:])"),
-    Mutant(P, "z, rank_g = _z(f, n)[j], _rank_g(f, n)",
-           "z, rank_g = _z(f, n)[j - 1], _rank_g(f, n)"),
-    Mutant(P, "    return row[p]\n", "    return row[p - 1]\n"),
-    Mutant(P, "if len(rows[0]) <= f.m:", "if not rows[0]:"),
+    Mutant(P, "initial=z[j])", "initial=z[j - 1])"),
+    # a row of beta counts the bars born before j, not by j, or those dying at p too; and
+    # persistent_betti reads its kept row one level early
+    Mutant(P, "if birth <= j < death:", "if birth < j < death:"),
+    Mutant(P, "deaths[min(death, m + 1) - j - 1]", "deaths[min(death, m) - j]"),
+    Mutant(P, "    return row[p - j]\n", "    return row[p - j - 1]\n"),
     # persistent_betti's inline test, and mu's and mu_infinity's one range check, admit m + 1
     Mutant(P, "0 <= j <= p < len(f._levels)", "0 <= j <= p <= len(f._levels)"),
     Mutant(P, "0 <= j < p < len(f._levels)", "0 <= j < p <= len(f._levels)"),
     Mutant(P, "0 <= j < len(f._levels)", "0 <= j <= len(f._levels)"),
-    # ... the row shift, both counts of the kept z list (each of the births before j), and
-    # its pad at m + 1
+    # ... the row shift, both counts of the z list (each of the births before j), and rank D_1
+    # read as rank D_0, which is 0
     Mutant(P, "shift = bisect_right(", "shift = bisect_left("),
     Mutant(P, "zip(accumulate(cells), _rank_g(f, n - 1))",
            "zip([0, *accumulate(cells)], _rank_g(f, n - 1))"),
     Mutant(P, "zip(accumulate(cells), _rank_g(f, n - 1))",
            "zip(accumulate(cells), [0] + _rank_g(f, n - 1))"),
-    Mutant(P, "_rank_g(f, n - 1))] + [0]", "_rank_g(f, n - 1))] + [1]"),
-    # mu_infinity drops z(j - 1), and mu reads row j one level early at p - 1
-    Mutant(P, "return z[j] - z[j - 1] + row[m]", "return z[j] + row[m]"),
-    Mutant(P, "return (row[p - 1] - row[p])", "return (row[p - 2] - row[p])"),
+    Mutant(P, "if n >= 0 else [0]", "if n > 0 else [0]"),
+    # mu reads the bar one level early, and mu_infinity the bar born one level early
+    Mutant(P, ".get((j, p), 0)", ".get((j, p - 1), 0)"),
+    Mutant(P, ".get((j, INFINITE_DEATH), 0)", ".get((j - 1, INFINITE_DEATH), 0)"),
     # off by one: the negative-count, span, inclusion and nilpotency checks
     Mutant(P, "for p in range(k + 1, m + 2):", "for p in range(k + 1, m + 1):"),
     Mutant(P, "for l in range(k, m + 1)", "for l in range(k + 1, m + 1)"),
     Mutant(C, "if born > birth:", "if born > birth + 1:"),
     Mutant(C, "if j >= birth", "if j > birth"),
-    # point queries keep no row of beta, mu no rank_later row j; a dimension above the top
-    # is kept, rows and all, or its z
-    Mutant(P, "row = rows[j + 1] = _beta(f, n, j, p)", "row = _beta(f, n, j, p)"),
-    Mutant(P, "row = rows[j + 1] = _later(f, n, j, p)", "row = _later(f, n, j, p)"),
-    Mutant(P, "        if not f._cells(n):\n            return f._zero_rows\n",
-           "        if False:\n            return f._zero_rows\n"),
-    Mutant(P, "        if not f._cells(n):\n            return f._zero_rows[0]\n",
-           "        if False:\n            return f._zero_rows[0]\n"),
+    # persistent_betti keeps no row of beta, and no bars are kept; above the top dimension
+    # persistent_betti builds and keeps a row of zeros, the bars reduce and keep empty
+    # pivots, and the grid builds and keeps empty columns
+    Mutant(P, "row = f._rows[n, j] = _bar_row(f, n, j)", "row = _bar_row(f, n, j)"),
+    Mutant(P, "    f._bars[n] = bars\n", ""),
+    Mutant(P, "        if not f._cells(n):  # above the top dimension", "        if False:  #"),
+    Mutant(P, "if n in f._bars or not f._cells(n):", "if n in f._bars:"),
+    Mutant(P, "    if not f._cells(n):\n        yield from", "    if False:\n        yield from"),
     # a simplex takes the birth of the last level that adds it, not the first
     Mutant(FT, "births.setdefault(verts, j)", "births[verts] = j"),
     # the nesting check is off at level 1
@@ -96,9 +97,6 @@ MUTANTS = [
     Mutant(P, "if birth < death:", "if birth <= death:"),
     # the oracle's meet of two subspaces takes their union
     Mutant(O, "set(self.members) & set(other.members)", "set(self.members) | set(other.members)"),
-    # mu clamps at 0, which hides a wrong kept row
-    Mutant(P, "return (row[p - 1] - row[p]) - (before[p - 1] - before[p])",
-           "return max(0, (row[p - 1] - row[p]) - (before[p - 1] - before[p]))"),
     # clamps at 0, which change nothing unless a rank is already wrong
     Mutant(CX, "return ns - self.boundary_matrix(n).rank() - self.boundary_matrix(n + 1).rank()",
            "return max(0, ns - self.boundary_matrix(n).rank()"
