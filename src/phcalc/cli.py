@@ -209,8 +209,8 @@ def _check_inclusions(f: Filtration, max_dim: int) -> list[dict]:
     """K^j in K^{j+1} is a chain map iff no column's last-born face (top row) is later."""
     violations = []
     for n in range(1, max_dim + 1):
-        faces = f.births(n - 1)
-        for (verts, birth), col in zip(f.births(n), f._birth_columns(n)[1]):
+        faces = f._cells(n - 1)
+        for (verts, birth), col in zip(f._cells(n), f._birth_columns(n)[1]):
             if not col:  # no face, so none born later; nilpotency judges it
                 continue
             face, born = faces[col.bit_length() - 1]
@@ -315,7 +315,7 @@ def cmd_bench(args: argparse.Namespace) -> tuple[int, str]:
         betti_times.append(time.perf_counter() - start)
 
         start = time.perf_counter()
-        persistent_betti(f, 1, 0, f.m)
+        betti_table(f, 1)
         barcode(f, 1)
         pbetti_times.append(time.perf_counter() - start)
 

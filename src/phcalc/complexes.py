@@ -9,7 +9,7 @@ order, which fixes the row and column bases of every boundary matrix.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from itertools import combinations, groupby
 from operator import index
 
@@ -117,22 +117,6 @@ def subsets(vertices: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Every non-empty subset of a canonical vertex tuple, itself included."""
     for size in range(1, len(vertices) + 1):
         yield from combinations(vertices, size)
-
-
-def _boundary_bits(
-    cells: Sequence[tuple[int, ...]], faces: Sequence[tuple[int, ...]]
-) -> list[int]:
-    """Column k: the faces of ``cells[k]``, as a bitset over the indices of ``faces``."""
-    if not faces:  # the cells are vertices, or there are none
-        return [0] * len(cells)
-    row_of = {verts: r for r, verts in enumerate(faces)}
-    columns = []
-    for verts in cells:
-        bits = 0
-        for face in combinations(verts, len(verts) - 1):
-            bits |= 1 << row_of[face]
-        columns.append(bits)
-    return columns
 
 
 class SimplicialComplex:

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import groupby
+from itertools import combinations, groupby
 from operator import attrgetter
 
 from ._value import Value
 from .complexes import (
-    Simplex, SimplicialComplex, _boundary_bits, _missing_face, _require_dim,
-    _require_integer, subsets
+    Simplex, SimplicialComplex, _missing_face, _require_dim, _require_integer, subsets
 )
 
 TYPE_CHECKING = False  # no `typing` import at run time: type checkers read it as True
@@ -175,13 +174,19 @@ class Filtration:
         """The births of the d-simplices and the columns of D_d(K^m), all by birth.
 
         Rows are by birth too, so each level's D_d is a prefix of both.
+        Column k holds the faces of the k-th d-cell as a bitset over the
+        (d-1)-cells; the rank side's one builder, which shares no code with
+        the reduction's or `SimplicialComplex.boundary_matrix`.
         """
         if d not in self._columns:
-            cells, faces = self._cells(d), self._cells(d - 1)
-            self._columns[d] = (
-                [birth for _, birth in cells],
-                _boundary_bits([v for v, _ in cells], [v for v, _ in faces]),
-            )
+            row_of = {verts: r for r, (verts, _) in enumerate(self._cells(d - 1))}
+            born, columns = self._columns[d] = ([], [])
+            for verts, birth in self._cells(d):
+                bits = 0
+                for face in combinations(verts, d) if d else ():  # a vertex has no face
+                    bits |= 1 << row_of[face]
+                born.append(birth)
+                columns.append(bits)
         return self._columns[d]
 
     def __iter__(self) -> Iterator[SimplicialComplex]:

@@ -14,26 +14,26 @@ import random
 from collections import Counter
 
 from phcalc import Barcode, Filtration, Simplex, SimplicialComplex, closure_of_facets
-from phcalc import complexes, filtration, persistence
+from phcalc import persistence
 from phcalc.generate import random_filtration_document
 from phcalc.gf2 import Gf2Matrix
 
 
 def count_boundary_builds(monkeypatch) -> Counter:
-    """Count the calls of the shared boundary builder by degree, from now on.
+    """Count the rank side's column builds by degree, from now on.
 
-    The degree d of a build is read off its faces, the (d-1)-simplices
-    (0 when there are none, as for the vertices).
+    `Filtration._birth_columns` builds D_d when no columns of degree d
+    are kept yet, and reads the kept ones otherwise.
     """
     built: Counter = Counter()
-    original = complexes._boundary_bits
+    original = Filtration._birth_columns
 
-    def counting(cells, faces):
-        built[len(faces[0]) if faces else 0] += 1
-        return original(cells, faces)
+    def counting(f, d):
+        if d not in f._columns:
+            built[d] += 1
+        return original(f, d)
 
-    monkeypatch.setattr(complexes, "_boundary_bits", counting)
-    monkeypatch.setattr(filtration, "_boundary_bits", counting)
+    monkeypatch.setattr(Filtration, "_birth_columns", counting)
     return built
 
 
@@ -53,7 +53,7 @@ def count_inserts(monkeypatch) -> list[int]:
 def count_reductions(monkeypatch) -> Counter:
     """Count the reduction's boundary builds by degree, from now on: one per reduced D_d.
 
-    The degree is read off the faces, as in `count_boundary_builds`.
+    The degree is read off the faces: 0 when there are none, as for the vertices.
     """
     built: Counter = Counter()
     original = persistence._boundary_columns

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from phcalc import Simplex, SimplicialComplex, closure_of_facets, is_complex
-from phcalc.complexes import _boundary_bits, _missing_face
+from phcalc import Filtration, Simplex, SimplicialComplex, closure_of_facets, is_complex
+from phcalc.complexes import _missing_face
 
 from .support import component_count, naive_missing_face, random_complex, random_facets
 
@@ -148,14 +148,15 @@ def test_nilpotency_random():
 
 
 def test_boundary_matrix_columns_match_the_column_builder():
-    # boundary_matrix builds rows (cofaces) and _boundary_bits columns (faces)
+    # boundary_matrix builds rows (cofaces), and the rank side's
+    # Filtration._birth_columns columns (faces); a one-level filtration
+    # orders its cells as the complex does, lexicographically
     rng = random.Random(41)
     for _ in range(60):
         c = random_complex(rng, vertices=9, count=6, max_size=5)
+        f = Filtration([c.simplices])
         for n in range(c.dim + 2):
-            cells = [s.vertices for s in c.n_simplices(n)]
-            faces = [s.vertices for s in c.n_simplices(n - 1)] if n else []
-            assert c.boundary_matrix(n).column_bits() == _boundary_bits(cells, faces)
+            assert c.boundary_matrix(n).column_bits() == f._birth_columns(n)[1]
 
 
 def test_betti0_against_union_find():

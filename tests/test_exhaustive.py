@@ -1,15 +1,19 @@
 """Every small filtration, exhaustively: all methods agree on each one.
 
-A filtration of L levels on the vertices {0, 1, 2, 3} is a map from the
-15 simplices on them to a birth in {0, ..., L - 1}, or "absent", that
-never gives a face a later birth than a coface.  Relabelling the
-vertices changes no answer, so one map is kept per class.  The scope
-holds every dimension up to 3, deaths in every degree, and empty and
-repeated levels.  Two levels give 7,413 maps in 590 classes, checked
-here; three give 153,367 maps in 8,735 classes, which take about 25 s
-on a 2-core machine:
+A filtration of L levels on a vertex set, by default {0, 1, 2, 3}, is a
+map from the simplices on it (15 on four vertices) to a birth in
+{0, ..., L - 1}, or "absent", that never gives a face a later birth
+than a coface.  Relabelling the vertices changes no answer, so one map
+is kept per class.  On four vertices the scope holds every dimension up
+to 3, deaths in every degree, and empty and repeated levels.  Two levels
+give 7,413 maps in 590 classes, checked here; three give 153,367 maps in
+8,735 classes, which take about 25 s on a 2-core machine:
 
     PYTHONPATH=src python3 -c "from tests.test_exhaustive import check_scope; check_scope(3)"
+
+One level on five vertices, every complex on them, gives 7,580 maps in
+209 classes, checked here in degrees 0-4; the boundary of the 4-simplex
+is among them, with its degree-3 class.
 
 See the "small scope hypothesis" (Jackson, Software Abstractions, 2006)
 and bounded-exhaustive testing (Boyapati, Khurshid and Marinov, Korat,
@@ -19,6 +23,7 @@ ISSTA 2002).
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cache
 from itertools import combinations, permutations
 from operator import itemgetter
 
@@ -30,48 +35,64 @@ from phcalc.persistence import (
 )
 
 VERTICES = (0, 1, 2, 3)
-SIMPLICES = [s for k in range(1, 5) for s in combinations(VERTICES, k)]  # faces first
-FACES = [[SIMPLICES.index(f) for f in combinations(s, len(s) - 1) if f] for s in SIMPLICES]
-# per relabelling, the getter that reads a map's births in the relabelled simplex order
-RELABELLED = [
-    itemgetter(*(SIMPLICES.index(tuple(sorted(pi.index(v) for v in s))) for s in SIMPLICES))
-    for pi in permutations(VERTICES)
-]
+FIVE = (0, 1, 2, 3, 4)
 
 
-def monotone_maps(levels: int, births: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
-    """Every map, as the births of SIMPLICES in order; ``levels`` stands for absent.
+@cache
+def scope(vertices: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[list[int]], list]:
+    """The simplices on ``vertices``, faces first; the faces of each, by index; and,
+    per relabelling, the getter that reads a map's births in the relabelled order."""
+    simplices = [s for k in range(1, len(vertices) + 1) for s in combinations(vertices, k)]
+    faces = [[simplices.index(f) for f in combinations(s, len(s) - 1) if f] for s in simplices]
+    relabelled = []
+    for pi in permutations(vertices):
+        relabel = dict(zip(vertices, pi))
+        relabelled.append(itemgetter(
+            *(simplices.index(tuple(sorted(relabel[v] for v in s))) for s in simplices)))
+    return simplices, faces, relabelled
+
+
+def monotone_maps(
+    levels: int, vertices: tuple[int, ...] = VERTICES, births: tuple[int, ...] = ()
+) -> Iterator[tuple[int, ...]]:
+    """Every map, as the births of the simplices in order; ``levels`` stands for absent.
 
     Absent is born after every level, so a coface of an absent face is
     absent, and the one rule left is that no face is born after a coface.
     """
-    if len(births) == len(SIMPLICES):
+    simplices, faces, _ = scope(vertices)
+    if len(births) == len(simplices):
         yield births
         return
-    lo = max((births[i] for i in FACES[len(births)]), default=0)
+    lo = max((births[i] for i in faces[len(births)]), default=0)
     for birth in range(lo, levels + 1):
-        yield from monotone_maps(levels, births + (birth,))
+        yield from monotone_maps(levels, vertices, births + (birth,))
 
 
-def classes(levels: int) -> tuple[int, list[tuple[int, ...]]]:
+def classes(
+    levels: int, vertices: tuple[int, ...] = VERTICES
+) -> tuple[int, list[tuple[int, ...]]]:
     """(the count of maps, the least map of each relabelling class)."""
+    relabelled = scope(vertices)[2]
     count, kept = 0, []
-    for births in monotone_maps(levels):
+    for births in monotone_maps(levels, vertices):
         count += 1
-        if all(births <= relabel(births) for relabel in RELABELLED):
+        if all(births <= relabel(births) for relabel in relabelled):
             kept.append(births)
     return count, kept
 
 
-def filtration(births: tuple[int, ...], levels: int) -> Filtration:
+def filtration(births: tuple[int, ...], levels: int,
+               vertices: tuple[int, ...] = VERTICES) -> Filtration:
+    simplices = scope(vertices)[0]
     return Filtration(
-        [[Simplex(s) for s, b in zip(SIMPLICES, births) if b <= j] for j in range(levels)]
+        [[Simplex(s) for s, b in zip(simplices, births) if b <= j] for j in range(levels)]
     )
 
 
-def check_filtration(f: Filtration) -> None:
-    """Every method gives each answer the barcode gives, in every degree."""
-    for n in range(4):
+def check_filtration(f: Filtration, degrees: range) -> None:
+    """Every method gives each answer the barcode gives, in each of ``degrees``."""
+    for n in degrees:
         assert check_fundamental_lemma(f, n).ok, (f, n)
         bars = barcode(f, n)
         for j in range(f.m + 1):
@@ -88,14 +109,14 @@ def check_filtration(f: Filtration) -> None:
             assert mu_infinity(f, n, j) == born.get(float("inf"), 0), (f, n, j)
 
 
-def check_scope(levels: int) -> tuple[int, int]:
-    """Check every class of ``levels`` levels; return (maps, classes)."""
-    count, kept = classes(levels)
+def check_scope(levels: int, vertices: tuple[int, ...] = VERTICES) -> tuple[int, int]:
+    """Check every class of ``levels`` levels on ``vertices``; return (maps, classes)."""
+    count, kept = classes(levels, vertices)
     for births in kept:
         try:
-            check_filtration(filtration(births, levels))
+            check_filtration(filtration(births, levels, vertices), range(len(vertices)))
         except AssertionError as exc:
-            raise AssertionError(f"births {births} over {SIMPLICES}: {exc}") from None
+            raise AssertionError(f"births {births} over {scope(vertices)[0]}: {exc}") from None
     return count, len(kept)
 
 
@@ -110,7 +131,22 @@ def test_one_level_maps_are_the_complexes_on_four_vertices():
     assert (count, len(kept)) == (167, 29)
 
 
+def test_every_complex_on_five_vertices():
+    # one level on {0, ..., 4}: Dedekind's 7,581 down-sets of its subsets, and 210
+    # up to relabelling, less the empty one; checked in degrees 0-4
+    assert check_scope(1, FIVE) == (7_580, 209)
+
+
+def test_five_vertices_reach_the_boundary_of_the_4_simplex():
+    # every face of the 4-simplex at level 0, and the 4-simplex itself absent
+    sphere = tuple(int(len(s) == 5) for s in scope(FIVE)[0])
+    assert sphere in classes(1, FIVE)[1]
+    f = filtration(sphere, 1, FIVE)
+    assert [barcode(f, n).total_bars() for n in range(5)] == [1, 0, 0, 1, 0]
+
+
 def test_kept_maps_lie_in_distinct_relabelling_classes():
+    relabelled = scope(VERTICES)[2]
     for levels in (1, 2):
         kept = classes(levels)[1]
-        assert len({min(relabel(b) for relabel in RELABELLED) for b in kept}) == len(kept)
+        assert len({min(relabel(b) for relabel in relabelled) for b in kept}) == len(kept)

@@ -36,7 +36,7 @@ from phcalc import (
     persistent_betti,
     persistent_betti_simplified,
 )
-from phcalc import complexes, filtration, persistence
+from phcalc import persistence
 from phcalc.cli import main
 from phcalc.files import parse_filtration
 from phcalc.generate import random_filtration_document
@@ -753,8 +753,6 @@ def test_point_queries_use_no_rank_grid_columns(diabolo_filtration, diabolo_json
     def broken(*args, **kwargs):
         raise AssertionError("a point query went through the kept columns")
 
-    monkeypatch.setattr(complexes, "_boundary_bits", broken)
-    monkeypatch.setattr(filtration, "_boundary_bits", broken)
     monkeypatch.setattr(Filtration, "_birth_columns", broken)
     f = parse_filtration(diabolo_json).to_filtration()
     with pytest.raises(AssertionError, match="kept columns"):
@@ -774,8 +772,6 @@ def test_reduction_uses_no_rank_grid_columns(diabolo_filtration, diabolo_json,
     def broken(*args, **kwargs):
         raise AssertionError("the reduction went through the kept columns")
 
-    monkeypatch.setattr(complexes, "_boundary_bits", broken)
-    monkeypatch.setattr(filtration, "_boundary_bits", broken)
     monkeypatch.setattr(Filtration, "_birth_columns", broken)
     f = parse_filtration(diabolo_json).to_filtration()
     with pytest.raises(AssertionError, match="kept columns"):

@@ -93,6 +93,10 @@ MUTANTS = [
     Mutant(FI, "        and all(raw_level)\n", ""),
     # the face-closure check skips the vertices of each edge
     Mutant(CX, "if len(verts) > 1", "if len(verts) > 2"),
+    # each side's boundary builder reads a face's row one too far: the rank side's, the
+    # reduction's
+    Mutant(FT, "bits |= 1 << row_of[face]", "bits |= 2 << row_of[face]"),
+    Mutant(P, "bits |= 1 << row_of[face]", "bits |= 2 << row_of[face]"),
     # the barcode keeps a bar born and killed at one level
     Mutant(P, "if birth < death:", "if birth <= death:"),
     # the oracle's meet of two subspaces takes their union
