@@ -10,32 +10,28 @@ stdout holds the whole answer or nothing.  Every integer option is read
 by `_integer` and written as a facet-line vertex is, in ASCII digits
 after an optional `-`: `0_0`, `+1`, ` 1` and non-ASCII digits are usage
 errors.
+
+`run` is the entry point of the `phcalc` script and of `python -m
+phcalc.cli`: it calls `main`, flushes stdout and stderr, and ends the
+process without the interpreter's teardown.  `main` returns the exit
+code, for callers in process.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
-import time
 from contextlib import suppress
 
 from .complexes import Simplex, closure_of_facets
 from .filtration import Filtration, FiltrationError
 from .files import _VERTEX, ParseError, parse_facets, parse_filtration, serialize_barcodes
-from .persistence import (
-    barcode,
-    betti_table,
-    check_fundamental_lemma,
-    mu,
-    mu_infinity,
-    persistent_betti,
-)
+from .persistence import _top_down, barcode, mu, mu_infinity, persistent_betti
 
-# oracle, generate and render load in the subcommands that use them: a process
-# imports only what its subcommand runs
+# checks, oracle, generate and render load in the subcommands that use them: a
+# process imports only what its subcommand runs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -103,8 +99,8 @@ def _write_text(path: str | None, text: str) -> None:
 
     Stdout is flushed here, so that a reader gone from its pipe is an
     error at "-" now.  A failed flush leaves its bytes in stdout's
-    buffer, so stdout is then pointed at the null device: the flush at
-    interpreter exit writes them there, and does not fail once more.
+    buffer, so stdout is then pointed at the null device: `run`'s flush
+    writes them there, and does not fail once more.
     """
     try:
         if path is None or path == "-":
@@ -150,18 +146,6 @@ def cmd_mu(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, f"{mu(f, args.dim, args.birth, args.death)}\n"
 
 
-def _top_down(run, f: Filtration, dims) -> list:
-    """[run(f, n) for n in dims], run top down: each reduction is cleared by the one above.
-
-    The order is the caller's, not `_pivots`'s: a `_pivots(f, d)` that
-    reduced D_{d+1} first would reduce every dimension above d, though
-    one barcode reads only D_n and D_{n+1}.  Tried, it made `barcode -n
-    0` on `gen -t 3000 -l 10 -s 1` go from 16.4-17.0 to 20.4-24.1 ms,
-    and from 69-79 to 100-101 ms at T = 10,000 (Python 3.11.7).
-    """
-    return [run(f, n) for n in reversed(dims)][::-1]
-
-
 def cmd_barcode(args: argparse.Namespace) -> tuple[int, str]:
     f = _load_filtration(args)
     dims = range(max(f.dim, 0) + 1) if args.all_dims else [args.dim]
@@ -179,117 +163,11 @@ def cmd_barcode(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, text
 
 
-# A `check` section maps (f, max_dim) to its violations, or to None if skipped.
-# Sections read D_0..D_{max_dim+1} of K^m in birth order, kept on f and built
-# once; each level's are a prefix of them.
-
-
-def _check_nilpotency(f: Filtration, max_dim: int) -> list[dict]:
-    """D_n D_{n+1} is a prefix of K^m's: nonzero from the first bad column's birth."""
-    first: dict[int, int] = {}
-    for n in range(max_dim + 1):
-        faces = f._birth_columns(n)[1]
-        for birth, col in zip(*f._birth_columns(n + 1)):
-            product = 0
-            while col:
-                low = col & -col
-                product ^= faces[low.bit_length() - 1]
-                col ^= low
-            if product:
-                first[n] = birth
-                break
-    return [
-        {"check": "nilpotency", "level": j, "dim": n,
-         "detail": "boundary of boundary is nonzero"}
-        for j in range(len(f)) for n, birth in first.items() if j >= birth
-    ]
-
-
-def _check_inclusions(f: Filtration, max_dim: int) -> list[dict]:
-    """K^j in K^{j+1} is a chain map iff no column's last-born face (top row) is later."""
-    violations = []
-    for n in range(1, max_dim + 1):
-        faces = f._cells(n - 1)
-        for (verts, birth), col in zip(f._cells(n), f._birth_columns(n)[1]):
-            if not col:  # no face, so none born later; nilpotency judges it
-                continue
-            face, born = faces[col.bit_length() - 1]
-            if born > birth:  # the square of levels born - 1 and born fails
-                violations.append(
-                    {"check": "chain-map-square", "level": born - 1, "dim": n,
-                     "detail": f"face {Simplex(face)} of {Simplex(verts)} is born "
-                               f"at {born}, after it at {birth}"}
-                )
-    return violations
-
-
-def _check_lemma(f: Filtration, max_dim: int) -> list[dict]:
-    reports = _top_down(check_fundamental_lemma, f, range(max_dim + 1))
-    return [
-        {"check": "fundamental-lemma", "dim": n, "kind": v.kind, "k": v.k, "l": v.l,
-         "detail": f"expected {v.expected}, got {v.actual}"}
-        for n, report in enumerate(reports) for v in report.violations
-    ]
-
-
-def _check_oracle(f: Filtration, max_dim: int) -> list[dict] | None:
-    """Differential test against the brute-force oracle.
-
-    An oracle answer that differs from the rank method's (`betti` per
-    level, `betti_table` per level pair) is a violation, and so is an
-    oracle that refuses its input as inconsistent (boundaries that are
-    not cycles, an inclusion that is not injective).  Past the
-    enumeration bound the section stops: it fails if it found a violation
-    before, and is skipped (None) otherwise.
-    """
-    from .oracle import EnumerationLimitError, oracle_betti, oracle_persistent_betti
-
-    violations = []
-
-    def compare(record: dict, fast: int, oracle, *args) -> None:
-        try:
-            slow = oracle(*args)
-        except EnumerationLimitError:
-            raise
-        except ValueError as error:  # the oracle's own consistency check failed
-            slow = f"refused: {error}"
-        if fast != slow:
-            violations.append({**record, "detail": f"rank method {fast}, oracle {slow}"})
-
-    try:
-        for j in range(len(f)):
-            for n in range(max_dim + 1):
-                compare({"check": "oracle-betti", "level": j, "dim": n},
-                        f[j].betti(n), oracle_betti, f[j], n)
-        for n in range(max_dim + 1):
-            table = betti_table(f, n)
-            for j in range(len(f)):
-                for p in range(j, len(f)):
-                    compare({"check": "oracle-pbetti", "dim": n, "j": j, "p": p},
-                            table[(j, p)], oracle_persistent_betti, f, n, j, p)
-    except EnumerationLimitError:
-        return violations or None
-    return violations
-
-
 def cmd_check(args: argparse.Namespace) -> tuple[int, str]:
-    f = _load_filtration(args)
-    top = max(f.dim, 0)  # every check above the top dimension is empty
-    max_dim = top if args.max_dim is None else min(args.max_dim, top)
-    sections = [("nilpotency", _check_nilpotency), ("inclusions", _check_inclusions),
-                ("fundamental-lemma", _check_lemma)]
-    if args.oracle:
-        sections.append(("oracle", _check_oracle))
-    lines, violations = [], []
-    for name, section in sections:
-        found = section(f, max_dim)
-        if found is None:
-            lines.append(f"{name}: skipped (enumeration bound)")
-        else:
-            lines.append(f"{name}: {'FAIL' if found else 'ok'}")
-            violations += found
-    lines.append(json.dumps(violations, indent=2) if violations else "all checks passed")
-    return EXIT_MATH if violations else EXIT_OK, "\n".join(lines) + "\n"
+    from .checks import check
+
+    failed, text = check(_load_filtration(args), args.max_dim, args.oracle)
+    return EXIT_MATH if failed else EXIT_OK, text
 
 
 def cmd_gen(args: argparse.Namespace) -> tuple[int, str]:
@@ -300,30 +178,9 @@ def cmd_gen(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_bench(args: argparse.Namespace) -> tuple[int, str]:
-    from .generate import random_filtration_document
+    from .generate import bench_table
 
-    betti_times = []
-    pbetti_times = []
-    for triangles in args.triangles:
-        doc = random_filtration_document(triangles, args.levels, seed=args.seed)
-        f = doc.to_filtration()
-        top = f[f.m]
-
-        start = time.perf_counter()
-        for n in range(3):
-            top.betti(n)
-        betti_times.append(time.perf_counter() - start)
-
-        start = time.perf_counter()
-        betti_table(f, 1)
-        barcode(f, 1)
-        pbetti_times.append(time.perf_counter() - start)
-
-    width = len("Persistent Betti")
-    rows = [" " * width + "".join(f"{t:>10}" for t in args.triangles)]
-    for label, times in (("Betti", betti_times), ("Persistent Betti", pbetti_times)):
-        rows.append(f"{label:<{width}}" + "".join(f"{s:>10.3f}" for s in times))
-    return EXIT_OK, "# wall-clock seconds per triangle count\n" + "\n".join(rows) + "\n"
+    return EXIT_OK, bench_table(args.triangles, args.levels, args.seed)
 
 
 def _add_filtration_arguments(sub: argparse.ArgumentParser) -> None:
@@ -403,7 +260,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+        if exc.code != 0:
+            return EXIT_USAGE
+        if sys.stdout is None:  # argparse printed --help's text to stderr
+            return EXIT_OK
+        # the text may wait in stdout's buffer: it is flushed as an answer is
+        args = argparse.Namespace(command="--help", func=lambda args: (EXIT_OK, ""))
     try:
         code, text = args.func(args)
         _write_text(getattr(args, "output", None), text)
@@ -419,5 +281,27 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> None:
+    """Exit with ``main()``'s code once stdout and stderr are flushed, skipping teardown.
+
+    With the answer written, `os._exit` ends the process without the
+    interpreter's teardown, as mypy's `util.hard_exit` does.  It exits
+    through `sys.exit`, teardown and all, when a flush fails, in
+    development mode (`-X dev`), whose teardown warnings then show, and
+    when a trace or profile function is set, so that a profiler run as
+    `python -m cProfile -m phcalc.cli` still prints its report.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    if sys.flags.dev_mode or sys.gettrace() is not None or sys.getprofile() is not None:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 from .files import MAX_CLOSURE_SIZE, FiltrationDocument
+from .persistence import barcode, betti_table
 
 # A triangle closes to 7 simplices, so this many always parse back
 MAX_TRIANGLES = MAX_CLOSURE_SIZE // 7
@@ -58,3 +60,33 @@ def random_filtration_document(
     )
     name = f"random triangles={triangles} levels={levels} vertices={vertices} seed={seed}"
     return FiltrationDocument(cumulative, name)
+
+
+def bench_table(triangle_counts: list[int], levels: int, seed: int) -> str:
+    """`phcalc bench`'s table: wall-clock seconds per triangle count.
+
+    For each count, one random filtration; the "Betti" row times `betti`
+    of its last level in dims 0-2, and the "Persistent Betti" row the
+    degree-1 `betti_table` and barcode.
+    """
+    betti_times = []
+    pbetti_times = []
+    for triangles in triangle_counts:
+        f = random_filtration_document(triangles, levels, seed=seed).to_filtration()
+        top = f[f.m]
+
+        start = time.perf_counter()
+        for n in range(3):
+            top.betti(n)
+        betti_times.append(time.perf_counter() - start)
+
+        start = time.perf_counter()
+        betti_table(f, 1)
+        barcode(f, 1)
+        pbetti_times.append(time.perf_counter() - start)
+
+    width = len("Persistent Betti")
+    rows = [" " * width + "".join(f"{t:>10}" for t in triangle_counts)]
+    for label, times in (("Betti", betti_times), ("Persistent Betti", pbetti_times)):
+        rows.append(f"{label:<{width}}" + "".join(f"{s:>10.3f}" for s in times))
+    return "# wall-clock seconds per triangle count\n" + "\n".join(rows) + "\n"

@@ -339,6 +339,18 @@ def _pivots(f: Filtration, d: int) -> dict[int, int]:
     return f._pivots[d]
 
 
+def _top_down(run, f: Filtration, dims) -> list:
+    """[run(f, n) for n in dims], run top down: each reduction is cleared by the one above.
+
+    The order is the caller's, not `_pivots`'s: a `_pivots(f, d)` that
+    reduced D_{d+1} first would reduce every dimension above d, though
+    one barcode reads only D_n and D_{n+1}.  Tried, it made `barcode -n
+    0` on `gen -t 3000 -l 10 -s 1` go from 16.4-17.0 to 20.4-24.1 ms,
+    and from 69-79 to 100-101 ms at T = 10,000 (Python 3.11.7).
+    """
+    return [run(f, n) for n in reversed(dims)][::-1]
+
+
 def _bars(f: Filtration, n: int) -> dict[tuple[int, int | float], int]:
     """{(birth, death): multiplicity} of the degree-n bars, kept on the filtration.
 

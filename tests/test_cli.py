@@ -256,7 +256,7 @@ def test_check_reports_violations_as_json(filtration_file, capsys, monkeypatch):
     broken = LemmaReport(
         0, 5, 21, (LemmaViolation("barcode-span", 1, 2, 3, 4),)
     )
-    monkeypatch.setattr("phcalc.cli.check_fundamental_lemma", lambda f, n: broken)
+    monkeypatch.setattr("phcalc.checks.check_fundamental_lemma", lambda f, n: broken)
     assert main(["check", filtration_file, "--max-dim", "0"]) == 3
     out = capsys.readouterr().out
     assert "fundamental-lemma: FAIL" in out
@@ -595,7 +595,7 @@ def test_check_oracle_fails_on_a_wrong_persistent_betti(
         table[(2, 4)] += n == 1
         return table
 
-    monkeypatch.setattr(cli, "betti_table", wrong)
+    monkeypatch.setattr("phcalc.checks.betti_table", wrong)
     assert _oracle_violations(filtration_file, capsys) == [
         {"check": "oracle-pbetti", "dim": 1, "j": 2, "p": 4,
          "detail": "rank method 2, oracle 1"}
@@ -679,14 +679,14 @@ def test_an_unwritable_output_is_an_error_at_its_path(filtration_file, tmp_path,
 SRC = str(Path(cli.__file__).resolve().parent.parent)
 
 
-def _run(argv: list[str], closed: tuple[int, ...] = (), address_space: int | None = None,
-         stdout=subprocess.DEVNULL):
-    """phcalc ``argv`` in a fresh process, writing to ``stdout``: (exit code, stderr).
+def _python(args: list[str], closed: tuple[int, ...] = (), address_space: int | None = None,
+            stdout=subprocess.DEVNULL) -> subprocess.CompletedProcess:
+    """``python3 ARGS...`` in a fresh process that finds phcalc, writing to ``stdout``.
 
     The child closes the descriptors in ``closed`` and caps its own
     address space at ``address_space`` bytes, so the test process is
-    left as it was.  Its stdout is block-buffered, as it is by default,
-    whatever PYTHONUNBUFFERED says here.
+    left as it was.  Its stdout and stderr are block- and line-buffered,
+    as they are by default, whatever PYTHONUNBUFFERED says here.
     """
     def setup():
         for fd in closed:
@@ -697,11 +697,16 @@ def _run(argv: list[str], closed: tuple[int, ...] = (), address_space: int | Non
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-m", "phcalc.cli", *argv], preexec_fn=setup, env=env,
+    return subprocess.run(
+        [sys.executable, *args], preexec_fn=setup, env=env,
         stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE,
         text=True, timeout=120,
     )
+
+
+def _run(argv: list[str], **kwargs) -> tuple[int, str]:
+    """phcalc ``argv`` as ``python3 -m phcalc.cli`` (see `_python`): (exit code, stderr)."""
+    run = _python(["-m", "phcalc.cli", *argv], **kwargs)
     return run.returncode, run.stderr
 
 
@@ -739,18 +744,87 @@ def test_a_closed_stdout_is_an_error_at_dash(argv, filtration_file, tmp_path):
     )
 
 
-@writes_to_stdout
-def test_a_stdout_whose_reader_has_gone_is_an_error_at_dash(argv, filtration_file, tmp_path):
-    # the pipe's read end is closed before the child starts, so every write
-    # fails; nothing else on stderr: no traceback, and no second failure
-    # when the interpreter flushes stdout on its way out
+def _run_into_a_gone_reader(argv: list[str]) -> tuple[int, str]:
+    # the pipe's read end is closed before the child starts, so every write fails
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        got = _run(_with_files(argv, filtration_file, tmp_path), stdout=write_end)
+        return _run(argv, stdout=write_end)
     finally:
         os.close(write_end)
+
+
+@writes_to_stdout
+def test_a_stdout_whose_reader_has_gone_is_an_error_at_dash(argv, filtration_file, tmp_path):
+    # nothing else on stderr: no traceback, and no second failure when
+    # stdout is flushed on the way out
+    got = _run_into_a_gone_reader(_with_files(argv, filtration_file, tmp_path))
     assert got == (1, "phcalc: error: -: Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["barcode", "--help"]],
+                         ids=lambda argv: " ".join(argv))
+def test_help_to_a_stdout_whose_reader_has_gone_is_an_error_at_dash(argv):
+    # argparse leaves --help's text in stdout's buffer; main flushes it as it
+    # would an answer, so the failure is reported once, not at the exit
+    assert _run_into_a_gone_reader(argv) == (1, "phcalc: error: -: Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["barcode", "FILE", "--all-dims", "--format", "json"],
+    ["barcode", "FILE", "--all-dims", "--format", "text"],
+    ["pbetti", "FILE", "-n", "1", "-j", "1", "-p", "4"],
+    ["mu", "FILE", "-n", "1", "-j", "1", "-p", "5"],
+    ["mu", "FILE", "-n", "0", "-j", "0", "-p", "inf"],
+    ["check", "FILE"],
+    ["gen", "-t", "5", "-l", "2", "-s", "3"],
+], ids=lambda argv: " ".join(argv))
+def test_the_answer_survives_the_exit_without_teardown(argv, filtration_file, tmp_path,
+                                                       capsys):
+    # a pipe makes the child's stdout block-buffered, and os._exit writes
+    # out no buffer: the process gives what main gives in process
+    argv = _with_files(argv, filtration_file, tmp_path)
+    run = _python(["-m", "phcalc.cli", *argv], stdout=subprocess.PIPE)
+    code = main(argv)
+    assert (run.returncode, run.stdout, run.stderr) == (code, capsys.readouterr().out, "")
+
+
+# run() with main replaced by BODY, which returns an exit code
+RUN_WITH_MAIN = """
+import sys
+from phcalc import cli
+kept = []
+cli.main = lambda: {body}
+cli.run()
+"""
+
+
+def test_run_flushes_what_main_leaves_in_a_buffer():
+    # no newline, so line-buffered stderr holds its text too until run flushes
+    body = "sys.stdout.write('answer') and sys.stderr.write('note') and 3"
+    run = _python(["-c", RUN_WITH_MAIN.format(body=body)], stdout=subprocess.PIPE)
+    assert (run.returncode, run.stdout, run.stderr) == (3, "answer", "note")
+
+
+def test_development_mode_still_warns_at_teardown():
+    # a file left open warns when the interpreter tears down, which
+    # -X dev shows; CI's development-mode steps count on seeing it
+    body = "kept.append(open(sys.executable, 'rb')) or 0"
+    for flags, warned in (([], False), (["-X", "dev"], True)):
+        run = _python([*flags, "-c", RUN_WITH_MAIN.format(body=body)])
+        assert run.returncode == 0
+        assert ("ResourceWarning: unclosed file" in run.stderr) is warned, run.stderr
+
+
+def test_a_profiler_still_reports(filtration_file, capsys):
+    # cProfile sets a profile function and prints its report once the
+    # module run ends, so that run must end through sys.exit
+    run = _python(["-m", "cProfile", "-m", "phcalc.cli", "barcode", filtration_file,
+                   "-n", "0"], stdout=subprocess.PIPE)
+    assert main(["barcode", filtration_file, "-n", "0"]) == 0
+    assert run.returncode == 0
+    assert run.stdout.startswith(capsys.readouterr().out)
+    assert " function calls " in run.stdout
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -800,7 +874,7 @@ def test_stdout_holds_the_whole_answer_or_nothing(filtration_file, capsys, monke
     def out_of_memory(f, n):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "check_fundamental_lemma", out_of_memory)
+    monkeypatch.setattr("phcalc.checks.check_fundamental_lemma", out_of_memory)
     assert main(["check", filtration_file]) == 4
     assert capsys.readouterr() == ("", "phcalc: error: out of memory in check\n")
 

@@ -113,6 +113,20 @@ def test_text_barcode_loads_render_and_oracle_check_loads_oracle(gen_file):
     assert "phcalc.oracle" in loaded
 
 
+def test_only_check_loads_the_check_sections(gen_file, tmp_path):
+    facets = tmp_path / "facets.txt"
+    facets.write_text("0 1 2\n")
+    for argv in (["barcode", gen_file, "--all-dims"],
+                 ["pbetti", gen_file, "-n", "1", "-j", "0", "-p", "2"],
+                 ["mu", gen_file, "-n", "0", "-j", "0", "-p", "inf"],
+                 ["betti", str(facets), "-n", "0"],
+                 ["gen", "-t", "4", "-l", "2"]):
+        _, loaded = _main(*argv)
+        assert "phcalc.checks" not in loaded, argv
+    _, loaded = _main("check", gen_file)
+    assert "phcalc.checks" in loaded
+
+
 def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from phcalc import *", namespace)

@@ -34,8 +34,8 @@ class Mutant(NamedTuple):
     equivalent: str | None = None  # why the suite cannot kill it, if it cannot
 
 
-P, C, FT, FI, CX, O = (f"src/phcalc/{m}.py" for m in
-                       ("persistence", "cli", "filtration", "files", "complexes", "oracle"))
+P, C, CH, FT, FI, CX, O = (f"src/phcalc/{m}.py" for m in ("persistence", "cli", "checks",
+                           "filtration", "files", "complexes", "oracle"))
 
 MUTANTS = [
     # the reduction adds no earlier column, and only clears the pivot bit
@@ -66,8 +66,8 @@ MUTANTS = [
     # off by one: the negative-count, span, inclusion and nilpotency checks
     Mutant(P, "for p in range(k + 1, m + 2):", "for p in range(k + 1, m + 1):"),
     Mutant(P, "for l in range(k, m + 1)", "for l in range(k + 1, m + 1)"),
-    Mutant(C, "if born > birth:", "if born > birth + 1:"),
-    Mutant(C, "if j >= birth", "if j > birth"),
+    Mutant(CH, "if born > birth:", "if born > birth + 1:"),
+    Mutant(CH, "if j >= birth", "if j > birth"),
     # persistent_betti keeps no row of beta, and no bars are kept; above the top dimension
     # persistent_betti builds and keeps a row of zeros, the bars reduce and keep empty
     # pivots, and the grid builds and keeps empty columns
@@ -89,6 +89,11 @@ MUTANTS = [
     Mutant(FI, "if self.total > MAX_CLOSURE_SIZE:", "if self.total > MAX_CLOSURE_SIZE + 1:"),
     # a CLI integer option takes whatever int() takes, less surrounding space
     Mutant(C, "if _VERTEX.fullmatch(text) and", "if text.strip() and"),
+    # run ends the process without flushing stdout and stderr, or without teardown
+    # in development mode or under a profiler
+    Mutant(C, "                stream.flush()\n", "                pass\n"),
+    Mutant(C, "if sys.flags.dev_mode or ", "if "),
+    Mutant(C, " or sys.getprofile() is not None", ""),
     # a level with an empty facet passes as plain
     Mutant(FI, "        and all(raw_level)\n", ""),
     # the face-closure check skips the vertices of each edge
