@@ -19,9 +19,10 @@ _HOMES = {
     "gf2": ("Gf2Matrix",),
     "oracle": ("ChainSet", "EnumerationLimitError", "enumerate_image", "enumerate_kernel",
                "oracle_betti", "oracle_persistent_betti"),
-    "persistence": ("INFINITE_DEATH", "Barcode", "LemmaReport", "LemmaViolation",
-                    "PersistencePair", "barcode", "betti_table", "check_fundamental_lemma",
-                    "mu", "mu_infinity", "persistent_betti", "persistent_betti_simplified"),
+    "persistence": ("INFINITE_DEATH", "Barcode", "PersistencePair", "barcode", "betti_table",
+                    "check_fundamental_lemma", "mu", "mu_infinity", "persistent_betti",
+                    "persistent_betti_simplified"),
+    "ranks": ("LemmaReport", "LemmaViolation"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -1,13 +1,58 @@
-"""The frozen value classes' shared base.
+"""The frozen value classes' shared base, and the argument checks every path shares.
 
 The standard library's record decorator imports `inspect`, `ast` and
 `dis`, which a short-lived CLI process pays for on every start.  This
 base compiles only the constructor, hash and comparisons of each class,
 as that decorator does: generic ones that loop over the fields measured
 slower.
+
+The vertex-tuple helpers and the dimension and level checks live here
+too, beside the base that every module imports, so that a process that
+builds no `Simplex` never compiles `complexes`, which imports them back.
 """
 
+from __future__ import annotations
+
+from collections.abc import Iterator
+from itertools import combinations
+from operator import index
+
 _set = object.__setattr__
+
+
+def _canonical(vertices: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted form of a tuple of ints; refuses one that names no simplex.
+
+    `Simplex` checks the types first; the file readers admit only ints.
+    """
+    verts = tuple(sorted(vertices))
+    if not verts:
+        raise ValueError("a simplex needs at least one vertex")
+    if verts[0] < 0:
+        raise ValueError(f"vertex {verts[0]!r} is not a non-negative integer")
+    if len(set(verts)) != len(verts):
+        raise ValueError(f"duplicate vertices in {verts}")
+    return verts
+
+
+def subsets(vertices: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every non-empty subset of a canonical vertex tuple, itself included."""
+    for size in range(1, len(vertices) + 1):
+        yield from combinations(vertices, size)
+
+
+def _require_integer(name: str, value: int) -> None:
+    """Refuse a dimension or level that is no integer, as indexing does."""
+    try:
+        index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _require_dim(n: int) -> None:
+    _require_integer("dimension n", n)
+    if n < 0:
+        raise ValueError(f"dimension must be >= 0, got {n}")
 
 
 class Value:

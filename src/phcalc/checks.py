@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 
-from .complexes import Simplex
 from .filtration import Filtration
 from .persistence import _top_down, betti_table, check_fundamental_lemma
 
@@ -52,6 +51,8 @@ def _check_inclusions(f: Filtration, max_dim: int) -> list[dict]:
                 continue
             face, born = faces[col.bit_length() - 1]
             if born > birth:  # the square of levels born - 1 and born fails
+                from .complexes import Simplex
+
                 violations.append(
                     {"check": "chain-map-square", "level": born - 1, "dim": n,
                      "detail": f"face {Simplex(face)} of {Simplex(verts)} is born "

@@ -25,13 +25,18 @@ import os
 import sys
 from contextlib import suppress
 
-from .complexes import Simplex, closure_of_facets
 from .filtration import Filtration, FiltrationError
 from .files import _VERTEX, ParseError, parse_facets, parse_filtration, serialize_barcodes
 from .persistence import _top_down, barcode, mu, mu_infinity, persistent_betti
 
-# checks, oracle, generate and render load in the subcommands that use them: a
-# process imports only what its subcommand runs
+# Every process loads the modules above, and with them `_value`; the rest load in
+# the subcommands that use them, so a process imports only what its subcommand runs:
+#   barcode        render, for text and SVG
+#   pbetti, mu     nothing more
+#   check          checks and ranks; with --oracle, oracle, complexes and gf2 too
+#   betti          complexes and gf2
+#   gen            generate
+#   bench          generate, complexes, gf2 and ranks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -130,6 +135,8 @@ def _load_filtration(args: argparse.Namespace) -> Filtration:
 
 
 def cmd_betti(args: argparse.Namespace) -> tuple[int, str]:
+    from .complexes import Simplex, closure_of_facets
+
     complex_ = closure_of_facets(map(Simplex, parse_facets(_read_text(args.file))))
     return EXIT_OK, f"{complex_.betti(args.dim)}\n"
 
@@ -192,8 +199,21 @@ def _add_filtration_arguments(sub: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose --help, with stdout closed, prints nothing.
+
+    argparse would print the help to stderr then; `main` reports the
+    closed stdout instead, as it does for any answer.  Subparsers take
+    their parent's class.
+    """
+
+    def print_help(self, file=None) -> None:
+        if file is not None or sys.stdout is not None:
+            super().print_help(file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="phcalc", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="phcalc", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     sub = subparsers.add_parser("betti", help="Betti number of a facet-list complex")
@@ -262,9 +282,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         if exc.code != 0:
             return EXIT_USAGE
-        if sys.stdout is None:  # argparse printed --help's text to stderr
-            return EXIT_OK
-        # the text may wait in stdout's buffer: it is flushed as an answer is
+        # the text may wait in stdout's buffer: it is flushed as an answer is; with
+        # stdout closed `_Parser` printed nothing, and writing the answer reports it
         args = argparse.Namespace(command="--help", func=lambda args: (EXIT_OK, ""))
     try:
         code, text = args.func(args)

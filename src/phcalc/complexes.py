@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from itertools import combinations, groupby
-from operator import index
 
-from ._value import Value
+from ._value import Value, _canonical, _require_dim, subsets
 
 TYPE_CHECKING = False  # no `typing` import at run time: type checkers read it as True
 if TYPE_CHECKING:
@@ -59,35 +58,6 @@ class Simplex(Value, order=True):
         return "(" + ",".join(str(v) for v in self.vertices) + ")"
 
 
-def _canonical(vertices: tuple[int, ...]) -> tuple[int, ...]:
-    """The sorted form of a tuple of ints; refuses one that names no simplex.
-
-    `Simplex` checks the types first; the file readers admit only ints.
-    """
-    verts = tuple(sorted(vertices))
-    if not verts:
-        raise ValueError("a simplex needs at least one vertex")
-    if verts[0] < 0:
-        raise ValueError(f"vertex {verts[0]!r} is not a non-negative integer")
-    if len(set(verts)) != len(verts):
-        raise ValueError(f"duplicate vertices in {verts}")
-    return verts
-
-
-def _require_integer(name: str, value: int) -> None:
-    """Refuse a dimension or level that is no integer, as indexing does."""
-    try:
-        index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _require_dim(n: int) -> None:
-    _require_integer("dimension n", n)
-    if n < 0:
-        raise ValueError(f"dimension must be >= 0, got {n}")
-
-
 def is_complex(simplices: Iterable[Simplex]) -> bool:
     """True iff every non-empty proper subset of every member is a member."""
     return _missing_face(frozenset(simplices)) is None
@@ -111,12 +81,6 @@ def _missing_face(simplices: frozenset[Simplex]) -> Simplex | None:
             if verts not in present:
                 return Simplex(verts)
     return None
-
-
-def subsets(vertices: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Every non-empty subset of a canonical vertex tuple, itself included."""
-    for size in range(1, len(vertices) + 1):
-        yield from combinations(vertices, size)
 
 
 class SimplicialComplex:

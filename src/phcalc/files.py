@@ -13,8 +13,7 @@ from collections.abc import Iterable
 from itertools import chain, compress, count, repeat
 from operator import is_
 
-from ._value import Value
-from .complexes import _canonical
+from ._value import Value, _canonical
 from .filtration import Filtration
 from .persistence import Barcode, PersistencePair
 

@@ -1,4 +1,9 @@
-"""Filtrations, held as one simplex-to-birth table, and their basis inclusions."""
+"""Filtrations, held as one simplex-to-birth table, and their basis inclusions.
+
+The table holds vertex tuples, so `complexes` is imported only where a
+`Simplex` or a level is built: by `validate`, `__getitem__` and the
+witness of a level that is not nested.
+"""
 
 from __future__ import annotations
 
@@ -6,13 +11,11 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations, groupby
 from operator import attrgetter
 
-from ._value import Value
-from .complexes import (
-    Simplex, SimplicialComplex, _missing_face, _require_dim, _require_integer, subsets
-)
+from ._value import Value, _require_dim, _require_integer, subsets
 
 TYPE_CHECKING = False  # no `typing` import at run time: type checkers read it as True
 if TYPE_CHECKING:
+    from .complexes import Simplex, SimplicialComplex
     from .gf2 import Gf2Matrix
 
 _vertices = attrgetter("vertices")
@@ -51,6 +54,8 @@ def validate(levels: Sequence[SimplicialComplex]) -> FiltrationViolation | None:
     are contained in the next level's.  Adjacent pairs suffice because
     inclusion is transitive.
     """
+    from .complexes import _missing_face
+
     for j, level in enumerate(levels):
         missing = _missing_face(level.simplices)
         if missing is not None:
@@ -80,6 +85,8 @@ def _sweep(
                 closure = {verts for facet in facets for verts in subsets(facet)}
                 dropped = births.keys() - closure
                 if dropped:
+                    from .complexes import Simplex
+
                     return births, FiltrationViolation("not-nested", j, Simplex(min(dropped)))
             level, previous = facets - previous, facets
         for facet in level:
@@ -166,6 +173,8 @@ class Filtration:
     def __getitem__(self, j: int) -> SimplicialComplex:
         j = range(len(self._levels))[j]
         if self._levels[j] is None:
+            from .complexes import Simplex, SimplicialComplex
+
             members = (Simplex(v) for v, birth in self._births.items() if birth <= j)
             self._levels[j] = SimplicialComplex(members)
         return self._levels[j]

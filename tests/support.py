@@ -14,7 +14,7 @@ import random
 from collections import Counter
 
 from phcalc import Barcode, Filtration, Simplex, SimplicialComplex, closure_of_facets
-from phcalc import persistence
+from phcalc import persistence, ranks
 from phcalc.generate import random_filtration_document
 from phcalc.gf2 import Gf2Matrix
 
@@ -40,13 +40,13 @@ def count_boundary_builds(monkeypatch) -> Counter:
 def count_inserts(monkeypatch) -> list[int]:
     """Record every column the rank grid's elimination inserts, from now on."""
     inserted: list[int] = []
-    original = persistence._insert
+    original = ranks._insert
 
     def counting(pivots, col):
         inserted.append(col)
         return original(pivots, col)
 
-    monkeypatch.setattr(persistence, "_insert", counting)
+    monkeypatch.setattr(ranks, "_insert", counting)
     return inserted
 
 
@@ -83,7 +83,7 @@ def perturb_rank_rows(monkeypatch, deltas: dict, dim: int | None = None) -> None
     it is None; an entry outside j <= p <= m is left out.  A later call
     replaces the perturbation rather than adding to it.
     """
-    original = inspect.unwrap(persistence._betti_grid)
+    original = inspect.unwrap(ranks._betti_grid)
 
     @functools.wraps(original)
     def perturbed(f, n):
@@ -94,7 +94,7 @@ def perturb_rank_rows(monkeypatch, deltas: dict, dim: int | None = None) -> None
                         row[p] += delta
             yield j, row
 
-    monkeypatch.setattr(persistence, "_betti_grid", perturbed)
+    monkeypatch.setattr(ranks, "_betti_grid", perturbed)
 
 
 def naive_ascii_bars(barcode: Barcode, last_level: int) -> str:

@@ -545,7 +545,7 @@ def test_betti_rejects_a_facet_too_big_to_close(tmp_path, capsys, monkeypatch):
     def no_closure(facets):
         raise AssertionError("the closure was built")
 
-    monkeypatch.setattr("phcalc.cli.closure_of_facets", no_closure)
+    monkeypatch.setattr("phcalc.complexes.closure_of_facets", no_closure)
     path = tmp_path / "huge.txt"
     path.write_text("0 1\n" + " ".join(str(v) for v in range(40)) + "\n")
     assert main(["betti", str(path), "-n", "0"]) == 1
@@ -760,6 +760,14 @@ def test_a_stdout_whose_reader_has_gone_is_an_error_at_dash(argv, filtration_fil
     # stdout is flushed on the way out
     got = _run_into_a_gone_reader(_with_files(argv, filtration_file, tmp_path))
     assert got == (1, "phcalc: error: -: Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["barcode", "--help"]],
+                         ids=lambda argv: " ".join(argv))
+def test_help_to_a_closed_stdout_is_an_error_at_dash(argv):
+    # the help is an answer like any other: with no stdout to print it to,
+    # it goes nowhere, not to stderr, and the exit is not 0
+    assert _run(argv, closed=(1,)) == (1, "phcalc: error: -: standard output is closed\n")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["barcode", "--help"]],

@@ -36,12 +36,12 @@ from phcalc import (
     persistent_betti,
     persistent_betti_simplified,
 )
-from phcalc import persistence
+from phcalc import persistence, ranks
 from phcalc.cli import main
 from phcalc.files import parse_filtration
 from phcalc.generate import random_filtration_document
 from phcalc.gf2 import Gf2Matrix
-from phcalc.persistence import _betti_grid
+from phcalc.ranks import _betti_grid
 
 from .support import (
     count_boundary_builds,
@@ -430,11 +430,15 @@ def test_rank_rows_sweep_from_the_first_column_born_after_the_birth(monkeypatch)
 
 
 def _record(monkeypatch, names: tuple[str, ...]) -> list:
-    """Record, from now on, the name and arguments past the filtration of each call of names."""
+    """Record, from now on, the name and arguments past the filtration of each call of names.
+
+    Each name is patched in the module that defines it: `persistence`, or
+    `ranks` for the rank formula's helpers.
+    """
     calls = []
 
-    def recording(name):
-        original = getattr(persistence, name)
+    def recording(module, name):
+        original = getattr(module, name)
 
         def record(*args):
             calls.append((name, *args[1:]))
@@ -443,7 +447,8 @@ def _record(monkeypatch, names: tuple[str, ...]) -> list:
         return record
 
     for name in names:
-        monkeypatch.setattr(persistence, name, recording(name))
+        module = persistence if hasattr(persistence, name) else ranks
+        monkeypatch.setattr(module, name, recording(module, name))
     return calls
 
 
@@ -515,7 +520,7 @@ def test_first_mu_keeps_the_bars_and_no_row_and_a_warm_one_builds_nothing(monkey
     def no_grid(*args, **kwargs):
         raise AssertionError("a point query ran the rank grid")
 
-    monkeypatch.setattr(persistence, "_betti_grid", no_grid)
+    monkeypatch.setattr(ranks, "_betti_grid", no_grid)
     rng = random.Random(23)
     for n in range(3):
         for j in range(levels - 1):
@@ -673,7 +678,7 @@ def test_kept_ranks_match_each_levels_boundary_matrix():
         f = random_filtration(rng, vertices=7, count=6, levels=4, max_size=4)
         tops.add(f.dim)
         for d in range(f.dim + 2):
-            assert persistence._rank_g(f, d - 1) == [
+            assert ranks._rank_g(f, d - 1) == [
                 level.boundary_matrix(d).rank() for level in f
             ]
     assert 3 in tops
@@ -694,7 +699,7 @@ def test_kept_cycle_counts_and_boundary_ranks_match_each_levels_matrices():
     for f in filtrations:
         tops.add(f.dim)
         for n in range(f.dim + 2):
-            z, rank_g = persistence._z(f, n), persistence._rank_g(f, n)
+            z, rank_g = ranks._z(f, n), ranks._rank_g(f, n)
             assert z == [
                 len(level.n_simplices(n)) - level.boundary_matrix(n).rank() for level in f
             ]

@@ -39,10 +39,14 @@ HOMES = {
     "gf2": ["Gf2Matrix"],
     "oracle": ["ChainSet", "EnumerationLimitError", "enumerate_image", "enumerate_kernel",
                "oracle_betti", "oracle_persistent_betti"],
-    "persistence": ["INFINITE_DEATH", "Barcode", "LemmaReport", "LemmaViolation",
-                    "PersistencePair", "barcode", "betti_table", "check_fundamental_lemma",
-                    "mu", "mu_infinity", "persistent_betti", "persistent_betti_simplified"],
+    "persistence": ["INFINITE_DEATH", "Barcode", "PersistencePair", "barcode", "betti_table",
+                    "check_fundamental_lemma", "mu", "mu_infinity", "persistent_betti",
+                    "persistent_betti_simplified"],
+    "ranks": ["LemmaReport", "LemmaViolation"],
 }
+
+# the rank formula, and the dense complexes that only betti, the oracle and bench build
+RANKS_AND_COMPLEXES = {"phcalc.ranks", "phcalc.complexes"}
 
 
 def _loaded(statement: str, *flags: str) -> tuple[str, set[str]]:
@@ -125,6 +129,57 @@ def test_only_check_loads_the_check_sections(gen_file, tmp_path):
         assert "phcalc.checks" not in loaded, argv
     _, loaded = _main("check", gen_file)
     assert "phcalc.checks" in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["barcode", "FILE", "--all-dims", "--format", "text"],
+    ["barcode", "FILE", "--all-dims", "--format", "json"],
+    ["barcode", "FILE", "--all-dims", "--format", "svg"],
+    ["pbetti", "FILE", "-n", "1", "-j", "0", "-p", "2"],
+    ["mu", "FILE", "-n", "1", "-j", "0", "-p", "2"],
+    ["mu", "FILE", "-n", "0", "-j", "0", "-p", "inf"],
+    ["gen", "-t", "4", "-l", "2"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_barcodes_point_queries_and_gen_load_neither_ranks_nor_complexes(argv, gen_file):
+    _, loaded = _main(*[gen_file if a == "FILE" else a for a in argv])
+    assert "phcalc.persistence" in loaded
+    assert not loaded & RANKS_AND_COMPLEXES
+
+
+def test_check_loads_ranks_and_not_complexes(gen_file):
+    out, loaded = _main("check", gen_file)
+    assert out.endswith("all checks passed\n")
+    assert "phcalc.ranks" in loaded and "phcalc.complexes" not in loaded
+
+
+def test_betti_and_oracle_check_load_complexes(gen_file, tmp_path):
+    facets = tmp_path / "facets.txt"
+    facets.write_text("0 1 2\n2 3\n")
+    out, loaded = _main("betti", str(facets), "-n", "0")
+    assert out == "1\n" and "phcalc.complexes" in loaded
+    out, loaded = _main("check", gen_file, "--oracle")
+    assert "oracle: ok" in out and RANKS_AND_COMPLEXES <= loaded
+
+
+def test_every_public_name_and_each_moved_names_old_import_resolves():
+    # the rank formula moved to `ranks` and the vertex helpers to `_value`;
+    # the names keep their import paths
+    statement = """
+import phcalc
+values = {name: getattr(phcalc, name) for name in phcalc.__all__}
+from phcalc.persistence import (
+    LemmaReport, LemmaViolation, betti_table, check_fundamental_lemma,
+    persistent_betti_simplified,
+)
+from phcalc.complexes import _missing_face, subsets
+from phcalc import ranks
+assert (LemmaReport, LemmaViolation) == (ranks.LemmaReport, ranks.LemmaViolation)
+assert values["betti_table"] is betti_table
+assert subsets((0, 1)) is not None and callable(_missing_face)
+print(len(values))
+"""
+    out, _ = _loaded(statement)
+    assert out == f"{len(phcalc.__all__)}\n"
 
 
 def test_star_import_binds_every_public_name():

@@ -34,15 +34,15 @@ class Mutant(NamedTuple):
     equivalent: str | None = None  # why the suite cannot kill it, if it cannot
 
 
-P, C, CH, FT, FI, CX, O = (f"src/phcalc/{m}.py" for m in ("persistence", "cli", "checks",
-                           "filtration", "files", "complexes", "oracle"))
+P, R, C, CH, FT, FI, CX, O = (f"src/phcalc/{m}.py" for m in (
+    "persistence", "ranks", "cli", "checks", "filtration", "files", "complexes", "oracle"))
 
 MUTANTS = [
     # the reduction adds no earlier column, and only clears the pivot bit
     Mutant(P, "col ^= reduced[low]", "col ^= 1 << low"),
     # the beta builder reads rank_g[q] as the raises born before q, or z of the level before j
-    Mutant(P, "map(sub, later, rank_g[j:])", "map(sub, later, ([0] + rank_g)[j:])"),
-    Mutant(P, "initial=z[j])", "initial=z[j - 1])"),
+    Mutant(R, "map(sub, later, rank_g[j:])", "map(sub, later, ([0] + rank_g)[j:])"),
+    Mutant(R, "initial=z[j])", "initial=z[j - 1])"),
     # a row of beta counts the bars born before j, not by j, or those dying at p too; and
     # persistent_betti reads its kept row one level early
     Mutant(P, "if birth <= j < death:", "if birth < j < death:"),
@@ -54,18 +54,18 @@ MUTANTS = [
     Mutant(P, "0 <= j < len(f._levels)", "0 <= j <= len(f._levels)"),
     # ... the row shift, both counts of the z list (each of the births before j), and rank D_1
     # read as rank D_0, which is 0
-    Mutant(P, "shift = bisect_right(", "shift = bisect_left("),
-    Mutant(P, "zip(accumulate(cells), _rank_g(f, n - 1))",
+    Mutant(R, "shift = bisect_right(", "shift = bisect_left("),
+    Mutant(R, "zip(accumulate(cells), _rank_g(f, n - 1))",
            "zip([0, *accumulate(cells)], _rank_g(f, n - 1))"),
-    Mutant(P, "zip(accumulate(cells), _rank_g(f, n - 1))",
+    Mutant(R, "zip(accumulate(cells), _rank_g(f, n - 1))",
            "zip(accumulate(cells), [0] + _rank_g(f, n - 1))"),
-    Mutant(P, "if n >= 0 else [0]", "if n > 0 else [0]"),
+    Mutant(R, "if n >= 0 else [0]", "if n > 0 else [0]"),
     # mu reads the bar one level early, and mu_infinity the bar born one level early
     Mutant(P, ".get((j, p), 0)", ".get((j, p - 1), 0)"),
     Mutant(P, ".get((j, INFINITE_DEATH), 0)", ".get((j - 1, INFINITE_DEATH), 0)"),
     # off by one: the negative-count, span, inclusion and nilpotency checks
-    Mutant(P, "for p in range(k + 1, m + 2):", "for p in range(k + 1, m + 1):"),
-    Mutant(P, "for l in range(k, m + 1)", "for l in range(k + 1, m + 1)"),
+    Mutant(R, "for p in range(k + 1, m + 2):", "for p in range(k + 1, m + 1):"),
+    Mutant(R, "for l in range(k, m + 1)", "for l in range(k + 1, m + 1)"),
     Mutant(CH, "if born > birth:", "if born > birth + 1:"),
     Mutant(CH, "if j >= birth", "if j > birth"),
     # persistent_betti keeps no row of beta, and no bars are kept; above the top dimension
@@ -75,7 +75,7 @@ MUTANTS = [
     Mutant(P, "    f._bars[n] = bars\n", ""),
     Mutant(P, "        if not f._cells(n):  # above the top dimension", "        if False:  #"),
     Mutant(P, "if n in f._bars or not f._cells(n):", "if n in f._bars:"),
-    Mutant(P, "    if not f._cells(n):\n        yield from", "    if False:\n        yield from"),
+    Mutant(R, "    if not f._cells(n):\n        yield from", "    if False:\n        yield from"),
     # a simplex takes the birth of the last level that adds it, not the first
     Mutant(FT, "births.setdefault(verts, j)", "births[verts] = j"),
     # the nesting check is off at level 1
@@ -94,6 +94,10 @@ MUTANTS = [
     Mutant(C, "                stream.flush()\n", "                pass\n"),
     Mutant(C, "if sys.flags.dev_mode or ", "if "),
     Mutant(C, " or sys.getprofile() is not None", ""),
+    # every subcommand loads the dense complexes, which only betti needs
+    Mutant(C, "from .filtration import Filtration, FiltrationError\n",
+           "from .complexes import Simplex, closure_of_facets\n"
+           "from .filtration import Filtration, FiltrationError\n"),
     # a level with an empty facet passes as plain
     Mutant(FI, "        and all(raw_level)\n", ""),
     # the face-closure check skips the vertices of each edge
