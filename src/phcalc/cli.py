@@ -11,6 +11,15 @@ by `_integer` and written as a facet-line vertex is, in ASCII digits
 after an optional `-`: `0_0`, `+1`, ` 1` and non-ASCII digits are usage
 errors.
 
+Each subcommand's arguments are declared once, in the table `COMMANDS`.
+`main` hands argv to `_read_plain`, which reads the plain form -- the
+subcommand, then its positionals and options in any order, each option
+spelled in full with its value as the next word -- and gives the
+namespace argparse would.  Only argv it declines (help, a usage error,
+an abbreviated option, `--opt=value`, a value starting with `-`) imports
+argparse, whose parser `_build_parser` makes from the same table, so
+every output is argparse's as before.
+
 `run` is the entry point of the `phcalc` script and of `python -m
 phcalc.cli`: it calls `main`, flushes stdout and stderr, and ends the
 process without the interpreter's teardown.  `main` returns the exit
@@ -19,11 +28,11 @@ code, for callers in process.
 
 from __future__ import annotations
 
-import argparse
 import io
 import os
 import sys
 from contextlib import suppress
+from types import SimpleNamespace
 
 from .filtration import Filtration, FiltrationError
 from .files import _VERTEX, ParseError, parse_facets, parse_filtration, serialize_barcodes
@@ -37,6 +46,9 @@ from .persistence import _top_down, barcode, mu, mu_infinity, persistent_betti
 #   betti          complexes and gf2
 #   gen            generate
 #   bench          generate, complexes, gf2 and ranks
+# and argparse (with gettext) loads only for argv that `_read_plain` declines.  The
+# cmd_* functions take either namespace; their `argparse.Namespace` annotations are
+# never evaluated.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,12 +61,14 @@ def _integer(text: str, least: float = 0, expected: str = "an integer >= 0") -> 
     """``text`` as an integer >= ``least``, written as a facet-line vertex is.
 
     That is ASCII digits after an optional `-` (`files._VERTEX`); `int()`
-    alone would also take `+1`, `1_0`, ` 1` and non-ASCII digits.
+    alone would also take `+1`, `1_0`, ` 1` and non-ASCII digits.  Any
+    other text is a ValueError, which `_read_plain` declines and argparse
+    reports with its message, as `_build_parser` passes it on.
     """
     with suppress(ValueError):  # int() past the interpreter's digit limit
         if _VERTEX.fullmatch(text) and (value := int(text)) >= least:
             return value
-    raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    raise ValueError(f"expected {expected}, got {text!r}")
 
 
 def _level_or_inf(text: str) -> int | None:
@@ -68,11 +82,10 @@ def _signed(text: str) -> int:  # gen and bench leave their range checks to gene
 def _triangle_list(text: str) -> list[int]:
     try:
         values = [_signed(part) for part in text.split(",") if part]
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
     if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("each triangle count must be >= 1")
+        raise ValueError("each triangle count must be >= 1")
     return values
 
 
@@ -190,101 +203,183 @@ def cmd_bench(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, bench_table(args.triangles, args.levels, args.seed)
 
 
-def _add_filtration_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("file", help="filtration file, or - for stdin")
-    sub.add_argument(
-        "--incremental",
-        action="store_true",
-        help="levels list only the facets new at each level",
-    )
+FLAG = "store_true"  # the kind of an option that takes no value
+
+_FILTRATION = (
+    (("file",), "file", None, None, True, "filtration file, or - for stdin"),
+    (("--incremental",), "incremental", FLAG, False, False,
+     "levels list only the facets new at each level"),
+)
+
+# Every subcommand's arguments, read by `_read_plain` and built into argparse by
+# `_build_parser`.  name: (cmd_* function, help, arguments, the dests of a required
+# one-of group).  An argument is (flags, or the positional's name; dest; kind: a
+# converter, FLAG, a tuple of choices or None for the text as given; default;
+# required; help).  argparse's short and long flags keep their order, as help shows it.
+COMMANDS = {
+    "betti": (cmd_betti, "Betti number of a facet-list complex", (
+        (("file",), "file", None, None, True, "facet list file, or - for stdin"),
+        (("-n", "--dim"), "dim", _integer, None, True, None),
+    ), ()),
+    "pbetti": (cmd_pbetti, "persistent Betti number", (
+        *_FILTRATION,
+        (("-n", "--dim"), "dim", _integer, None, True, None),
+        (("-j", "--birth"), "birth", _integer, None, True, None),
+        (("-p", "--death"), "death", _integer, None, True, None),
+    ), ()),
+    "mu": (cmd_mu, "interval multiplicity", (
+        *_FILTRATION,
+        (("-n", "--dim"), "dim", _integer, None, True, None),
+        (("-j", "--birth"), "birth", _integer, None, True, None),
+        (("-p", "--death"), "death", _level_or_inf, None, True,
+         "death level, or inf for classes that never die"),
+    ), ()),
+    "barcode": (cmd_barcode, "barcode of a filtration", (
+        *_FILTRATION,
+        (("-n", "--dim"), "dim", _integer, None, False, None),
+        (("--all-dims",), "all_dims", FLAG, False, False, None),
+        (("--format",), "format", ("text", "json", "svg"), "text", False, None),
+        (("-o", "--output"), "output", None, None, False, "output file (default stdout)"),
+    ), ("dim", "all_dims")),
+    "check": (cmd_check, "verify structural invariants", (
+        *_FILTRATION,
+        (("--max-dim",), "max_dim", _integer, None, False, None),
+        (("--oracle",), "oracle", FLAG, False, False,
+         "also compare against brute-force enumeration"),
+    ), ()),
+    "gen": (cmd_gen, "generate a random filtration", (
+        (("--triangles", "-t"), "triangles", _signed, None, True, None),
+        (("--levels", "-l"), "levels", _signed, None, True, None),
+        (("--vertices", "-v"), "vertices", _signed, None, False, None),
+        (("--seed", "-s"), "seed", _signed, 0, False, None),
+        (("-o", "--output"), "output", None, None, False, "output file (default stdout)"),
+    ), ()),
+    "bench": (cmd_bench, "timing table over random inputs", (
+        (("--triangles", "-t"), "triangles", _triangle_list, [10, 50, 100, 200, 500], False,
+         "comma-separated triangle counts"),
+        (("--levels", "-l"), "levels", _signed, 5, False, None),
+        (("--seed", "-s"), "seed", _signed, 0, False, None),
+    ), ()),
+}
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose --help, with stdout closed, prints nothing.
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give ``argv`` in the plain form, or None.
 
-    argparse would print the help to stderr then; `main` reports the
-    closed stdout instead, as it does for any answer.  Subparsers take
-    their parent's class.
+    The plain form is a subcommand, then its positionals and options in
+    any order, each option spelled in full, once, with its value as the
+    next word.  Anything else is declined and left to argparse: a word
+    starting with `-` (but `-` alone) that is no option of the
+    subcommand, such as `-h`, `--`, `--all`, `--format=json` or `-n1`; a
+    repeated option; a missing value or one starting with `-`, such as
+    `-s -3`; a value its kind refuses; the wrong number of positionals; a
+    missing required option; and a one-of group not given exactly once.
     """
-
-    def print_help(self, file=None) -> None:
-        if file is not None or sys.stdout is not None:
-            super().print_help(file)
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, arguments, one_of = COMMANDS[argv[0]]
+    by_flag = {flag: argument for argument in arguments for flag in argument[0]}
+    values = {dest: default for _, dest, _, default, _, _ in arguments}
+    given, positionals = set(), []
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] != "-" or word == "-":
+            positionals.append(word)
+            continue
+        if word not in by_flag or by_flag[word][1] in given:
+            return None
+        _, dest, kind, *_ = by_flag[word]
+        given.add(dest)
+        if kind == FLAG:
+            values[dest] = True
+            continue
+        value = next(words, "--")  # a missing value is declined as a dashed one is
+        if value[:1] == "-" and value != "-":
+            return None
+        if isinstance(kind, tuple):
+            if value not in kind:
+                return None
+        elif kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        values[dest] = value
+    names = [dest for flags, dest, *_ in arguments if flags[0][0] != "-"]
+    if len(positionals) != len(names):
+        return None
+    given.update(names)
+    if any(required and dest not in given for _, dest, _, _, required, _ in arguments):
+        return None
+    if one_of and len(given.intersection(one_of)) != 1:
+        return None
+    values.update(zip(names, positionals))
+    return SimpleNamespace(command=argv[0], func=func, **values)
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of `COMMANDS`, for argv that `_read_plain` declines."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An argument parser whose --help, with stdout closed, prints nothing.
+
+        argparse would print the help to stderr then; `main` reports the
+        closed stdout instead, as it does for any answer.  Subparsers take
+        their parent's class.
+        """
+
+        def print_help(self, file=None) -> None:
+            if file is not None or sys.stdout is not None:
+                super().print_help(file)
+
+    def typed(convert):  # argparse prints an ArgumentTypeError's message as it is
+        def read(text: str):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        return read
+
     parser = _Parser(prog="phcalc", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    sub = subparsers.add_parser("betti", help="Betti number of a facet-list complex")
-    sub.add_argument("file", help="facet list file, or - for stdin")
-    sub.add_argument("-n", "--dim", type=_integer, required=True)
-    sub.set_defaults(func=cmd_betti)
-
-    sub = subparsers.add_parser("pbetti", help="persistent Betti number")
-    _add_filtration_arguments(sub)
-    sub.add_argument("-n", "--dim", type=_integer, required=True)
-    sub.add_argument("-j", "--birth", type=_integer, required=True)
-    sub.add_argument("-p", "--death", type=_integer, required=True)
-    sub.set_defaults(func=cmd_pbetti)
-
-    sub = subparsers.add_parser("mu", help="interval multiplicity")
-    _add_filtration_arguments(sub)
-    sub.add_argument("-n", "--dim", type=_integer, required=True)
-    sub.add_argument("-j", "--birth", type=_integer, required=True)
-    sub.add_argument(
-        "-p", "--death", type=_level_or_inf, required=True,
-        help="death level, or inf for classes that never die",
-    )
-    sub.set_defaults(func=cmd_mu)
-
-    sub = subparsers.add_parser("barcode", help="barcode of a filtration")
-    _add_filtration_arguments(sub)
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("-n", "--dim", type=_integer)
-    group.add_argument("--all-dims", action="store_true")
-    sub.add_argument("--format", choices=("text", "json", "svg"), default="text")
-    sub.add_argument("-o", "--output", help="output file (default stdout)")
-    sub.set_defaults(func=cmd_barcode)
-
-    sub = subparsers.add_parser("check", help="verify structural invariants")
-    _add_filtration_arguments(sub)
-    sub.add_argument("--max-dim", type=_integer, default=None)
-    sub.add_argument(
-        "--oracle", action="store_true",
-        help="also compare against brute-force enumeration",
-    )
-    sub.set_defaults(func=cmd_check)
-
-    sub = subparsers.add_parser("gen", help="generate a random filtration")
-    sub.add_argument("--triangles", "-t", type=_signed, required=True)
-    sub.add_argument("--levels", "-l", type=_signed, required=True)
-    sub.add_argument("--vertices", "-v", type=_signed, default=None)
-    sub.add_argument("--seed", "-s", type=_signed, default=0)
-    sub.add_argument("-o", "--output", help="output file (default stdout)")
-    sub.set_defaults(func=cmd_gen)
-
-    sub = subparsers.add_parser("bench", help="timing table over random inputs")
-    sub.add_argument(
-        "--triangles", "-t", type=_triangle_list, default=[10, 50, 100, 200, 500],
-        help="comma-separated triangle counts",
-    )
-    sub.add_argument("--levels", "-l", type=_signed, default=5)
-    sub.add_argument("--seed", "-s", type=_signed, default=0)
-    sub.set_defaults(func=cmd_bench)
-
+    for name, (func, summary, arguments, one_of) in COMMANDS.items():
+        sub = subparsers.add_parser(name, help=summary)
+        group = None
+        for flags, dest, kind, default, required, help_ in arguments:
+            if flags[0][0] != "-":
+                sub.add_argument(*flags, help=help_)
+                continue
+            spec = {"dest": dest, "default": default, "help": help_}
+            if kind == FLAG:
+                spec["action"] = kind
+            elif isinstance(kind, tuple):
+                spec["choices"] = kind
+            elif kind is not None:
+                spec["type"] = typed(kind)
+            if dest in one_of:  # the group is required, and its members may not be
+                group = group or sub.add_mutually_exclusive_group(required=True)
+                group.add_argument(*flags, **spec)
+            else:
+                sub.add_argument(*flags, required=required, **spec)
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
-        if exc.code != 0:
-            return EXIT_USAGE
-        # the text may wait in stdout's buffer: it is flushed as an answer is; with
-        # stdout closed `_Parser` printed nothing, and writing the answer reports it
-        args = argparse.Namespace(command="--help", func=lambda args: (EXIT_OK, ""))
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+            if exc.code != 0:
+                return EXIT_USAGE
+            # the text may wait in stdout's buffer: it is flushed as an answer is; with
+            # stdout closed `_Parser` printed nothing, and writing the answer reports it
+            args = SimpleNamespace(command="--help", func=lambda args: (EXIT_OK, ""))
     try:
         code, text = args.func(args)
         _write_text(getattr(args, "output", None), text)

@@ -161,6 +161,149 @@ def test_betti_and_oracle_check_load_complexes(gen_file, tmp_path):
     assert "oracle: ok" in out and RANKS_AND_COMPLEXES <= loaded
 
 
+# Runs phcalc's main on its argv; then prints its exit code and the modules it loaded.
+CLI_PROBE = """
+import sys
+before = set(sys.modules)
+import phcalc.cli
+code = phcalc.cli.main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write(f"\\nEXIT {code} LOADED " + " ".join(sorted(set(sys.modules) - before)))
+"""
+
+ARGPARSE = {"argparse", "gettext"}
+
+
+def _cli(*argv: str) -> tuple[int, str, str, set[str]]:
+    """``main(argv)`` in a fresh interpreter, with help 80 columns wide: its exit code,
+    stdout and stderr, and the modules it loaded."""
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", CLI_PROBE, *argv],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    err, _, tail = run.stderr.rpartition("\nEXIT ")
+    code, _, loaded = tail.partition(" LOADED ")
+    return int(code), run.stdout, err, set(loaded.split())
+
+
+@pytest.mark.parametrize("argv", [
+    ["barcode", "FILE", "--all-dims", "--format", "text"],
+    ["barcode", "FILE", "--format", "json", "--all-dims"],
+    ["barcode", "FILE", "-n", "1", "--format", "svg"],
+    ["pbetti", "FILE", "-n", "1", "-j", "0", "-p", "2"],
+    ["mu", "FILE", "-n", "1", "-j", "0", "-p", "2"],
+    ["mu", "FILE", "-n", "0", "-j", "0", "-p", "inf"],
+    ["check", "FILE"],
+    ["betti", "FACETS", "--dim", "0"],
+    ["gen", "-t", "4", "-l", "2", "--seed", "3"],
+], ids=" ".join)
+def test_a_plain_call_loads_no_argparse(argv, gen_file, tmp_path):
+    facets = tmp_path / "facets.txt"
+    facets.write_text("0 1 2\n2 3\n")
+    files = {"FILE": gen_file, "FACETS": str(facets)}
+    code, out, err, loaded = _cli(*[files.get(a, a) for a in argv])
+    assert (code, err) == (0, "") and out
+    assert not loaded & ARGPARSE
+
+
+TINY = '{"levels": [[[0], [1]], [[0, 1]], [[0, 1], [1, 2], [0, 2]]]}\n'
+
+BARCODE_USAGE = """\
+usage: phcalc barcode [-h] [--incremental] (-n DIM | --all-dims)
+                      [--format {text,json,svg}] [-o OUTPUT]
+                      file
+"""
+
+# what phcalc printed for these argv before its arguments were read without argparse:
+# (argv, exit code, stdout, stderr), with FILE the filtration TINY
+ARGPARSE_CALLS = [
+    (["--help"], 0, """\
+usage: phcalc [-h] {betti,pbetti,mu,barcode,check,gen,bench} ...
+
+Command-line interface.
+
+positional arguments:
+  {betti,pbetti,mu,barcode,check,gen,bench}
+    betti               Betti number of a facet-list complex
+    pbetti              persistent Betti number
+    mu                  interval multiplicity
+    barcode             barcode of a filtration
+    check               verify structural invariants
+    gen                 generate a random filtration
+    bench               timing table over random inputs
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    (["barcode", "--help"], 0, BARCODE_USAGE + """
+positional arguments:
+  file                  filtration file, or - for stdin
+
+options:
+  -h, --help            show this help message and exit
+  --incremental         levels list only the facets new at each level
+  -n DIM, --dim DIM
+  --all-dims
+  --format {text,json,svg}
+  -o OUTPUT, --output OUTPUT
+                        output file (default stdout)
+""", ""),
+    (["barcode", "FILE"], 1, "", BARCODE_USAGE
+     + "phcalc barcode: error: one of the arguments -n/--dim --all-dims is required\n"),
+    (["barcode", "FILE", "--all"], 0,
+     "# dim 0, levels 0..2\n[0,1)    *o\n[0,inf)  *-->\n\n# dim 1, levels 0..2\n[2,inf)    *>\n",
+     ""),
+    (["gen", "-t", "3", "-l", "2", "-s", "-3"], 0, """\
+{
+  "name": "random triangles=3 levels=2 vertices=6 seed=-3",
+  "levels": [
+    [
+      [
+        0,
+        3,
+        4
+      ],
+      [
+        1,
+        2,
+        3
+      ]
+    ],
+    [
+      [
+        1,
+        4,
+        5
+      ],
+      [
+        0,
+        3,
+        4
+      ],
+      [
+        1,
+        2,
+        3
+      ]
+    ]
+  ]
+}
+""", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", ARGPARSE_CALLS,
+                         ids=[" ".join(call[0]) for call in ARGPARSE_CALLS])
+def test_help_usage_errors_and_other_spellings_load_argparse_and_print_as_before(
+        argv, code, out, err, tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text(TINY)
+    got_code, got_out, got_err, loaded = _cli(*[str(path) if a == "FILE" else a for a in argv])
+    assert (got_code, got_out, got_err) == (code, out, err)
+    assert "argparse" in loaded
+
+
 def test_every_public_name_and_each_moved_names_old_import_resolves():
     # the rank formula moved to `ranks` and the vertex helpers to `_value`;
     # the names keep their import paths

@@ -94,6 +94,10 @@ MUTANTS = [
     Mutant(C, "                stream.flush()\n", "                pass\n"),
     Mutant(C, "if sys.flags.dev_mode or ", "if "),
     Mutant(C, " or sys.getprofile() is not None", ""),
+    # barcode's reader takes neither or both of -n and --all-dims, which argparse refuses;
+    # every subcommand loads argparse, which only help, usage errors and other spellings need
+    Mutant(C, "    if one_of and len(given.intersection(one_of)) != 1:\n        return None\n", ""),
+    Mutant(C, "import io\n", "import argparse\nimport io\n"),
     # every subcommand loads the dense complexes, which only betti needs
     Mutant(C, "from .filtration import Filtration, FiltrationError\n",
            "from .complexes import Simplex, closure_of_facets\n"
